@@ -29,7 +29,6 @@ from .polar import (
 from .construction import (
     BEC,
     BSC,
-    ConstructionPolicy,
     ReliabilityProfile,
     bec_reliability,
     mc_reliability,
@@ -71,7 +70,7 @@ __all__ = [
     "select_columns", "select_rows", "vec_mat_mul",
     "CodeParams", "PolarCodeSpec", "bit_reversal_permutation",
     "encode", "generator_matrix", "polar_transform",
-    "BEC", "BSC", "ConstructionPolicy", "ReliabilityProfile",
+    "BEC", "BSC", "ReliabilityProfile",
     "bec_reliability", "mc_reliability", "select_info_set", "select_secure_subset",
     "ERASED", "DecodeResult", "ReceivedWord", "sc_decode_bec", "sc_decode_llr",
     "RngStream", "bec_sample", "bsc_sample", "cascade_erasure",

@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .channels import GENERATOR_NAME
 from .construction import BSC, bec_reliability, mc_reliability
+from .polar import CodeParams
 from .relay import RelayChannelSpec, build_relay_scheme, calibrate_margin, simulate_relay
 from .wiretap import WiretapConfig, run_wiretap_experiment
 
@@ -63,12 +64,10 @@ _SCHEMAS: dict[str, dict] = {
         "ew_step": (float, 0.02),
         "trials": (int, 1000),
         "seed": (int, 0),
-        "threads": (int, 1),
     },
     "fig1": {
         "trials": (int, 1000),
         "seed": (int, 0),
-        "threads": (int, 1),
     },
     "relay-sim": {
         "n": (int, 10),
@@ -141,6 +140,13 @@ def _require(cond: bool, key: str, message: str) -> None:
         raise ConfigError(f"{key}: {message}")
 
 
+def _require_n(n: int) -> None:
+    try:
+        CodeParams(n)
+    except ValueError as exc:
+        raise ConfigError(f"n: {exc}") from exc
+
+
 def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(v)
@@ -182,6 +188,7 @@ def _write_artifacts(files: list[tuple[Path, str]]) -> None:
 
 def _run_construct(cfg: ExperimentConfig) -> int:
     p = cfg.params
+    _require_n(p["n"])
     _require(p["channel"] in ("bec", "bsc"), "channel", "must be 'bec' or 'bsc'")
     if p["channel"] == "bec":
         _require(0.0 <= p["erasure_prob"] <= 1.0, "erasure_prob", "must be in [0, 1]")
@@ -231,10 +238,10 @@ print("saved", out)
 def _run_wiretap(cfg: ExperimentConfig, schema_name: str) -> int:
     p = dict(FIG1_PRESET) if cfg.command == "fig1" else {}
     p.update(cfg.params)
+    _require_n(p["n"])
     _require(0.0 <= p["e_m"] <= p["design_e_w"] <= 1.0, "e_m", "need 0 <= e_m <= design_e_w <= 1")
     _require(0.0 <= p["rate"] < 1.0, "rate", "must be in [0, 1)")
     _require(p["trials"] >= 1, "trials", "must be positive")
-    _require(p["threads"] >= 1, "threads", "must be positive")
     _require(p["ew_step"] > 0.0, "ew_step", "must be positive")
     _require(p["ew_start"] <= p["ew_stop"], "ew_start", "must not exceed ew_stop")
     points = _sweep_points(p["ew_start"], p["ew_stop"], p["ew_step"])
@@ -244,9 +251,9 @@ def _run_wiretap(cfg: ExperimentConfig, schema_name: str) -> int:
             e_m=p["e_m"], e_w=p["design_e_w"], rate=p["rate"], n=p["n"],
             trials=p["trials"], seed=p["seed"],
         )
-    except ValueError as exc:
-        raise ConfigError(f"n: {exc}") from exc
-    reports = run_wiretap_experiment(wcfg, points, workers=p["threads"])
+    except ValueError as exc:  # every field but the code sizes is checked above
+        raise ConfigError(f"rate: {exc}") from exc
+    reports = run_wiretap_experiment(wcfg, points)
     out = cfg.output_path or Path(f"{cfg.command}.csv")
     lines = _header_lines(cfg.command, p, schema_name)
     lines.append("e_w,mean_equivocation_rate,upper_bound,trials,info_size,secure_size,block_length,seed")
@@ -266,6 +273,7 @@ def _run_wiretap(cfg: ExperimentConfig, schema_name: str) -> int:
 
 def _run_relay(cfg: ExperimentConfig) -> int:
     p = cfg.params
+    _require_n(p["n"])
     for key in ("e_sr", "e_deg", "e_rd"):
         _require(0.0 <= p[key] <= 1.0, key, "must be in [0, 1]")
     _require(p["blocks"] >= 1, "blocks", "must be positive")
@@ -306,7 +314,7 @@ def _run_relay(cfg: ExperimentConfig) -> int:
 
 
 def _run_selftest(cfg: ExperimentConfig) -> int:
-    from .polar import CodeParams, generator_matrix, polar_transform
+    from .polar import generator_matrix, polar_transform
     from .gf2 import BitVector, vec_mat_mul
     from .wiretap import (
         NestedCodeSpec,
@@ -403,7 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master PRNG seed")
         p.add_argument("--trials", type=int, default=None, help="Monte-Carlo trials")
         p.add_argument("--out", type=Path, default=None, help="output CSV path")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
         p.add_argument(
             "--set",
             action="append",
@@ -423,7 +430,7 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"--set: expected KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         raw[key.strip()] = value.strip()
-    for key in ("seed", "trials", "threads"):
+    for key in ("seed", "trials"):
         value = getattr(args, key)
         if value is not None:
             raw[key] = str(value)

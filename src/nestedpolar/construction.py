@@ -23,7 +23,6 @@ __all__ = [
     "BSC",
     "ChannelSpec",
     "ReliabilityProfile",
-    "ConstructionPolicy",
     "bec_reliability",
     "mc_reliability",
     "select_info_set",
@@ -77,22 +76,6 @@ class ReliabilityProfile:
         z = z.copy()
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
-
-
-@dataclass(frozen=True)
-class ConstructionPolicy:
-    """Size-based selection targets plus Monte-Carlo parameters."""
-
-    info_size: int
-    secure_size: int
-    mc_trials: int = 100_000
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.secure_size <= self.info_size:
-            raise ValueError("need 0 <= secure_size <= info_size")
-        if self.mc_trials < 1:
-            raise ValueError("mc_trials must be positive")
 
 
 def bec_reliability(n: int, erasure_prob: float) -> ReliabilityProfile:

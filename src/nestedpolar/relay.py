@@ -159,6 +159,7 @@ def calibrate_margin(
 ) -> RelayScheme:
     """Largest margin (scanned down from 1 in ``step``s) whose three stage
     union bounds all sit at or below ``target``."""
+    CodeParams(n)  # checked here, since the scan below skips failing margins
     margin = 1.0
     while margin > 0.0:
         try:

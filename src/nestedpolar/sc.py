@@ -1,13 +1,22 @@
 """Successive cancellation decoding.
 
-Two variants share one recursion shape:
+Every decoder here is one walk of the SC tree.  At each node a check-node
+combine f gives the left child's messages, a variable-node combine g gives
+the right child's once the left subtree's bits are known, and at each bit
+a leaf rule turns the bit's messages into the bit fed forward.  Two
+message domains supply f and g:
 
-* an exact three-valued (0 / 1 / erased) message propagation for the
-  binary erasure channel, and
-* an exact log-likelihood-ratio recursion for general symmetric channels,
-  with the check-node combine computed in the log domain as
+* three-valued (0 / 1 / erased) messages for the binary erasure channel,
+  where the walk is exact erasure propagation, and
+* log-likelihood ratios for general symmetric channels, with the
+  check-node combine computed in the log domain as
   logaddexp(0, a+b) - logaddexp(a, b), which equals the hyperbolic-tangent
   rule without overflow.
+
+Two leaf rules run on either domain: a decoder decides information bits
+from their messages and outputs frozen bits as given; a genie records
+whether the bit's message was erased (or decided wrongly) and feeds the
+true bit forward.
 
 LLR sign convention: positive means bit 0 is more likely; a tie (LLR
 exactly zero) decides 0, matching a likelihood-ratio-at-least-one rule.
@@ -119,7 +128,51 @@ def _check_word(spec: PolarCodeSpec, word: ReceivedWord, kind: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# three-valued BEC recursion
+# the SC tree walk
+
+
+def _sc_walk(y: np.ndarray, f, g, leaf) -> None:
+    """Walk the SC tree once over a (batch, N) array of channel messages.
+
+    At each node, f(a, b) gives the left child's messages from the two
+    halves a, b; once the left subtree returns its re-encoded bits xl,
+    g(a, b, xl) gives the right child's.  leaf(i, m) receives the (batch,)
+    messages of bit i and returns the bits to feed forward for it.
+    """
+    n = y.shape[1].bit_length() - 1
+
+    def rec(msgs: np.ndarray, lo: int) -> np.ndarray:
+        L = msgs.shape[1]
+        if L == 1:
+            return leaf(lo, msgs[:, 0])[:, None]
+        h = L // 2
+        a = msgs[:, :h]
+        b = msgs[:, h:]
+        xl = rec(f(a, b), lo)
+        xr = rec(g(a, b, xl), lo + h)
+        return np.concatenate([xl ^ xr, xr], axis=1)
+
+    rec(np.ascontiguousarray(y[:, bit_reversal_permutation(n)]), 0)
+
+
+def _bec_check(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.where((a >= 0) & (b >= 0), (a ^ b).astype(np.int8), np.int8(ERASED))
+
+
+def _bec_var(a: np.ndarray, b: np.ndarray, xl: np.ndarray) -> np.ndarray:
+    return np.where(b >= 0, b, np.where(a >= 0, (a ^ xl).astype(np.int8), np.int8(ERASED)))
+
+
+def _llr_check(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
+
+
+def _llr_var(a: np.ndarray, b: np.ndarray, xl: np.ndarray) -> np.ndarray:
+    return b + a * (1.0 - 2.0 * xl)
+
+
+# ---------------------------------------------------------------------------
+# batch entry points
 
 
 def decode_bec_rows(
@@ -133,33 +186,21 @@ def decode_bec_rows(
     decisions that had to be made on an erased message (decided 0).
     """
     nbatch, N = y.shape
-    n = N.bit_length() - 1
     fv = np.broadcast_to(frozen_values, (nbatch, N))
     uhat = np.zeros((nbatch, N), dtype=np.uint8)
     undet = np.zeros(nbatch, dtype=np.int64)
 
-    def rec(msgs: np.ndarray, lo: int) -> np.ndarray:
-        L = msgs.shape[1]
-        if L == 1:
-            m = msgs[:, 0]
-            if info_mask[lo]:
-                er = m == ERASED
-                u = np.where(er, 0, m).astype(np.int8)
-                undet[er] += 1
-            else:
-                u = fv[:, lo].astype(np.int8)
-            uhat[:, lo] = u
-            return u[:, None]
-        h = L // 2
-        a = msgs[:, :h]
-        b = msgs[:, h:]
-        f = np.where((a >= 0) & (b >= 0), (a ^ b).astype(np.int8), np.int8(ERASED))
-        xl = rec(f, lo)
-        g = np.where(b >= 0, b, np.where(a >= 0, (a ^ xl).astype(np.int8), np.int8(ERASED)))
-        xr = rec(g, lo + h)
-        return np.concatenate([xl ^ xr, xr], axis=1)
+    def leaf(i: int, m: np.ndarray) -> np.ndarray:
+        if info_mask[i]:
+            er = m == ERASED
+            u = np.where(er, 0, m).astype(np.int8)
+            undet[er] += 1
+        else:
+            u = fv[:, i].astype(np.int8)
+        uhat[:, i] = u
+        return u
 
-    rec(np.ascontiguousarray(y[:, bit_reversal_permutation(n)]), 0)
+    _sc_walk(y, _bec_check, _bec_var, leaf)
     return uhat, undet
 
 
@@ -170,34 +211,14 @@ def genie_bec_rows(y: np.ndarray, u_true: np.ndarray) -> np.ndarray:
     returned (batch, N) boolean array marks exactly the positions whose
     synthesized bit-channel erased in that trial.
     """
-    nbatch, N = y.shape
-    n = N.bit_length() - 1
-    flags = np.zeros((nbatch, N), dtype=bool)
+    flags = np.zeros(y.shape, dtype=bool)
 
-    def rec(msgs: np.ndarray, lo: int) -> np.ndarray:
-        L = msgs.shape[1]
-        if L == 1:
-            flags[:, lo] = msgs[:, 0] == ERASED
-            return u_true[:, lo : lo + 1].astype(np.int8)
-        h = L // 2
-        a = msgs[:, :h]
-        b = msgs[:, h:]
-        f = np.where((a >= 0) & (b >= 0), (a ^ b).astype(np.int8), np.int8(ERASED))
-        xl = rec(f, lo)
-        g = np.where(b >= 0, b, np.where(a >= 0, (a ^ xl).astype(np.int8), np.int8(ERASED)))
-        xr = rec(g, lo + h)
-        return np.concatenate([xl ^ xr, xr], axis=1)
+    def leaf(i: int, m: np.ndarray) -> np.ndarray:
+        flags[:, i] = m == ERASED
+        return u_true[:, i].astype(np.int8)
 
-    rec(np.ascontiguousarray(y[:, bit_reversal_permutation(n)]), 0)
+    _sc_walk(y, _bec_check, _bec_var, leaf)
     return flags
-
-
-# ---------------------------------------------------------------------------
-# LLR recursion
-
-
-def _check_combine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
 
 
 def decode_llr_rows(
@@ -205,55 +226,32 @@ def decode_llr_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """SC-decode a batch of LLR words; returns (u array, zero-LLR tie counts)."""
     nbatch, N = llr.shape
-    n = N.bit_length() - 1
     fv = np.broadcast_to(frozen_values, (nbatch, N))
     uhat = np.zeros((nbatch, N), dtype=np.uint8)
     ties = np.zeros(nbatch, dtype=np.int64)
 
-    def rec(msgs: np.ndarray, lo: int) -> np.ndarray:
-        L = msgs.shape[1]
-        if L == 1:
-            m = msgs[:, 0]
-            if info_mask[lo]:
-                u = (m < 0).astype(np.uint8)
-                ties[m == 0] += 1
-            else:
-                u = fv[:, lo]
-            uhat[:, lo] = u
-            return u[:, None]
-        h = L // 2
-        a = msgs[:, :h]
-        b = msgs[:, h:]
-        xl = rec(_check_combine(a, b), lo)
-        g = b + a * (1.0 - 2.0 * xl)
-        xr = rec(g, lo + h)
-        return np.concatenate([xl ^ xr, xr], axis=1)
+    def leaf(i: int, m: np.ndarray) -> np.ndarray:
+        if info_mask[i]:
+            u = (m < 0).astype(np.uint8)
+            ties[m == 0] += 1
+        else:
+            u = fv[:, i]
+        uhat[:, i] = u
+        return u
 
-    rec(np.ascontiguousarray(llr[:, bit_reversal_permutation(n)], dtype=np.float64), 0)
+    _sc_walk(np.asarray(llr, dtype=np.float64), _llr_check, _llr_var, leaf)
     return uhat, ties
 
 
 def genie_llr_rows(llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
     """Per-position hard-decision error indicators of genie-aided SC."""
-    nbatch, N = llr.shape
-    n = N.bit_length() - 1
-    flags = np.zeros((nbatch, N), dtype=bool)
+    flags = np.zeros(llr.shape, dtype=bool)
 
-    def rec(msgs: np.ndarray, lo: int) -> np.ndarray:
-        L = msgs.shape[1]
-        if L == 1:
-            dec = (msgs[:, 0] < 0).astype(np.uint8)
-            flags[:, lo] = dec != u_true[:, lo]
-            return u_true[:, lo : lo + 1]
-        h = L // 2
-        a = msgs[:, :h]
-        b = msgs[:, h:]
-        xl = rec(_check_combine(a, b), lo)
-        g = b + a * (1.0 - 2.0 * xl)
-        xr = rec(g, lo + h)
-        return np.concatenate([xl ^ xr, xr], axis=1)
+    def leaf(i: int, m: np.ndarray) -> np.ndarray:
+        flags[:, i] = (m < 0).astype(np.uint8) != u_true[:, i]
+        return u_true[:, i]
 
-    rec(np.ascontiguousarray(llr[:, bit_reversal_permutation(n)], dtype=np.float64), 0)
+    _sc_walk(np.asarray(llr, dtype=np.float64), _llr_check, _llr_var, leaf)
     return flags
 
 

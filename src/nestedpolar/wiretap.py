@@ -13,9 +13,7 @@ enumeration oracle of the same quantity backs the rank path at toy sizes.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
@@ -120,7 +118,17 @@ class WiretapConfig:
             raise ValueError(f"rate must be in [0, 1), got {self.rate}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        CodeParams(self.n)
+        N = CodeParams(self.n).N
+        b, k = self.sizes
+        if b < 0 or k > N:
+            raise ValueError(f"infeasible sizes: |B|={b}, |A|={k} with N={N}")
+
+    @property
+    def sizes(self) -> tuple[int, int]:
+        """(|B|, |A|) = (round(N (C_M - rate)), |B| + round(N rate))."""
+        N = CodeParams(self.n).N
+        b = round(N * (1.0 - self.e_m - self.rate))
+        return b, b + round(N * self.rate)
 
 
 @dataclass(frozen=True)
@@ -148,18 +156,12 @@ class EquivocationReport:
 
 
 def build_wiretap_code(cfg: WiretapConfig) -> NestedCodeSpec:
-    """Size the nested code from (rate, capacities) and pick A and B.
+    """Pick A and B at the sizes ``cfg.sizes``.
 
-    |B| = round(N (C_M - rate)) and |A| = |B| + round(N rate), with A the
-    most reliable main-channel indices and B the members of A with the
-    smallest wiretap-channel parameters at the design e_w.
+    A holds the most reliable main-channel indices and B the members of A
+    with the smallest wiretap-channel parameters at the design e_w.
     """
-    N = CodeParams(cfg.n).N
-    c_m = 1.0 - cfg.e_m
-    b = round(N * (c_m - cfg.rate))
-    k = b + round(N * cfg.rate)
-    if b < 0 or k > N:
-        raise ValueError(f"infeasible sizes: |B|={b}, |A|={k} with N={N}")
+    b, k = cfg.sizes
     main = bec_reliability(cfg.n, cfg.e_m)
     wire = bec_reliability(cfg.n, cfg.e_w)
     info = select_info_set(main, k)
@@ -245,9 +247,7 @@ def equivocation_bruteforce(code: NestedCodeSpec, erased) -> float:
     return value if value is not None else 0.0
 
 
-def run_wiretap_experiment(
-    cfg: WiretapConfig, e_w_sweep, workers: int = 1
-) -> list[EquivocationReport]:
+def run_wiretap_experiment(cfg: WiretapConfig, e_w_sweep) -> list[EquivocationReport]:
     """Design once at cfg.e_w, then evaluate equivocation at each swept e_w.
 
     Every trial draws one uniform per position from its own substream and
@@ -269,29 +269,19 @@ def run_wiretap_experiment(
     ascending = np.argsort(points, kind="stable")
     eq = np.zeros((cfg.trials, points.size), dtype=np.int64)
 
-    def run_span(t0: int, t1: int) -> None:
-        for t in range(t0, t1):
-            draws = RngStream(cfg.seed, t).generator().random(N)
-            order = np.argsort(draws, kind="stable")
-            cuts = np.searchsorted(draws[order], points[ascending], side="left")
-            acc_h = IncrementalRank()
-            acc_s = IncrementalRank()
-            pos = 0
-            for pi, cut in zip(ascending, cuts):
-                for j in order[pos:cut]:
-                    acc_h.add(h_cols[j])
-                    acc_s.add(hs_cols[j])
-                pos = cut
-                eq[t, pi] = acc_s.rank - acc_h.rank
-
-    if workers <= 1:
-        run_span(0, cfg.trials)
-    else:
-        span = math.ceil(cfg.trials / workers)
-        bounds = [(i, min(i + span, cfg.trials)) for i in range(0, cfg.trials, span)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for fut in [pool.submit(run_span, a, b) for a, b in bounds]:
-                fut.result()
+    for t in range(cfg.trials):
+        draws = RngStream(cfg.seed, t).generator().random(N)
+        order = np.argsort(draws, kind="stable")
+        cuts = np.searchsorted(draws[order], points[ascending], side="left")
+        acc_h = IncrementalRank()
+        acc_s = IncrementalRank()
+        pos = 0
+        for pi, cut in zip(ascending, cuts):
+            for j in order[pos:cut]:
+                acc_h.add(h_cols[j])
+                acc_s.add(hs_cols[j])
+            pos = cut
+            eq[t, pi] = acc_s.rank - acc_h.rank
 
     reports = []
     for pi, e_w in enumerate(points):

@@ -56,26 +56,34 @@ def naive_vec_mat_mul(v, m) -> np.ndarray:
     return (np.asarray(v, dtype=np.int64) @ np.asarray(m, dtype=np.int64)) % 2
 
 
+def genie_erased_bits(erased) -> np.ndarray:
+    """Which bits stay erased under one erasure pattern, given all past bits.
+
+    Bit i is recoverable iff row i of the generator restricted to unerased
+    columns is independent of the rows below it (past bits are given,
+    future bits are unknown).
+    """
+    erased = np.asarray(erased, dtype=bool)
+    N = erased.size
+    sub = reference_generator(N.bit_length() - 1)[:, ~erased]
+    return np.array([naive_rank(sub[i:]) == naive_rank(sub[i + 1 :]) for i in range(N)])
+
+
 def exhaustive_bec_bitchannel_z(n: int, eps: float) -> np.ndarray:
     """Exact bit-channel erasure probabilities by pattern enumeration.
 
-    For every erasure pattern, bit i is recoverable iff row i of the
-    generator restricted to unerased columns is independent of the rows
-    below it (past bits are given, future bits are unknown).  Weighted by
-    the pattern probability this is the exact Bhattacharyya parameter.
+    Each pattern's unrecoverable bits (``genie_erased_bits``) are weighted
+    by the pattern probability; the sum is the exact Bhattacharyya
+    parameter.
     """
     N = 1 << n
-    g = reference_generator(n)
     z = np.zeros(N)
     for pattern in itertools.product([False, True], repeat=N):
         erased = np.array(pattern)
         p = (eps ** erased.sum()) * ((1 - eps) ** (N - erased.sum()))
         if p == 0.0:
             continue
-        sub = g[:, ~erased]
-        for i in range(N):
-            if naive_rank(sub[i:]) == naive_rank(sub[i + 1 :]):
-                z[i] += p
+        z[genie_erased_bits(erased)] += p
     return z
 
 
@@ -83,8 +91,11 @@ def sequential_ml_decode(llrs, info_mask, frozen_values) -> np.ndarray:
     """Bit-by-bit maximum-likelihood decoding by summing over future bits.
 
     Decides each bit from the exact likelihood ratio of the synthesized
-    channel given its own earlier decisions; ratio >= 1 decides 0.  Only
-    usable at tiny block lengths.
+    channel given its own earlier decisions; ratio >= 1 decides 0.  The
+    ratio is compared with a relative slack of 1e-9, so that an exact tie
+    (an exactly-zero LLR somewhere in the bit's combine) still decides 0
+    when the float sums below break it by rounding.  Only usable at tiny
+    block lengths.
     """
     llrs = np.asarray(llrs, dtype=np.float64)
     N = llrs.size
@@ -107,5 +118,5 @@ def sequential_ml_decode(llrs, info_mask, frozen_values) -> np.ndarray:
                 x = naive_vec_mat_mul(u, g)
                 lik = np.prod(np.where(x == 0, p_given0, p_given1))
                 totals[bit] += lik
-        u_hat[i] = 0 if totals[0] >= totals[1] else 1
+        u_hat[i] = 0 if totals[0] >= totals[1] * (1 - 1e-9) else 1
     return u_hat

@@ -41,6 +41,21 @@ def test_bad_value_rejected(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("args, key", [
+    (["construct", "--set", "n=-1"], "n"),
+    (["construct", "--set", "n=21"], "n"),
+    (["wiretap-sweep", "--set", "n=21"], "n"),
+    (["wiretap-sweep", "--set", "rate=0.9"], "rate"),
+    (["relay-sim", "--set", "n=-1"], "n"),
+    (["relay-sim", "--set", "n=21"], "n"),
+])
+def test_bad_size_rejected(tmp_path, capsys, args, key):
+    out = tmp_path / "x.csv"
+    assert main(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert not out.exists()
+
+
 def test_config_file_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment line\nn = 3\nerasure_prob = 0.5\n")
@@ -136,13 +151,3 @@ def test_reruns_are_byte_identical(tmp_path):
         assert main(args + ["--out", str(first)]) == 0
         assert main(args + ["--out", str(second)]) == 0
         assert body_lines(first) == body_lines(second)
-
-
-def test_threads_flag_does_not_change_results(tmp_path):
-    base = ["wiretap-sweep", "--trials", "14", "--seed", "2", "--set", "n=5",
-            "--set", "ew_start=0.3", "--set", "ew_stop=0.5", "--set", "ew_step=0.1"]
-    one = tmp_path / "t1.csv"
-    four = tmp_path / "t4.csv"
-    assert main(base + ["--threads", "1", "--out", str(one)]) == 0
-    assert main(base + ["--threads", "4", "--out", str(four)]) == 0
-    assert body_lines(one) == body_lines(four)

@@ -4,7 +4,6 @@ import pytest
 from nestedpolar.construction import (
     BEC,
     BSC,
-    ConstructionPolicy,
     bec_reliability,
     mc_reliability,
     select_info_set,
@@ -92,8 +91,6 @@ def test_channel_spec_validation():
         BEC(-0.1)
     with pytest.raises(ValueError):
         BSC(0.6)
-    with pytest.raises(ValueError):
-        ConstructionPolicy(info_size=3, secure_size=4)
 
 
 def test_mc_reliability_bec_tracks_exact_recursion():

@@ -75,7 +75,8 @@ def test_calibrate_margin_meets_target():
     assert max(scheme.stage_bounds) <= 0.01
     again = calibrate_margin(spec, 9, 8, target=0.01)
     assert again.margin == scheme.margin
-
+    with pytest.raises(ValueError, match="^n must be"):
+        calibrate_margin(spec, 21, 8, target=0.01)
 
 def test_simulate_noiseless_is_error_free():
     spec = RelayChannelSpec(0.0, 0.0, 0.0)

@@ -1,19 +1,23 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from nestedpolar.channels import RngStream, bec_sample
 from nestedpolar.construction import bec_reliability, select_info_set
 from nestedpolar.gf2 import BitVector
-from nestedpolar.polar import CodeParams, PolarCodeSpec, encode, polar_transform
+from nestedpolar.polar import CodeParams, PolarCodeSpec, encode, polar_transform, transform_rows
 from nestedpolar.sc import (
     ERASED,
     LLR_CAP,
     ReceivedWord,
+    genie_bec_rows,
+    genie_llr_rows,
     sc_decode_bec,
     sc_decode_llr,
 )
 
-from oracles import sequential_ml_decode
+from oracles import genie_erased_bits, sequential_ml_decode
 
 
 def random_spec(n, k, rng):
@@ -134,6 +138,28 @@ def test_llr_matches_sequential_ml_reference():
         got = sc_decode_llr(spec, ReceivedWord.from_llrs(llrs))
         expected = sequential_ml_decode(llrs, spec.info_mask, spec.frozen_template)
         assert np.array_equal(got.u_hat.bits, expected)
+
+
+def test_genie_bec_rows_match_recoverability_oracle():
+    patterns = np.array(list(itertools.product([False, True], repeat=8)))
+    u = np.random.default_rng(4).integers(0, 2, patterns.shape, dtype=np.uint8)
+    y = np.where(patterns, np.int8(ERASED), transform_rows(u).astype(np.int8))
+    expected = np.array([genie_erased_bits(p) for p in patterns])
+    assert np.array_equal(genie_bec_rows(y, u), expected)
+
+
+def test_genie_llr_rows_match_sequential_ml_reference():
+    # genie SC at bit i is the ML decision of bit-channel i given the true
+    # past: sequential ML with only bit i unfrozen and the true bits frozen
+    rng = np.random.default_rng(21)
+    llr = np.round(rng.normal(0, 2, (64, 4)), 3)
+    llr[rng.random(llr.shape) < 0.25] = 0.0  # exact ties
+    u = rng.integers(0, 2, llr.shape, dtype=np.uint8)
+    ml = np.array([
+        [sequential_ml_decode(llr[r], np.arange(4) == i, u[r])[i] for i in range(4)]
+        for r in range(llr.shape[0])
+    ])
+    assert np.array_equal(genie_llr_rows(llr, u), ml != u)
 
 
 def test_llr_tie_decides_zero():

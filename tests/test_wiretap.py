@@ -241,15 +241,6 @@ def test_experiment_monotone_and_bounded():
         assert r.upper_bound == min(cfg.rate, r.e_w - cfg.e_m)
 
 
-def test_experiment_workers_equivalent():
-    cfg = WiretapConfig(e_m=0.25, e_w=0.5, rate=0.25, n=5, trials=23, seed=6)
-    points = [0.3, 0.4, 0.5]
-    serial = run_wiretap_experiment(cfg, points, workers=1)
-    threaded = run_wiretap_experiment(cfg, points, workers=3)
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a.equivocations, b.equivocations)
-
-
 def test_experiment_report_order_follows_input():
     cfg = WiretapConfig(e_m=0.25, e_w=0.5, rate=0.25, n=4, trials=10, seed=7)
     reports = run_wiretap_experiment(cfg, [0.5, 0.3])
