@@ -70,6 +70,11 @@ class RelayChannelSpec:
         return 1.0 - self.e_rd
 
 
+def _check_blocks(blocks: int) -> None:
+    if blocks < 1:
+        raise ValueError("blocks must be positive")
+
+
 @dataclass(frozen=True)
 class RelayScheme:
     """Constructed codes for one operating point."""
@@ -82,8 +87,7 @@ class RelayScheme:
     stage_bounds: tuple[float, float, float]  # sum z over (A on SR, B on SD, rd info on RD)
 
     def __post_init__(self):
-        if self.blocks < 1:
-            raise ValueError("blocks must be positive")
+        _check_blocks(self.blocks)
         if self.rd_code.info_len != self.source_code.message_len:
             raise ValueError("relay code must carry exactly |A\\B| bits")
 
@@ -159,7 +163,11 @@ def calibrate_margin(
 ) -> RelayScheme:
     """Largest margin (scanned down from 1 in ``step``s) whose three stage
     union bounds all sit at or below ``target``."""
-    CodeParams(n)  # checked here, since the scan below skips failing margins
+    # Checked here, since the scan below skips every margin that fails to build.
+    CodeParams(n)
+    _check_blocks(blocks)
+    if not step > 0.0:
+        raise ValueError(f"step must be positive, got {step}")
     margin = 1.0
     while margin > 0.0:
         try:

@@ -256,15 +256,15 @@ def run_wiretap_experiment(cfg: WiretapConfig, e_w_sweep) -> list[EquivocationRe
     The ranks are maintained incrementally while columns join in draw
     order, which prices a whole sweep at one elimination per trial.
     """
-    code = build_wiretap_code(cfg)
-    h, h_s = parity_checks(code)
-    h_cols = pack_columns(h)
-    hs_cols = pack_columns(h_s)
     points = np.asarray(e_w_sweep, dtype=np.float64)
     if points.ndim != 1 or points.size == 0:
         raise ValueError("e_w sweep must be a nonempty 1-D sequence")
     if points.min() < 0.0 or points.max() > 1.0:
         raise ValueError("swept e_w values must lie in [0, 1]")
+    code = build_wiretap_code(cfg)
+    h, h_s = parity_checks(code)
+    h_cols = pack_columns(h)
+    hs_cols = pack_columns(h_s)
     N = code.N
     ascending = np.argsort(points, kind="stable")
     eq = np.zeros((cfg.trials, points.size), dtype=np.int64)

@@ -77,6 +77,13 @@ def test_calibrate_margin_meets_target():
     assert again.margin == scheme.margin
     with pytest.raises(ValueError, match="^n must be"):
         calibrate_margin(spec, 21, 8, target=0.01)
+    with pytest.raises(ValueError, match="^blocks"):
+        calibrate_margin(spec, 10, 0, target=0.01)
+    # nan first: at a zero or negative step an unchecked scan never ends.
+    for step in (float("nan"), 0.0, -0.01):
+        with pytest.raises(ValueError, match="^step"):
+            calibrate_margin(spec, 6, 2, target=0.01, step=step)
+
 
 def test_simulate_noiseless_is_error_free():
     spec = RelayChannelSpec(0.0, 0.0, 0.0)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from nestedpolar import wiretap
 from nestedpolar.channels import RngStream, bec_sample
 from nestedpolar.construction import bec_reliability, select_info_set, select_secure_subset
 from nestedpolar.gf2 import BitVector, rank
@@ -20,13 +21,25 @@ from nestedpolar.wiretap import (
     run_wiretap_experiment,
 )
 
-from oracles import exhaustive_bec_bitchannel_z, naive_vec_mat_mul
+from oracles import (
+    exhaustive_bec_bitchannel_z,
+    naive_rank,
+    naive_vec_mat_mul,
+    reference_generator,
+)
 
 
 def toy_code(ka=5, kb=3):
     info = select_info_set(bec_reliability(3, 0.25), ka)
     secure = select_secure_subset(info, bec_reliability(3, 0.5), kb)
     return NestedCodeSpec(CodeParams(3), info, secure)
+
+
+def random_code(rng, n, ka, kb):
+    """Nested code with a uniformly drawn A of size ka and B ⊂ A of size kb."""
+    info = np.sort(rng.choice(1 << n, ka, replace=False))
+    secure = np.sort(rng.choice(info, kb, replace=False))
+    return NestedCodeSpec(CodeParams(n), info, secure)
 
 
 def test_nested_spec_validation():
@@ -180,6 +193,23 @@ def test_parity_checks_orthogonality_and_cosets():
         syndromes.add(sync)
     assert len(syndromes) == 4  # distinct messages land in distinct cosets
 
+    # random nested codes beyond N=8, against the Kronecker-power generator
+    rng = np.random.default_rng(19)
+    for n in range(1, 8):
+        N = 1 << n
+        g = reference_generator(n).astype(np.int64)
+        codes = [NestedCodeSpec(CodeParams(n), np.arange(N), [])]
+        for _ in range(6):
+            ka = int(rng.integers(0, N + 1))
+            codes.append(random_code(rng, n, ka, int(rng.integers(0, ka + 1))))
+        for code in codes:
+            h, h_s = parity_checks(code)
+            assert h.cols == h_s.cols == N
+            assert not (g[code.info_set] @ h.entries.T.astype(np.int64) % 2).any()
+            assert not (g[code.secure_set] @ h_s.entries.T.astype(np.int64) % 2).any()
+            assert naive_rank(h.entries) == N - code.info_set.size
+            assert naive_rank(h_s.entries) == N - code.randomization_len
+
 
 def test_equivocation_rank_trivial():
     code = toy_code()
@@ -196,6 +226,16 @@ def test_equivocation_rank_matches_bruteforce():
         by_rank = equivocation_rank(h, h_s, erased)
         brute = equivocation_bruteforce(code, erased)
         assert brute == by_rank  # the oracle's entropies are exact integers here
+
+    # random codes at N=16 with |A| <= 12, random erasure patterns
+    rng = np.random.default_rng(20)
+    for _ in range(8):
+        ka = int(rng.integers(1, 13))
+        code = random_code(rng, 4, ka, int(rng.integers(0, ka + 1)))
+        h, h_s = parity_checks(code)
+        for _ in range(6):
+            erased = np.nonzero(rng.random(16) < rng.random())[0]
+            assert equivocation_bruteforce(code, erased) == equivocation_rank(h, h_s, erased)
 
 
 def test_equivocation_monotone_in_erasures():
@@ -220,6 +260,22 @@ def test_bruteforce_edges_and_guard():
     big = NestedCodeSpec(CodeParams(5), np.arange(32), np.arange(16))
     with pytest.raises(ValueError):
         equivocation_bruteforce(big, [0])
+
+
+@pytest.mark.parametrize(
+    "sweep, message",
+    [([], "nonempty 1-D"), ([[0.3, 0.4]], "nonempty 1-D"), ([0.3, 1.5], r"\[0, 1\]")],
+    ids=["empty", "2-D", "outside"],
+)
+def test_experiment_rejects_bad_sweep_before_design(monkeypatch, sweep, message):
+    def design_step(*args):
+        raise AssertionError("design step ran before the sweep was checked")
+
+    monkeypatch.setattr(wiretap, "build_wiretap_code", design_step)
+    monkeypatch.setattr(wiretap, "parity_checks", design_step)
+    cfg = WiretapConfig(e_m=0.25, e_w=0.5, rate=0.25, n=4, trials=1, seed=0)
+    with pytest.raises(ValueError, match=message):
+        run_wiretap_experiment(cfg, sweep)
 
 
 def test_experiment_edge_points():
