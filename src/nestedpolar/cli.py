@@ -297,6 +297,8 @@ def _run_relay(cfg: ExperimentConfig) -> int:
         f"secure_size={scheme.source_code.randomization_len} "
         f"stage_bounds={scheme.stage_bounds[0]!r},{scheme.stage_bounds[1]!r},{scheme.stage_bounds[2]!r}"
     )
+    sr, rd, sd = report.undetermined.sum(axis=(0, 1)).tolist()
+    lines.append(f"# stats: undetermined_sr={sr} undetermined_rd={rd} undetermined_sd={sd}")
     lines.append("trial,block,relay_error,rd_error,dest_error")
     for t in range(report.trials):
         for k in range(scheme.blocks):

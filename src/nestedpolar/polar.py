@@ -24,6 +24,7 @@ __all__ = [
     "polar_transform",
     "encode",
     "transform_rows",
+    "butterfly_rows",
 ]
 
 # Desk-scale guard: block lengths beyond 2^20 are out of scope.
@@ -72,20 +73,28 @@ def generator_matrix(n: int) -> BitMatrix:
     return BitMatrix(m[bit_reversal_permutation(n)])
 
 
-def transform_rows(rows: np.ndarray) -> np.ndarray:
-    """Apply the polar transform to each row of a (batch, N) uint8 array."""
-    nbatch, N = rows.shape
-    if N == 0 or N & (N - 1):
-        raise ValueError(f"row length must be a power of two, got {N}")
-    n = N.bit_length() - 1
-    x = rows[:, bit_reversal_permutation(n)]
+def butterfly_rows(x: np.ndarray) -> np.ndarray:
+    """Multiply each row of a (batch, L) array by F^(x)m in place; returns x.
+
+    L = 2^m.  F^(x)m is an involution, so a second call undoes the first.
+    Any memory layout works, since splitting the row axis is always a view;
+    column-major (batch-contiguous) arrays run fastest.
+    """
+    nbatch, L = x.shape
     h = 1
-    while h < N:
-        x = x.reshape(nbatch, -1, 2 * h)
-        x[:, :, :h] ^= x[:, :, h:]
-        x = x.reshape(nbatch, N)
+    while h < L:
+        v = x.reshape(nbatch, L // (2 * h), 2 * h)
+        v[:, :, :h] ^= v[:, :, h:]
         h *= 2
     return x
+
+
+def transform_rows(rows: np.ndarray) -> np.ndarray:
+    """Apply the polar transform to each row of a (batch, N) uint8 array."""
+    N = rows.shape[1]
+    if N == 0 or N & (N - 1):
+        raise ValueError(f"row length must be a power of two, got {N}")
+    return butterfly_rows(rows[:, bit_reversal_permutation(N.bit_length() - 1)])
 
 
 def polar_transform(u: BitVector) -> BitVector:
@@ -121,11 +130,14 @@ class PolarCodeSpec:
         frozen_idx = np.nonzero(~mask)[0]
         if set(frozen_values) != set(frozen_idx.tolist()):
             raise ValueError("frozen_values keys must be exactly the complement of info_set")
+        count = len(frozen_values)
+        idx = np.fromiter(frozen_values.keys(), dtype=np.int64, count=count)
+        vals = np.fromiter(frozen_values.values(), dtype=object, count=count)
+        bad = ~((vals == 0) | (vals == 1))
+        if bad.any():
+            raise ValueError(f"frozen value at index {idx[bad.argmax()]} must be 0 or 1")
         template = np.zeros(N, dtype=np.uint8)
-        for i, b in frozen_values.items():
-            if b not in (0, 1):
-                raise ValueError(f"frozen value at index {i} must be 0 or 1")
-            template[i] = b
+        template[idx] = vals
         info.setflags(write=False)
         mask.setflags(write=False)
         template.setflags(write=False)
@@ -140,7 +152,7 @@ class PolarCodeSpec:
         info = np.asarray(info_set, dtype=np.int64)
         mask = np.zeros(params.N, dtype=bool)
         mask[info] = True
-        frozen = {int(i): 0 for i in np.nonzero(~mask)[0]}
+        frozen = dict.fromkeys(np.nonzero(~mask)[0].tolist(), 0)
         return cls(params, info, frozen)
 
     @property

@@ -126,7 +126,7 @@ def build_relay_scheme(
         k_rd = round(margin * N * spec.c_rd)
         info = select_info_set(z_sr, k_a)
         best_sd = select_info_set(z_sd, k_sd)
-        secure = np.intersect1d(info, best_sd)
+        secure = np.intersect1d(info, best_sd, assume_unique=True)
         if info.size - secure.size > k_rd:
             raise ValueError(
                 f"infeasible at margin {margin}: coset size {info.size - secure.size} "
@@ -187,6 +187,7 @@ class RelayRunReport:
     relay_errors: np.ndarray  # (trials, blocks) bool: relay misdecoded A
     rd_errors: np.ndarray  # destination misdecoded the forwarded coset
     dest_errors: np.ndarray  # delivered message differs from the source's
+    undetermined: np.ndarray  # (trials, blocks, 3) int64: erased SC decisions per SR, RD, SD stage
     achieved_rate: Fraction
     overall_error_rate: float
     trials: int
@@ -197,6 +198,9 @@ class RelayRunReport:
             arr = np.asarray(getattr(self, name), dtype=bool).copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        undet = np.array(self.undetermined, dtype=np.int64)
+        undet.setflags(write=False)
+        object.__setattr__(self, "undetermined", undet)
 
 
 # substream roles within a (trial, block) cell
@@ -231,6 +235,7 @@ def simulate_relay(
     relay_err = np.zeros((trials, blocks), dtype=bool)
     rd_err = np.zeros((trials, blocks), dtype=bool)
     dest_err = np.zeros((trials, blocks), dtype=bool)
+    undet = np.zeros((trials, blocks, 3), dtype=np.int64)
 
     for k in range(blocks):
         msgs = np.empty((trials, a_set.size), dtype=np.uint8)
@@ -248,7 +253,7 @@ def simulate_relay(
             y_sd[t] = cascade_rows(y_sr[t : t + 1], spec.e_deg, _stream(seed, t, k, blocks, _ROLE_DEG))[0]
 
         # relay decodes the whole information set from its SR output
-        u_relay, _ = decode_bec_rows(y_sr, source_spec.info_mask, source_spec.frozen_template)
+        u_relay, undet[:, k, 0] = decode_bec_rows(y_sr, source_spec.info_mask, source_spec.frozen_template)
         relay_bits = u_relay[:, a_set]
         relay_err[:, k] = np.any(relay_bits != msgs, axis=1)
 
@@ -261,7 +266,7 @@ def simulate_relay(
         y_rd = np.empty((trials, N), dtype=np.int8)
         for t in range(trials):
             y_rd[t] = bec_sample_rows(x_rd[t : t + 1], spec.e_rd, _stream(seed, t, k + 1, blocks, _ROLE_RD))[0]
-        u_dest_rd, _ = decode_bec_rows(y_rd, scheme.rd_code.info_mask, scheme.rd_code.frozen_template)
+        u_dest_rd, undet[:, k, 1] = decode_bec_rows(y_rd, scheme.rd_code.info_mask, scheme.rd_code.frozen_template)
         coset_dest = u_dest_rd[:, rd_info]
         rd_err[:, k] = np.any(coset_dest != coset_true, axis=1)
 
@@ -270,7 +275,7 @@ def simulate_relay(
         frozen[:, code.message_set] = coset_dest
         b_mask = np.zeros(N, dtype=bool)
         b_mask[code.secure_set] = True
-        u_dest, _ = decode_bec_rows(y_sd, b_mask, frozen)
+        u_dest, undet[:, k, 2] = decode_bec_rows(y_sd, b_mask, frozen)
         recovered = np.empty_like(msgs)
         recovered[:, msg_pos] = coset_dest
         recovered[:, ~msg_pos] = u_dest[:, code.secure_set]
@@ -280,6 +285,7 @@ def simulate_relay(
         relay_errors=relay_err,
         rd_errors=rd_err,
         dest_errors=dest_err,
+        undetermined=undet,
         achieved_rate=scheme.achieved_rate,
         overall_error_rate=float(dest_err.mean()),
         trials=trials,

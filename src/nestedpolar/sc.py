@@ -18,6 +18,20 @@ from their messages and outputs frozen bits as given; a genie records
 whether the bit's message was erased (or decided wrongly) and feeds the
 true bit forward.
 
+The erasure decoder also gives the walk a node rule, as in simplified SC
+(Alamdar-Yazdi & Kschischang 2011), that stops at two kinds of subtree of
+2^m bits; both shortcuts return exactly what the full walk would:
+
+* rate-0 (all bits frozen): u is the frozen values and the re-encoded
+  bits are u F^(x)m, because a frozen leaf never reads its message;
+* rate-1 (all bits information) with no erased message in any row: u is
+  msgs F^(x)m and the re-encoded bits are msgs (F^(x)m is an involution),
+  because below such a node f and g see no erasure, so no decision is
+  undetermined and every decision agrees with the messages.
+
+Every other node descends as usual, a rate-1 node with an erasure among
+its rows included; its children try the rule again.
+
 LLR sign convention: positive means bit 0 is more likely; a tie (LLR
 exactly zero) decides 0, matching a likelihood-ratio-at-least-one rule.
 Decoding order is the natural index order of u; the received word is
@@ -35,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import BitVector
-from .polar import PolarCodeSpec, bit_reversal_permutation
+from .polar import PolarCodeSpec, bit_reversal_permutation, butterfly_rows
 
 __all__ = [
     "ERASED",
@@ -131,13 +145,16 @@ def _check_word(spec: PolarCodeSpec, word: ReceivedWord, kind: str) -> None:
 # the SC tree walk
 
 
-def _sc_walk(y: np.ndarray, f, g, leaf) -> None:
+def _sc_walk(y: np.ndarray, f, g, leaf, node=None) -> None:
     """Walk the SC tree once over a (batch, N) array of channel messages.
 
     At each node, f(a, b) gives the left child's messages from the two
     halves a, b; once the left subtree returns its re-encoded bits xl,
     g(a, b, xl) gives the right child's.  leaf(i, m) receives the (batch,)
-    messages of bit i and returns the bits to feed forward for it.
+    messages of bit i and returns the bits to feed forward for it.  If
+    given, node(lo, msgs) is asked first at each internal node covering
+    bits lo, lo+1, ...; an array it returns is taken as the subtree's
+    re-encoded bits and the walk does not descend, None lets it descend.
     """
     n = y.shape[1].bit_length() - 1
 
@@ -145,6 +162,10 @@ def _sc_walk(y: np.ndarray, f, g, leaf) -> None:
         L = msgs.shape[1]
         if L == 1:
             return leaf(lo, msgs[:, 0])[:, None]
+        if node is not None:
+            x = node(lo, msgs)
+            if x is not None:
+                return x
         h = L // 2
         a = msgs[:, :h]
         b = msgs[:, h:]
@@ -152,15 +173,21 @@ def _sc_walk(y: np.ndarray, f, g, leaf) -> None:
         xr = rec(g(a, b, xl), lo + h)
         return np.concatenate([xl ^ xr, xr], axis=1)
 
-    rec(np.ascontiguousarray(y[:, bit_reversal_permutation(n)]), 0)
+    rec(y.take(bit_reversal_permutation(n), axis=1), 0)
+
+
+# Erasure messages are int8 over {0, 1, ERASED}; ERASED is all ones, so an
+# arithmetic shift by 7 maps it to ERASED and 0 or 1 to 0.
 
 
 def _bec_check(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.where((a >= 0) & (b >= 0), (a ^ b).astype(np.int8), np.int8(ERASED))
+    return (a ^ b) | ((a | b) >> 7)
 
 
 def _bec_var(a: np.ndarray, b: np.ndarray, xl: np.ndarray) -> np.ndarray:
-    return np.where(b >= 0, b, np.where(a >= 0, (a ^ xl).astype(np.int8), np.int8(ERASED)))
+    t = (a ^ xl) | (a >> 7)
+    m = b >> 7
+    return (b & ~m) | (t & m)
 
 
 def _llr_check(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -189,6 +216,7 @@ def decode_bec_rows(
     fv = np.broadcast_to(frozen_values, (nbatch, N))
     uhat = np.zeros((nbatch, N), dtype=np.uint8)
     undet = np.zeros(nbatch, dtype=np.int64)
+    n_info = np.concatenate([[0], np.cumsum(info_mask)])  # info bits before each index
 
     def leaf(i: int, m: np.ndarray) -> np.ndarray:
         if info_mask[i]:
@@ -200,7 +228,19 @@ def decode_bec_rows(
         uhat[:, i] = u
         return u
 
-    _sc_walk(y, _bec_check, _bec_var, leaf)
+    def node(lo: int, msgs: np.ndarray) -> np.ndarray | None:
+        L = msgs.shape[1]
+        k = n_info[lo + L] - n_info[lo]
+        if k == 0:
+            u = fv[:, lo : lo + L].astype(np.int8, order="F")
+            uhat[:, lo : lo + L] = u
+            return butterfly_rows(u)
+        if k == L and msgs.min(initial=0) >= 0:
+            uhat[:, lo : lo + L] = butterfly_rows(msgs.copy(order="F"))
+            return msgs
+        return None
+
+    _sc_walk(y, _bec_check, _bec_var, leaf, node)
     return uhat, undet
 
 

@@ -69,7 +69,7 @@ class NestedCodeSpec:
                 raise ValueError(f"{name} must be strictly increasing within [0, {params.N})")
         if not np.all(np.isin(sec, info)):
             raise ValueError("secure_set must be a subset of info_set")
-        msg = np.setdiff1d(info, sec)
+        msg = np.setdiff1d(info, sec, assume_unique=True)
         for arr in (info, sec, msg):
             arr.setflags(write=False)
         self.params = params

@@ -120,3 +120,56 @@ def sequential_ml_decode(llrs, info_mask, frozen_values) -> np.ndarray:
                 totals[bit] += lik
         u_hat[i] = 0 if totals[0] >= totals[1] * (1 - 1e-9) else 1
     return u_hat
+
+
+def _bec_sc_messages(y):
+    """Arikan's SC recursion for one erasure word, as a coroutine.
+
+    Yields the message of bit 0, 1, ... in turn (0, 1 or None for erased)
+    and receives each bit's decision.  Splits on the recursion
+    x = (s G_{N/2}, t G_{N/2}) with s_j = u_2j + u_2j+1 and t_j = u_2j+1.
+    """
+    if len(y) == 1:
+        yield y[0]
+        return
+    half = len(y) // 2
+    top = _bec_sc_messages(y[:half])  # carries s
+    bottom = _bec_sc_messages(y[half:])  # carries t
+    a, b = next(top), next(bottom)
+    for j in range(half):
+        # u_2j = s_j + t_j: known only when both are
+        u_even = yield (None if a is None or b is None else a ^ b)
+        # u_2j+1 = t_j = s_j + u_2j: either copy will do
+        u_odd = yield (b if b is not None else None if a is None else a ^ u_even)
+        if j + 1 < half:
+            a, b = top.send(u_even ^ u_odd), bottom.send(u_odd)
+
+
+def bec_sc_reference(y, info_mask, frozen_values):
+    """SC decoding of each row of y (ints over {0, 1, -1 for erased}).
+
+    Information bits are decided from their message, 0 when it is erased
+    (and counted); frozen bits take frozen_values, of shape (N,) or
+    (batch, N).  Returns (u_hat uint8 (batch, N), undetermined int64 (batch,)).
+    """
+    y = np.asarray(y)
+    nbatch, N = y.shape
+    fv = np.broadcast_to(frozen_values, (nbatch, N))
+    u_hat = np.zeros((nbatch, N), dtype=np.uint8)
+    undetermined = np.zeros(nbatch, dtype=np.int64)
+    for r in range(nbatch):
+        word = [None if v == -1 else int(v) for v in y[r]]
+        messages = _bec_sc_messages(word)
+        m = next(messages)
+        for i in range(N):
+            if not info_mask[i]:
+                u = int(fv[r, i])
+            elif m is None:
+                u = 0
+                undetermined[r] += 1
+            else:
+                u = m
+            u_hat[r, i] = u
+            if i + 1 < N:
+                m = messages.send(u)
+    return u_hat, undetermined

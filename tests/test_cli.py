@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -128,6 +129,9 @@ def test_relay_sim_csv(tmp_path):
     assert len(rows) == 1 + 4 * 3 + 1
     assert rows[-1].startswith("summary,achieved_rate,")
     assert "overall_error_rate" in rows[-1]
+    stats = [ln for ln in out.read_text().splitlines() if ln.startswith("# stats:")]
+    assert len(stats) == 1
+    assert re.fullmatch(r"# stats: undetermined_sr=\d+ undetermined_rd=\d+ undetermined_sd=\d+", stats[0])
 
 
 def test_selftest_passes(capsys):

@@ -6,9 +6,11 @@ from nestedpolar.polar import (
     CodeParams,
     PolarCodeSpec,
     bit_reversal_permutation,
+    butterfly_rows,
     encode,
     generator_matrix,
     polar_transform,
+    transform_rows,
 )
 
 from oracles import F, kron_power, naive_vec_mat_mul, reference_generator
@@ -72,6 +74,17 @@ def test_transform_is_involution():
         assert polar_transform(polar_transform(u)) == u
 
 
+def test_butterfly_rows_in_place_for_any_layout():
+    rng = np.random.default_rng(6)
+    k = kron_power(4)
+    u = rng.integers(0, 2, (5, 16), dtype=np.uint8)
+    for x in (u.copy(), np.asfortranarray(u), u[:, ::-1].copy()[:, ::-1], np.tile(u, 2)[:, ::2]):
+        expected = naive_vec_mat_mul(x, k)
+        assert butterfly_rows(x) is x
+        assert np.array_equal(x, expected)
+    assert transform_rows(np.zeros((0, 16), dtype=np.uint8)).shape == (0, 16)
+
+
 def test_transform_rejects_bad_length():
     with pytest.raises(ValueError):
         polar_transform(BitVector([1, 0, 1]))
@@ -86,8 +99,11 @@ def test_spec_validation():
         PolarCodeSpec(params, [3, 1], {0: 0, 2: 0})
     with pytest.raises(ValueError):
         PolarCodeSpec(params, [1, 3], {0: 0})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^frozen value at index 2 "):
         PolarCodeSpec(params, [1, 3], {0: 0, 2: 2})
+    with pytest.raises(ValueError, match="^frozen value at index 0 "):
+        PolarCodeSpec(params, [1, 3], {2: 1, 0: 0.5})
+    assert np.array_equal(PolarCodeSpec(params, [1, 3], {0: True, 2: 1.0}).frozen_template, [1, 0, 1, 0])
     with pytest.raises(ValueError):
         PolarCodeSpec(params, [1, 4], {0: 0, 2: 0, 3: 0})
 

@@ -93,6 +93,9 @@ def test_simulate_noiseless_is_error_free():
     assert not report.relay_errors.any()
     assert not report.rd_errors.any()
     assert not report.dest_errors.any()
+    assert report.undetermined.shape == (8, 4, 3)
+    assert report.undetermined.dtype == np.int64
+    assert not report.undetermined.any()
     assert report.achieved_rate == Fraction(4 * 64, 64 * 5)
 
 
@@ -103,6 +106,8 @@ def test_simulate_rd_fully_erased():
     dead_rd = RelayChannelSpec(0.1, 4 / 9, 1.0)
     report = simulate_relay(scheme, dead_rd, trials=40, seed=3)
     assert report.dest_errors.mean() > 0.95
+    # every RD decision is made on an erased message
+    assert np.all(report.undetermined[:, :, 1] == scheme.source_code.message_len)
 
 
 def test_simulate_physical_degradedness():

@@ -1,8 +1,10 @@
 import itertools
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from nestedpolar import sc
 from nestedpolar.channels import RngStream, bec_sample
 from nestedpolar.construction import bec_reliability, select_info_set
 from nestedpolar.gf2 import BitVector
@@ -11,13 +13,14 @@ from nestedpolar.sc import (
     ERASED,
     LLR_CAP,
     ReceivedWord,
+    decode_bec_rows,
     genie_bec_rows,
     genie_llr_rows,
     sc_decode_bec,
     sc_decode_llr,
 )
 
-from oracles import genie_erased_bits, sequential_ml_decode
+from oracles import bec_sc_reference, bitrev, genie_erased_bits, sequential_ml_decode
 
 
 def random_spec(n, k, rng):
@@ -146,6 +149,105 @@ def test_genie_bec_rows_match_recoverability_oracle():
     y = np.where(patterns, np.int8(ERASED), transform_rows(u).astype(np.int8))
     expected = np.array([genie_erased_bits(p) for p in patterns])
     assert np.array_equal(genie_bec_rows(y, u), expected)
+
+
+def test_genie_bec_rows_match_recoverability_oracle_random_patterns():
+    rng = np.random.default_rng(5)
+    for n, count in ((1, 4), (2, 6), (3, 6), (4, 8), (5, 8), (6, 4)):
+        N = 1 << n
+        erased = rng.random((count, N)) < rng.random((count, 1))
+        u = rng.integers(0, 2, (count, N), dtype=np.uint8)
+        y = np.where(erased, np.int8(ERASED), transform_rows(u).astype(np.int8))
+        expected = np.array([genie_erased_bits(p) for p in erased])
+        assert np.array_equal(genie_bec_rows(y, u), expected)
+
+
+def assert_matches_bec_reference(y, mask, fv):
+    got = decode_bec_rows(y, mask, fv)
+    expected = bec_sc_reference(y, mask, fv)
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype
+        assert np.array_equal(g, e)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(0, 8),
+    nbatch=st.integers(0, 4),
+    mask_kind=st.sampled_from(["frozen", "info", "mixed", "reliable"]),
+    eps=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    codeword=st.booleans(),
+    per_row_frozen=st.booleans(),
+    frozen_dtype=st.sampled_from([np.uint8, bool]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decode_bec_rows_matches_sc_reference(
+    n, nbatch, mask_kind, eps, codeword, per_row_frozen, frozen_dtype, seed
+):
+    rng = np.random.default_rng(seed)
+    N = 1 << n
+    if mask_kind == "reliable":  # the kind of mask the relay decodes, rate-1 runs and all
+        mask = np.zeros(N, dtype=bool)
+        mask[select_info_set(bec_reliability(n, 0.5), int(rng.integers(0, N + 1)))] = True
+    else:
+        mask = {"frozen": np.zeros(N, bool), "info": np.ones(N, bool),
+                "mixed": rng.random(N) < rng.random()}[mask_kind]
+    fv = rng.integers(0, 2, (nbatch, N) if per_row_frozen else N).astype(frozen_dtype)
+    u = rng.integers(0, 2, (nbatch, N), dtype=np.uint8)
+    if codeword:  # frozen positions agree with fv, so only erasures are noise
+        u = np.where(mask, u, np.broadcast_to(fv, (nbatch, N))).astype(np.uint8)
+    y = np.where(rng.random((nbatch, N)) < eps, np.int8(ERASED), transform_rows(u).astype(np.int8))
+    assert_matches_bec_reference(y, mask, fv)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 8), nbatch=st.integers(2, 5), data=st.data())
+def test_decode_bec_rows_one_erasure_in_a_rate1_subtree(n, nbatch, data):
+    # Only one row carries an erasure into a rate-1 node: that node must
+    # descend for the whole batch, and the clean rows must still come out
+    # right.  With every bit information, the root is that node; with bit 0
+    # frozen, the right half is, and its message at j is erased only when
+    # both received symbols feeding it are.
+    N = 1 << n
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    row = data.draw(st.integers(0, nbatch - 1), label="row")
+    mask = np.ones(N, dtype=bool)
+    y = rng.integers(0, 2, (nbatch, N)).astype(np.int8)
+    if data.draw(st.booleans(), label="root"):
+        y[row, data.draw(st.integers(0, N - 1), label="pos")] = ERASED
+    else:
+        mask[0] = False
+        j = data.draw(st.integers(0, N // 2 - 1), label="j")
+        y[row, [bitrev(j, n), bitrev(j + N // 2, n)]] = ERASED
+    fv = np.zeros(N, dtype=np.uint8)
+    assert_matches_bec_reference(y, mask, fv)
+    assert decode_bec_rows(y, mask, fv)[1][row] >= 1
+
+
+def count_check_nodes(monkeypatch, y, mask):
+    check = sc._bec_check
+    calls = []
+
+    def counting(a, b):
+        calls.append(a.shape[1])
+        return check(a, b)
+
+    monkeypatch.setattr(sc, "_bec_check", counting)
+    decode_bec_rows(y, mask, np.zeros(mask.size, dtype=np.uint8))
+    return len(calls)
+
+
+def test_node_rule_skips_rate0_and_rate1_subtrees(monkeypatch):
+    # The full walk makes one check-node combine per internal node (N - 1);
+    # the node rule must remove them where it applies.
+    n, N = 8, 256
+    u = np.random.default_rng(3).integers(0, 2, (16, N), dtype=np.uint8)
+    y = transform_rows(u).astype(np.int8)
+    assert count_check_nodes(monkeypatch, y, np.ones(N, dtype=bool)) == 0
+    assert count_check_nodes(monkeypatch, y, np.zeros(N, dtype=bool)) == 0
+    mixed = np.zeros(N, dtype=bool)
+    mixed[select_info_set(bec_reliability(n, 0.3), 128)] = True
+    assert count_check_nodes(monkeypatch, y, mixed) < N - 1
 
 
 def test_genie_llr_rows_match_sequential_ml_reference():
