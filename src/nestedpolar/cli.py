@@ -3,8 +3,8 @@
 Commands: ``construct`` (reliability profile to CSV), ``wiretap-sweep``
 (equivocation vs. eavesdropper erasure rate), ``fig1`` (the wiretap sweep
 at the canonical design point N=1024, rate 0.25, main erasure 0.25,
-design eavesdropper erasure 0.5), ``relay-sim`` (block-Markov
-decode-and-forward run), and ``selftest`` (oracle equivalence checks).
+design eavesdropper erasure 0.5) and ``relay-sim`` (block-Markov
+decode-and-forward run).
 
 Configuration comes from plain-text key=value files, overridden on the
 command line.  Every artifact is a CSV whose non-comment body is a pure
@@ -32,19 +32,11 @@ from .wiretap import WiretapConfig, run_wiretap_experiment
 
 __all__ = ["ExperimentConfig", "ConfigError", "run", "main"]
 
-COMMANDS = ("construct", "wiretap-sweep", "relay-sim", "fig1", "selftest")
+# Longest e_w sweep a wiretap command will build.
+MAX_SWEEP_POINTS = 10_000
 
-FIG1_PRESET = {
-    "n": 10,
-    "rate": 0.25,
-    "e_m": 0.25,
-    "design_e_w": 0.5,
-    "ew_start": 0.26,
-    "ew_stop": 0.50,
-    "ew_step": 0.02,
-}
-
-# key -> (converter, default); None default means required
+# key -> (converter, default); None default means required.  fig1 takes
+# every other key from the wiretap-sweep defaults.
 _SCHEMAS: dict[str, dict] = {
     "construct": {
         "n": (int, None),
@@ -78,9 +70,6 @@ _SCHEMAS: dict[str, dict] = {
         "margin": (float, 0.0),  # 0 means "calibrate to target"
         "target": (float, 0.001),
         "trials": (int, 200),
-        "seed": (int, 0),
-    },
-    "selftest": {
         "seed": (int, 0),
     },
 }
@@ -153,10 +142,10 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _header_lines(command: str, params: dict, schema_name: str) -> list[str]:
+def _header_lines(command: str, params: dict) -> list[str]:
     items = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(params.items()))
     return [
-        f"# nestedpolar {__version__} schema={schema_name}",
+        f"# nestedpolar {__version__} schema={command}-v1",
         f"# config: command={command} {items}",
         f"# rng: {GENERATOR_NAME}",
         f"# generated: {datetime.now(timezone.utc).isoformat()}",
@@ -198,7 +187,7 @@ def _run_construct(cfg: ExperimentConfig) -> int:
         _require(p["trials"] >= 1, "trials", "must be positive")
         profile = mc_reliability(BSC(p["crossover_prob"]), p["n"], p["trials"], p["seed"])
     out = cfg.output_path or Path("construct.csv")
-    lines = _header_lines(cfg.command, p, "construct-v1")
+    lines = _header_lines(cfg.command, p)
     lines.append("index,z,exact")
     flag = "true" if profile.exact else "false"
     for i, z in enumerate(profile.z):
@@ -209,8 +198,10 @@ def _run_construct(cfg: ExperimentConfig) -> int:
 
 
 def _sweep_points(start: float, stop: float, step: float) -> list[float]:
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return [round(start + i * step, 10) for i in range(count)]
+    count = np.floor((stop - start) / step + 1e-9) + 1
+    _require(count <= MAX_SWEEP_POINTS, "ew_step",
+             f"sweep would have {count:.3g} points, more than {MAX_SWEEP_POINTS}")
+    return [round(start + i * step, 10) for i in range(int(count))]
 
 
 def _plot_script(csv_name: str) -> str:
@@ -235,15 +226,16 @@ print("saved", out)
 '''
 
 
-def _run_wiretap(cfg: ExperimentConfig, schema_name: str) -> int:
-    p = dict(FIG1_PRESET) if cfg.command == "fig1" else {}
+def _run_wiretap(cfg: ExperimentConfig) -> int:
+    p = {key: default for key, (_, default) in _SCHEMAS["wiretap-sweep"].items()}
     p.update(cfg.params)
     _require_n(p["n"])
     _require(0.0 <= p["e_m"] <= p["design_e_w"] <= 1.0, "e_m", "need 0 <= e_m <= design_e_w <= 1")
     _require(0.0 <= p["rate"] < 1.0, "rate", "must be in [0, 1)")
     _require(p["trials"] >= 1, "trials", "must be positive")
     _require(p["ew_step"] > 0.0, "ew_step", "must be positive")
-    _require(p["ew_start"] <= p["ew_stop"], "ew_start", "must not exceed ew_stop")
+    _require(0.0 <= p["ew_start"] <= p["ew_stop"], "ew_start", "need 0 <= ew_start <= ew_stop")
+    _require(p["ew_stop"] <= 1.0, "ew_stop", "must not exceed 1")
     points = _sweep_points(p["ew_start"], p["ew_stop"], p["ew_step"])
     _require(all(0.0 <= x <= 1.0 for x in points), "ew_stop", "sweep leaves [0, 1]")
     try:
@@ -255,7 +247,7 @@ def _run_wiretap(cfg: ExperimentConfig, schema_name: str) -> int:
         raise ConfigError(f"rate: {exc}") from exc
     reports = run_wiretap_experiment(wcfg, points)
     out = cfg.output_path or Path(f"{cfg.command}.csv")
-    lines = _header_lines(cfg.command, p, schema_name)
+    lines = _header_lines(cfg.command, p)
     lines.append("e_w,mean_equivocation_rate,upper_bound,trials,info_size,secure_size,block_length,seed")
     for r in reports:
         lines.append(
@@ -290,7 +282,7 @@ def _run_relay(cfg: ExperimentConfig) -> int:
         raise ConfigError(f"margin: {exc}") from exc
     report = simulate_relay(scheme, spec, p["trials"], p["seed"])
     out = cfg.output_path or Path("relay-sim.csv")
-    lines = _header_lines(cfg.command, p, "relay-sim-v1")
+    lines = _header_lines(cfg.command, p)
     lines.append(
         f"# scheme: regime={scheme.regime} margin={scheme.margin!r} "
         f"info_size={scheme.source_code.info_set.size} "
@@ -315,90 +307,25 @@ def _run_relay(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _run_selftest(cfg: ExperimentConfig) -> int:
-    from .polar import generator_matrix, polar_transform
-    from .gf2 import BitVector, vec_mat_mul
-    from .wiretap import (
-        NestedCodeSpec,
-        equivocation_bruteforce,
-        equivocation_rank,
-        parity_checks,
-    )
-    from .construction import select_info_set, select_secure_subset
-
-    failures = 0
-
-    def check(name: str, ok: bool) -> None:
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures += 1
-
-    # rank formula vs brute force, all 256 erasure patterns, two shapes
-    for ka, kb in ((5, 3), (6, 2)):
-        params = CodeParams(3)
-        info = select_info_set(bec_reliability(3, 0.25), ka)
-        secure = select_secure_subset(info, bec_reliability(3, 0.5), kb)
-        code = NestedCodeSpec(params, info, secure)
-        h, h_s = parity_checks(code)
-        ok = True
-        for pattern in range(256):
-            erased = [i for i in range(8) if (pattern >> i) & 1]
-            by_rank = equivocation_rank(h, h_s, erased)
-            brute = equivocation_bruteforce(code, erased)
-            if abs(by_rank - brute) > 1e-9:
-                ok = False
-                break
-        check(f"equivocation by rank == brute force (|A|={ka}, |B|={kb})", ok)
-
-    # mean preservation of the erasure recursion
-    ok = all(
-        abs(bec_reliability(n, eps).z.mean() - eps) <= 1e-12
-        for n in range(1, 13)
-        for eps in (0.1, 0.25, 0.5)
-    )
-    check("erasure recursion preserves the mean", ok)
-
-    # degradation monotonicity at n=10
-    z_m = bec_reliability(10, 0.25).z
-    z_w = bec_reliability(10, 0.5).z
-    check("degraded-channel parameters dominate", bool(np.all(z_w >= z_m - 1e-12)))
-
-    # fast transform against the explicit generator, and involution
-    rng = np.random.default_rng(cfg.params["seed"])
-    g = generator_matrix(4)
-    ok = True
-    for _ in range(50):
-        u = BitVector(rng.integers(0, 2, 16, dtype=np.uint8))
-        if polar_transform(u) != vec_mat_mul(u, g):
-            ok = False
-            break
-        if polar_transform(polar_transform(u)) != u:
-            ok = False
-            break
-    check("butterfly transform matches generator matrix and inverts itself", ok)
-
-    print("selftest:", "OK" if failures == 0 else f"{failures} failure(s)")
-    return 0 if failures == 0 else 1
-
-
 # ---------------------------------------------------------------------------
 # entry point
+
+_RUNNERS = {
+    "construct": _run_construct,
+    "wiretap-sweep": _run_wiretap,
+    "relay-sim": _run_relay,
+    "fig1": _run_wiretap,
+}
 
 
 def run(config: ExperimentConfig) -> int:
     """Execute one validated experiment; returns the process exit status."""
-    if config.command == "construct":
-        return _run_construct(config)
-    if config.command == "wiretap-sweep":
-        return _run_wiretap(config, "wiretap-sweep-v1")
-    if config.command == "fig1":
-        return _run_wiretap(config, "fig1-v1")
-    if config.command == "relay-sim":
-        return _run_relay(config)
-    if config.command == "selftest":
-        return _run_selftest(config)
-    raise ConfigError(f"command: unknown command {config.command!r}")
+    runner = _RUNNERS.get(config.command)
+    if runner is None:
+        raise ConfigError(f"command: unknown command {config.command!r}")
+    seed = config.params["seed"]
+    _require(0 <= seed < 2**64, "seed", f"must be in [0, 2**64), got {seed}")
+    return runner(config)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -407,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Nested polar coding experiments on erasure wiretap and relay channels.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _RUNNERS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", type=Path, default=None, help="key=value config file")
         p.add_argument("--seed", type=int, default=None, help="master PRNG seed")

@@ -14,9 +14,9 @@ from typing import Union
 
 import numpy as np
 
-from .channels import RngStream, bsc_llr_magnitude
+from .channels import RngStream, bec_sample_rows, bsc_llr_magnitude
 from .polar import CodeParams, transform_rows
-from .sc import ERASED, genie_bec_rows, genie_llr_rows
+from .sc import genie_bec_rows, genie_llr_rows
 
 __all__ = [
     "BEC",
@@ -121,9 +121,7 @@ def mc_reliability(channel: ChannelSpec, n: int, trials: int, seed: int) -> Reli
         u = rng.integers(0, 2, size=(size, N), dtype=np.uint8)
         x = transform_rows(u)
         if isinstance(channel, BEC):
-            draws = rng.random((size, N))
-            y = np.where(draws < channel.erasure_prob, np.int8(ERASED), x.astype(np.int8))
-            flags = genie_bec_rows(y, u)
+            flags = genie_bec_rows(bec_sample_rows(x, channel.erasure_prob, rng), u)
         else:
             flips = rng.random((size, N)) < channel.crossover_prob
             mag = bsc_llr_magnitude(channel.crossover_prob)

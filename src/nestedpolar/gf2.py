@@ -266,15 +266,17 @@ def vec_mat_mul(v: BitVector, m: BitMatrix) -> BitVector:
     return BitVector(_unpack_int(acc, m.cols))
 
 
-def _check_index_set(idx, limit: int) -> np.ndarray:
-    arr = np.asarray(idx, dtype=np.int64)
+def _check_index_set(idx, limit: int, name: str = "index set") -> np.ndarray:
+    """A fresh int64 copy of ``idx``, checked to be 1-D, strictly increasing
+    and inside [0, limit); errors start with ``name``."""
+    arr = np.array(idx, dtype=np.int64)
     if arr.ndim != 1:
-        raise ValueError("index set must be one-dimensional")
+        raise ValueError(f"{name} must be one-dimensional")
     if arr.size:
         if np.any(np.diff(arr) <= 0):
-            raise ValueError("index set must be strictly increasing")
+            raise ValueError(f"{name} must be strictly increasing")
         if arr[0] < 0 or arr[-1] >= limit:
-            raise ValueError(f"index out of range [0, {limit})")
+            raise ValueError(f"{name} indices must lie in [0, {limit})")
     return arr
 
 

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
 
 import numpy as np
 
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix, BitVector, _check_index_set
 
 __all__ = [
     "MAX_LOG2_BLOCK",
@@ -108,52 +107,39 @@ def polar_transform(u: BitVector) -> BitVector:
 class PolarCodeSpec:
     """A polar code: block structure, information set A, frozen-bit values.
 
-    ``frozen_values`` maps every index outside A to its fixed bit.  The
-    values need not be zero: coset decoding fixes some of them to message
-    bits from another stage.
+    ``PolarCodeSpec(params, info_set, frozen_values)``: ``info_set`` is
+    strictly increasing inside [0, N); ``frozen_values`` is a length-N
+    array of 0/1 values, read only outside A (the meaning of
+    ``decode_bec_rows``'s argument of that name).  The values need not be
+    zero: coset decoding fixes some of them to message bits from another
+    stage.
     """
 
-    __slots__ = ("params", "info_set", "frozen_values", "_info_mask", "_u_template")
+    __slots__ = ("params", "info_set", "_info_mask", "_u_template")
 
-    def __init__(self, params: CodeParams, info_set, frozen_values: Mapping[int, int]):
+    def __init__(self, params: CodeParams, info_set, frozen_values):
         N = params.N
-        info = np.array(info_set, dtype=np.int64)
-        if info.ndim != 1:
-            raise ValueError("info_set must be one-dimensional")
-        if info.size:
-            if np.any(np.diff(info) <= 0):
-                raise ValueError("info_set must be strictly increasing")
-            if info[0] < 0 or info[-1] >= N:
-                raise ValueError(f"info_set indices must lie in [0, {N})")
+        info = _check_index_set(info_set, N, "info_set")
+        vals = np.asarray(frozen_values)
+        if vals.shape != (N,):
+            raise ValueError(f"frozen_values must have shape ({N},), got {vals.shape}")
         mask = np.zeros(N, dtype=bool)
         mask[info] = True
-        frozen_idx = np.nonzero(~mask)[0]
-        if set(frozen_values) != set(frozen_idx.tolist()):
-            raise ValueError("frozen_values keys must be exactly the complement of info_set")
-        count = len(frozen_values)
-        idx = np.fromiter(frozen_values.keys(), dtype=np.int64, count=count)
-        vals = np.fromiter(frozen_values.values(), dtype=object, count=count)
-        bad = ~((vals == 0) | (vals == 1))
+        bad = ~mask & (vals != 0) & (vals != 1)
         if bad.any():
-            raise ValueError(f"frozen value at index {idx[bad.argmax()]} must be 0 or 1")
-        template = np.zeros(N, dtype=np.uint8)
-        template[idx] = vals
+            raise ValueError(f"frozen value at index {bad.argmax()} must be 0 or 1")
+        template = np.where(mask, 0, vals).astype(np.uint8)
         info.setflags(write=False)
         mask.setflags(write=False)
         template.setflags(write=False)
         self.params = params
         self.info_set = info
-        self.frozen_values = dict(frozen_values)
         self._info_mask = mask
         self._u_template = template
 
     @classmethod
     def zero_frozen(cls, params: CodeParams, info_set) -> "PolarCodeSpec":
-        info = np.asarray(info_set, dtype=np.int64)
-        mask = np.zeros(params.N, dtype=bool)
-        mask[info] = True
-        frozen = dict.fromkeys(np.nonzero(~mask)[0].tolist(), 0)
-        return cls(params, info, frozen)
+        return cls(params, info_set, np.zeros(params.N, dtype=np.uint8))
 
     @property
     def N(self) -> int:

@@ -23,6 +23,7 @@ from .gf2 import (
     BitMatrix,
     BitVector,
     IncrementalRank,
+    _check_index_set,
     null_space_basis,
     pack_columns,
     rank,
@@ -60,13 +61,8 @@ class NestedCodeSpec:
     __slots__ = ("params", "info_set", "secure_set", "message_set")
 
     def __init__(self, params: CodeParams, info_set, secure_set):
-        info = np.array(info_set, dtype=np.int64)
-        sec = np.array(secure_set, dtype=np.int64)
-        for name, arr in (("info_set", info), ("secure_set", sec)):
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be one-dimensional")
-            if arr.size and (np.any(np.diff(arr) <= 0) or arr[0] < 0 or arr[-1] >= params.N):
-                raise ValueError(f"{name} must be strictly increasing within [0, {params.N})")
+        info = _check_index_set(info_set, params.N, "info_set")
+        sec = _check_index_set(secure_set, params.N, "secure_set")
         if not np.all(np.isin(sec, info)):
             raise ValueError("secure_set must be a subset of info_set")
         msg = np.setdiff1d(info, sec, assume_unique=True)

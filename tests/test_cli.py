@@ -1,3 +1,5 @@
+import argparse
+from pathlib import Path
 import re
 import subprocess
 import sys
@@ -5,7 +7,19 @@ import sys
 import numpy as np
 import pytest
 
-from nestedpolar.cli import main
+from nestedpolar import __version__
+from nestedpolar.cli import _build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# One small run per command.
+SMALL_RUNS = {
+    "construct": ["construct", "--set", "n=2"],
+    "wiretap-sweep": ["wiretap-sweep", "--trials", "2", "--set", "n=4", "--set", "ew_start=0.3",
+                      "--set", "ew_stop=0.4", "--set", "ew_step=0.1"],
+    "relay-sim": ["relay-sim", "--trials", "2", "--set", "n=4", "--set", "blocks=2", "--set", "margin=0.5"],
+    "fig1": ["fig1", "--trials", "1"],
+}
 
 
 def body_lines(path):
@@ -49,6 +63,13 @@ def test_bad_value_rejected(tmp_path):
     (["wiretap-sweep", "--set", "rate=0.9"], "rate"),
     (["relay-sim", "--set", "n=-1"], "n"),
     (["relay-sim", "--set", "n=21"], "n"),
+    (["fig1", "--seed", "-1"], "seed"),
+    (["wiretap-sweep", "--seed", "18446744073709551616"], "seed"),
+    (["relay-sim", "--set", "margin=0.5", "--seed", "-1"], "seed"),
+    (["construct", "--set", "n=4", "--set", "channel=bsc", "--seed", "-1"], "seed"),
+    (["wiretap-sweep", "--set", "ew_step=1e-12"], "ew_step"),
+    (["wiretap-sweep", "--set", "ew_stop=inf"], "ew_stop"),
+    (["wiretap-sweep", "--set", "ew_start=-1"], "ew_start"),
 ])
 def test_bad_size_rejected(tmp_path, capsys, args, key):
     out = tmp_path / "x.csv"
@@ -134,12 +155,38 @@ def test_relay_sim_csv(tmp_path):
     assert re.fullmatch(r"# stats: undetermined_sr=\d+ undetermined_rd=\d+ undetermined_sd=\d+", stats[0])
 
 
-def test_selftest_passes(capsys):
-    rc = main(["selftest"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 5
+def _subcommands():
+    (action,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return set(action.choices)
+
+
+def test_selftest_is_not_a_command():
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest"])
+    assert exc.value.code == 2
+
+
+def test_header_names_schema(tmp_path):
+    assert set(SMALL_RUNS) == _subcommands()
+    for command, args in SMALL_RUNS.items():
+        out = tmp_path / f"{command}.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == f"# nestedpolar {__version__} schema={command}-v1"
+
+
+def test_fig1_is_wiretap_sweep_at_its_defaults(tmp_path):
+    bodies = []
+    for command in ("fig1", "wiretap-sweep"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--trials", "5", "--seed", "4", "--out", str(out)]) == 0
+        bodies.append(body_lines(out))
+    assert bodies[0] == bodies[1]
+
+
+def test_readme_lists_exactly_the_subcommands():
+    text = README.read_text()
+    section = text.split("## Command-line driver", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"^nestedpolar (\S+)", section, flags=re.M)) == _subcommands()
 
 
 def test_reruns_are_byte_identical(tmp_path):

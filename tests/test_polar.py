@@ -92,20 +92,23 @@ def test_transform_rejects_bad_length():
 
 def test_spec_validation():
     params = CodeParams(2)
-    spec = PolarCodeSpec(params, [1, 3], {0: 0, 2: 1})
+    spec = PolarCodeSpec(params, [1, 3], [0, 0, 1, 0])
     assert spec.info_len == 2
     assert np.array_equal(spec.frozen_template, [0, 0, 1, 0])
+    assert not hasattr(spec, "frozen_values")
     with pytest.raises(ValueError):
-        PolarCodeSpec(params, [3, 1], {0: 0, 2: 0})
+        PolarCodeSpec(params, [3, 1], [0, 0, 0, 0])
     with pytest.raises(ValueError):
-        PolarCodeSpec(params, [1, 3], {0: 0})
+        PolarCodeSpec(params, [1, 3], [0, 0, 0])
     with pytest.raises(ValueError, match="^frozen value at index 2 "):
-        PolarCodeSpec(params, [1, 3], {0: 0, 2: 2})
+        PolarCodeSpec(params, [1, 3], [0, 0, 2, 0])
     with pytest.raises(ValueError, match="^frozen value at index 0 "):
-        PolarCodeSpec(params, [1, 3], {2: 1, 0: 0.5})
-    assert np.array_equal(PolarCodeSpec(params, [1, 3], {0: True, 2: 1.0}).frozen_template, [1, 0, 1, 0])
+        PolarCodeSpec(params, [1, 3], [0.5, 0, 2, 0])
+    assert np.array_equal(PolarCodeSpec(params, [1, 3], [True, 0, 1.0, 0]).frozen_template, [1, 0, 1, 0])
+    # values on the information set are never read
+    assert np.array_equal(PolarCodeSpec(params, [1, 3], [0, 7, 1, 0.5]).frozen_template, [0, 0, 1, 0])
     with pytest.raises(ValueError):
-        PolarCodeSpec(params, [1, 4], {0: 0, 2: 0, 3: 0})
+        PolarCodeSpec(params, [1, 4], [0, 0, 0, 0])
 
 
 def test_encode_all_frozen():
@@ -114,7 +117,7 @@ def test_encode_all_frozen():
 
 
 def test_encode_hand_case():
-    spec = PolarCodeSpec(CodeParams(1), [1], {0: 0})
+    spec = PolarCodeSpec(CodeParams(1), [1], [0, 0])
     assert encode(spec, BitVector([1])) == BitVector([1, 1])
 
 
@@ -125,10 +128,12 @@ def test_encode_matches_explicit_submatrices():
         k = int(rng.integers(1, 4))
         info = np.sort(rng.choice(4, size=k, replace=False))
         frozen_idx = np.setdiff1d(np.arange(4), info)
-        frozen = {int(i): int(rng.integers(0, 2)) for i in frozen_idx}
+        frozen = np.zeros(4, dtype=np.uint8)
+        for i in frozen_idx:
+            frozen[i] = rng.integers(0, 2)
         spec = PolarCodeSpec(CodeParams(2), info, frozen)
         msg = rng.integers(0, 2, k, dtype=np.uint8)
-        u_frozen = np.array([frozen[int(i)] for i in frozen_idx], dtype=np.uint8)
+        u_frozen = frozen[frozen_idx]
         expected = naive_vec_mat_mul(msg, g[info]) ^ (
             naive_vec_mat_mul(u_frozen, g[frozen_idx]) if frozen_idx.size else 0
         )

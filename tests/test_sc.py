@@ -59,12 +59,12 @@ def test_all_erased_returns_zero_guesses():
 
 def test_frozen_positions_always_output_frozen_values():
     rng = np.random.default_rng(8)
-    spec = PolarCodeSpec(CodeParams(3), [5, 6, 7], {0: 1, 1: 0, 2: 1, 3: 1, 4: 0})
+    frozen = np.array([1, 0, 1, 1, 0, 0, 0, 0], dtype=np.uint8)
+    spec = PolarCodeSpec(CodeParams(3), [5, 6, 7], frozen)
     for _ in range(20):
         y = rng.choice(np.array([0, 1, ERASED], dtype=np.int8), size=8)
         res = sc_decode_bec(spec, ReceivedWord.from_symbols(y))
-        for i, v in spec.frozen_values.items():
-            assert res.u_hat[i] == v
+        assert np.array_equal(res.u_hat.bits[:5], frozen[:5])
 
 
 def test_bec_consistency_when_fully_determined():
@@ -135,7 +135,9 @@ def test_llr_matches_sequential_ml_reference():
     for trial in range(40):
         k = int(rng.integers(1, 5))
         info = np.sort(rng.choice(4, size=k, replace=False))
-        frozen = {int(i): int(rng.integers(0, 2)) for i in np.setdiff1d(np.arange(4), info)}
+        frozen = np.zeros(4, dtype=np.uint8)
+        for i in np.setdiff1d(np.arange(4), info):
+            frozen[i] = rng.integers(0, 2)
         spec = PolarCodeSpec(CodeParams(2), info, frozen)
         llrs = np.round(rng.normal(0, 2, 4), 3)  # keep magnitudes moderate
         got = sc_decode_llr(spec, ReceivedWord.from_llrs(llrs))
