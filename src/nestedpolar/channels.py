@@ -24,6 +24,7 @@ __all__ = [
     "cascade_erasure",
     "bsc_sample",
     "bec_sample_rows",
+    "bsc_sample_rows",
     "cascade_rows",
 ]
 
@@ -92,7 +93,11 @@ def bsc_sample(x: BitVector, crossover_prob: float, rng: np.random.Generator) ->
     """Pass a codeword through a binary symmetric channel, emitting LLRs."""
     if not 0.0 <= crossover_prob <= 0.5:
         raise ValueError(f"crossover probability must be in [0, 1/2], got {crossover_prob}")
-    flips = rng.random(x.length) < crossover_prob
-    y = x.bits ^ flips
-    mag = bsc_llr_magnitude(crossover_prob)
-    return ReceivedWord.from_llrs((1.0 - 2.0 * y) * mag)
+    return ReceivedWord.from_llrs(bsc_sample_rows(x.bits[None, :], crossover_prob, rng)[0])
+
+
+def bsc_sample_rows(x: np.ndarray, crossover_prob: float, rng: np.random.Generator) -> np.ndarray:
+    """Flip each position of a (batch, N) uint8 array independently; returns
+    the (batch, N) float64 LLRs."""
+    flips = rng.random(x.shape) < crossover_prob
+    return (1.0 - 2.0 * (x ^ flips)) * bsc_llr_magnitude(crossover_prob)

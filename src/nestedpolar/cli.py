@@ -34,6 +34,8 @@ __all__ = ["ExperimentConfig", "ConfigError", "run", "main"]
 
 # Longest e_w sweep a wiretap command will build.
 MAX_SWEEP_POINTS = 10_000
+# Most result cells (trials x sweep points, or trials x blocks) a run will hold.
+MAX_RESULT_CELLS = 10_000_000
 
 # key -> (converter, default); None default means required.  fig1 takes
 # every other key from the wiretap-sweep defaults.
@@ -238,6 +240,8 @@ def _run_wiretap(cfg: ExperimentConfig) -> int:
     _require(p["ew_stop"] <= 1.0, "ew_stop", "must not exceed 1")
     points = _sweep_points(p["ew_start"], p["ew_stop"], p["ew_step"])
     _require(all(0.0 <= x <= 1.0 for x in points), "ew_stop", "sweep leaves [0, 1]")
+    _require(p["trials"] * len(points) <= MAX_RESULT_CELLS, "trials",
+             f"{p['trials']} trials x {len(points)} sweep points exceed {MAX_RESULT_CELLS} result cells")
     try:
         wcfg = WiretapConfig(
             e_m=p["e_m"], e_w=p["design_e_w"], rate=p["rate"], n=p["n"],
@@ -268,8 +272,10 @@ def _run_relay(cfg: ExperimentConfig) -> int:
     _require_n(p["n"])
     for key in ("e_sr", "e_deg", "e_rd"):
         _require(0.0 <= p[key] <= 1.0, key, "must be in [0, 1]")
-    _require(p["blocks"] >= 1, "blocks", "must be positive")
+    _require(1 <= p["blocks"] <= MAX_RESULT_CELLS, "blocks", f"must be in [1, {MAX_RESULT_CELLS}]")
     _require(p["trials"] >= 1, "trials", "must be positive")
+    _require(p["trials"] * p["blocks"] <= MAX_RESULT_CELLS, "trials",
+             f"{p['trials']} trials x {p['blocks']} blocks exceed {MAX_RESULT_CELLS} result cells")
     _require(p["margin"] == 0.0 or 0.0 < p["margin"] <= 1.0, "margin", "must be in (0, 1] (or 0 to calibrate)")
     _require(p["target"] > 0.0, "target", "must be positive")
     spec = RelayChannelSpec(p["e_sr"], p["e_deg"], p["e_rd"])

@@ -9,12 +9,13 @@ threshold sets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .channels import RngStream, bec_sample_rows, bsc_llr_magnitude
+from .channels import RngStream, bec_sample_rows, bsc_sample_rows
+from .gf2 import _check_index_set
 from .polar import CodeParams, transform_rows
 from .sc import genie_bec_rows, genie_llr_rows
 
@@ -61,11 +62,15 @@ class ReliabilityProfile:
 
     ``exact`` is True only for profiles produced by the BEC recursion,
     where z[i] is exactly the erasure probability of bit-channel i.
+    ``order`` lists every index from most to least reliable (ascending z,
+    ties toward the smaller index); it is computed once and read-only,
+    and both selectors read it.
     """
 
     params: CodeParams
     z: np.ndarray
     exact: bool
+    order: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=np.float64)
@@ -76,6 +81,9 @@ class ReliabilityProfile:
         z = z.copy()
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
+        order = np.argsort(z, kind="stable")
+        order.setflags(write=False)
+        object.__setattr__(self, "order", order)
 
 
 def bec_reliability(n: int, erasure_prob: float) -> ReliabilityProfile:
@@ -123,10 +131,7 @@ def mc_reliability(channel: ChannelSpec, n: int, trials: int, seed: int) -> Reli
         if isinstance(channel, BEC):
             flags = genie_bec_rows(bec_sample_rows(x, channel.erasure_prob, rng), u)
         else:
-            flips = rng.random((size, N)) < channel.crossover_prob
-            mag = bsc_llr_magnitude(channel.crossover_prob)
-            llr = (1.0 - 2.0 * (x ^ flips)) * mag
-            flags = genie_llr_rows(llr, u)
+            flags = genie_llr_rows(bsc_sample_rows(x, channel.crossover_prob, rng), u)
         counts += flags.sum(axis=0)
         done += size
         chunk_index += 1
@@ -134,18 +139,17 @@ def mc_reliability(channel: ChannelSpec, n: int, trials: int, seed: int) -> Reli
 
 
 def select_info_set(profile: ReliabilityProfile, k: int) -> np.ndarray:
-    """The k most reliable indices (smallest z), ties toward smaller index."""
+    """The k most reliable indices (the first k of ``profile.order``), sorted."""
     if not 0 <= k <= profile.params.N:
         raise ValueError(f"k must be in [0, {profile.params.N}], got {k}")
-    order = np.argsort(profile.z, kind="stable")
-    return np.sort(order[:k])
+    return np.sort(profile.order[:k])
 
 
 def select_secure_subset(info_set, wiretap_profile: ReliabilityProfile, b: int) -> np.ndarray:
-    """The b members of ``info_set`` with smallest wiretap-channel z."""
-    info = np.asarray(info_set, dtype=np.int64)
+    """The b members of ``info_set`` with smallest wiretap-channel z, sorted:
+    the first b entries of ``wiretap_profile.order`` that lie in the set."""
+    info = _check_index_set(info_set, wiretap_profile.params.N, "info_set")
     if not 0 <= b <= info.size:
         raise ValueError(f"subset size {b} exceeds |info_set| = {info.size}")
-    z = wiretap_profile.z[info]
-    order = np.argsort(z, kind="stable")
-    return np.sort(info[order[:b]])
+    order = wiretap_profile.order
+    return np.sort(order[np.isin(order, info)][:b])

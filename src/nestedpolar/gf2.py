@@ -267,9 +267,13 @@ def vec_mat_mul(v: BitVector, m: BitMatrix) -> BitVector:
 
 
 def _check_index_set(idx, limit: int, name: str = "index set") -> np.ndarray:
-    """A fresh int64 copy of ``idx``, checked to be 1-D, strictly increasing
-    and inside [0, limit); errors start with ``name``."""
-    arr = np.array(idx, dtype=np.int64)
+    """A fresh int64 copy of ``idx``, checked to hold integers (bool is not
+    one; an empty input of any dtype is the empty set), to be 1-D, strictly
+    increasing and inside [0, limit); errors start with ``name``."""
+    arr = np.asarray(idx)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integer indices, got dtype {arr.dtype}")
+    arr = np.array(arr, dtype=np.int64)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     if arr.size:

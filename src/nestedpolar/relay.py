@@ -70,11 +70,6 @@ class RelayChannelSpec:
         return 1.0 - self.e_rd
 
 
-def _check_blocks(blocks: int) -> None:
-    if blocks < 1:
-        raise ValueError("blocks must be positive")
-
-
 @dataclass(frozen=True)
 class RelayScheme:
     """Constructed codes for one operating point."""
@@ -87,7 +82,8 @@ class RelayScheme:
     stage_bounds: tuple[float, float, float]  # sum z over (A on SR, B on SD, rd info on RD)
 
     def __post_init__(self):
-        _check_blocks(self.blocks)
+        if self.blocks < 1:
+            raise ValueError("blocks must be positive")
         if self.rd_code.info_len != self.source_code.message_len:
             raise ValueError("relay code must carry exactly |A\\B| bits")
 
@@ -96,6 +92,51 @@ class RelayScheme:
         a = self.source_code.info_set.size
         n_len = self.source_code.N
         return Fraction(self.blocks * a, n_len * (self.blocks + 1))
+
+
+class _InfeasibleMargin(ValueError):
+    """The stage sizes at this margin do not fit together."""
+
+
+def _scheme_designer(spec: RelayChannelSpec, n: int, blocks: int):
+    """Build the three BEC profiles once; return margin -> RelayScheme, which
+    raises ``_InfeasibleMargin`` when the stage sizes at that margin do not fit."""
+    params = CodeParams(n)
+    N = params.N
+    z_sr = bec_reliability(n, spec.e_sr)
+    z_sd = bec_reliability(n, spec.e_sd)
+    z_rd = bec_reliability(n, spec.e_rd)
+    regime = 1 if spec.c_sr <= spec.c_sd + spec.c_rd else 2
+
+    def design(margin: float) -> RelayScheme:
+        if regime == 1:
+            k_a = round(margin * N * spec.c_sr)
+            k_sd = round(margin * N * spec.c_sd)
+            k_rd = round(margin * N * spec.c_rd)
+            info = select_info_set(z_sr, k_a)
+            best_sd = select_info_set(z_sd, k_sd)
+            secure = np.intersect1d(info, best_sd, assume_unique=True)
+            coset = info.size - secure.size
+            if coset > k_rd:
+                raise _InfeasibleMargin(
+                    f"infeasible at margin {margin}: coset size {coset} exceeds RD budget {k_rd}"
+                )
+        else:
+            k_b = round(margin * N * spec.c_sd)
+            k_a = round(margin * N * (spec.c_sd + spec.c_rd))
+            if k_a < k_b:
+                raise _InfeasibleMargin(f"infeasible at margin {margin}: |A| target {k_a} below |B| {k_b}")
+            secure = select_info_set(z_sd, k_b)
+            outside = z_sr.order[~np.isin(z_sr.order, secure)]
+            info = np.sort(np.concatenate([secure, outside[: k_a - k_b]]))
+
+        source = NestedCodeSpec(params, info, secure)
+        rd_info = select_info_set(z_rd, source.message_len)
+        rd_code = PolarCodeSpec.zero_frozen(params, rd_info)
+        bounds = (float(z_sr.z[info].sum()), float(z_sd.z[secure].sum()), float(z_rd.z[rd_info].sum()))
+        return RelayScheme(source, rd_code, blocks, regime, margin, bounds)
+
+    return design
 
 
 def build_relay_scheme(
@@ -113,70 +154,23 @@ def build_relay_scheme(
     """
     if not 0.0 < margin <= 1.0:
         raise ValueError(f"margin must be in (0, 1], got {margin}")
-    params = CodeParams(n)
-    N = params.N
-    z_sr = bec_reliability(n, spec.e_sr)
-    z_sd = bec_reliability(n, spec.e_sd)
-    z_rd = bec_reliability(n, spec.e_rd)
-
-    if spec.c_sr <= spec.c_sd + spec.c_rd:
-        regime = 1
-        k_a = round(margin * N * spec.c_sr)
-        k_sd = round(margin * N * spec.c_sd)
-        k_rd = round(margin * N * spec.c_rd)
-        info = select_info_set(z_sr, k_a)
-        best_sd = select_info_set(z_sd, k_sd)
-        secure = np.intersect1d(info, best_sd, assume_unique=True)
-        if info.size - secure.size > k_rd:
-            raise ValueError(
-                f"infeasible at margin {margin}: coset size {info.size - secure.size} "
-                f"exceeds RD budget {k_rd}"
-            )
-    else:
-        regime = 2
-        k_b = round(margin * N * spec.c_sd)
-        k_a = round(margin * N * (spec.c_sd + spec.c_rd))
-        if k_a < k_b:
-            raise ValueError(f"infeasible at margin {margin}: |A| target {k_a} below |B| {k_b}")
-        secure = select_info_set(z_sd, k_b)
-        sr_order = np.argsort(z_sr.z, kind="stable")
-        outside = sr_order[~np.isin(sr_order, secure)]
-        info = np.sort(np.concatenate([secure, outside[: k_a - k_b]]))
-
-    source = NestedCodeSpec(params, info, secure)
-    rd_info = select_info_set(z_rd, source.message_len)
-    rd_code = PolarCodeSpec.zero_frozen(params, rd_info)
-    bounds = (
-        float(z_sr.z[info].sum()) if info.size else 0.0,
-        float(z_sd.z[secure].sum()) if secure.size else 0.0,
-        float(z_rd.z[rd_info].sum()) if rd_info.size else 0.0,
-    )
-    return RelayScheme(source, rd_code, blocks, regime, margin, bounds)
+    return _scheme_designer(spec, n, blocks)(margin)
 
 
 def calibrate_margin(
-    spec: RelayChannelSpec,
-    n: int,
-    blocks: int,
-    target: float,
-    step: float = 0.005,
+    spec: RelayChannelSpec, n: int, blocks: int, target: float
 ) -> RelayScheme:
-    """Largest margin (scanned down from 1 in ``step``s) whose three stage
-    union bounds all sit at or below ``target``."""
-    # Checked here, since the scan below skips every margin that fails to build.
-    CodeParams(n)
-    _check_blocks(blocks)
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    margin = 1.0
-    while margin > 0.0:
+    """Largest margin on the grid 1, 0.995, ..., 0.005 whose three stage union
+    bounds all sit at or below ``target``.  The profiles are built once for the
+    scan; only margins whose stage sizes do not fit are skipped."""
+    design = _scheme_designer(spec, n, blocks)
+    for i in range(200):
         try:
-            scheme = build_relay_scheme(spec, n, blocks, margin)
-        except ValueError:
-            scheme = None
-        if scheme is not None and max(scheme.stage_bounds) <= target:
+            scheme = design(round(1.0 - 0.005 * i, 12))
+        except _InfeasibleMargin:
+            continue
+        if max(scheme.stage_bounds) <= target:
             return scheme
-        margin = round(margin - step, 12)
     raise ValueError(f"no margin meets stage bound target {target}")
 
 

@@ -70,6 +70,10 @@ def test_bad_value_rejected(tmp_path):
     (["wiretap-sweep", "--set", "ew_step=1e-12"], "ew_step"),
     (["wiretap-sweep", "--set", "ew_stop=inf"], "ew_stop"),
     (["wiretap-sweep", "--set", "ew_start=-1"], "ew_start"),
+    (["wiretap-sweep", "--trials", "1000000000000"], "trials"),
+    (["fig1", "--trials", "1000000000000"], "trials"),
+    (["relay-sim", "--set", "n=2", "--set", "margin=1", "--set", "blocks=1000000000", "--trials", "2"], "blocks"),
+    (["relay-sim", "--set", "n=2", "--set", "margin=1", "--set", "blocks=2", "--trials", "100000000"], "trials"),
 ])
 def test_bad_size_rejected(tmp_path, capsys, args, key):
     out = tmp_path / "x.csv"

@@ -4,11 +4,13 @@ import pytest
 from nestedpolar.construction import (
     BEC,
     BSC,
+    ReliabilityProfile,
     bec_reliability,
     mc_reliability,
     select_info_set,
     select_secure_subset,
 )
+from nestedpolar.polar import CodeParams
 
 from oracles import exhaustive_bec_bitchannel_z
 
@@ -84,6 +86,24 @@ def test_select_secure_subset():
     assert np.array_equal(chosen, expected)
     with pytest.raises(ValueError):
         select_secure_subset(info, wire, 6)
+
+
+def test_selection_reads_stable_order_under_heavy_ties():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        n = int(rng.integers(0, 8))
+        N = 1 << n
+        z = rng.integers(0, 5, N) / 4  # quarter grid: many exact ties
+        profile = ReliabilityProfile(CodeParams(n), z, exact=False)
+        assert np.array_equal(profile.order, np.argsort(z, kind="stable"))
+        with pytest.raises(ValueError):
+            profile.order[0] = 0
+        info = np.flatnonzero(rng.random(N) < 0.6)
+        b = int(rng.integers(0, info.size + 1))
+        expected = np.sort(info[np.argsort(z[info], kind="stable")[:b]])
+        assert np.array_equal(select_secure_subset(info, profile, b), expected)
+        k = int(rng.integers(0, N + 1))
+        assert np.array_equal(select_info_set(profile, k), np.sort(np.argsort(z, kind="stable")[:k]))
 
 
 def test_channel_spec_validation():

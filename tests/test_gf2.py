@@ -144,6 +144,10 @@ def test_select_errors():
         select_columns(m, [2, 1])
     with pytest.raises(ValueError):
         select_columns(m, [1, 1])
+    # non-integer indices are rejected, not truncated or read as 0/1
+    for idx in ([0.7, 2.9], [0.0, 1.0], [False, True]):
+        with pytest.raises(ValueError, match="^index set must hold integer"):
+            select_columns(m, idx)
 
 
 def test_select_empty_index_set():

@@ -109,6 +109,10 @@ def test_spec_validation():
     assert np.array_equal(PolarCodeSpec(params, [1, 3], [0, 7, 1, 0.5]).frozen_template, [0, 0, 1, 0])
     with pytest.raises(ValueError):
         PolarCodeSpec(params, [1, 4], [0, 0, 0, 0])
+    with pytest.raises(ValueError, match="^info_set must hold integer"):
+        PolarCodeSpec.zero_frozen(params, [0.7, 2.9])
+    with pytest.raises(ValueError, match="^info_set must hold integer"):
+        PolarCodeSpec(params, np.array([False, True]), [0, 0, 0, 0])
 
 
 def test_encode_all_frozen():

@@ -3,6 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nestedpolar import relay
+from nestedpolar.construction import bec_reliability
 from nestedpolar.relay import (
     RelayChannelSpec,
     build_relay_scheme,
@@ -79,10 +81,23 @@ def test_calibrate_margin_meets_target():
         calibrate_margin(spec, 21, 8, target=0.01)
     with pytest.raises(ValueError, match="^blocks"):
         calibrate_margin(spec, 10, 0, target=0.01)
-    # nan first: at a zero or negative step an unchecked scan never ends.
-    for step in (float("nan"), 0.0, -0.01):
-        with pytest.raises(ValueError, match="^step"):
-            calibrate_margin(spec, 6, 2, target=0.01, step=step)
+
+
+def test_calibrate_margin_builds_profiles_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bec_reliability(*args)
+
+    monkeypatch.setattr(relay, "bec_reliability", counted)
+    scheme = calibrate_margin(RelayChannelSpec(0.1, 4 / 9, 0.5), 13, 4, 1e-3)
+    assert len(calls) == 3  # one profile per link, not three per margin tried
+    assert scheme.margin == 0.74
+    assert scheme.regime == 1
+    assert scheme.source_code.info_set.size == 5456
+    assert scheme.source_code.secure_set.size == 3031
+    assert scheme.rd_code.info_len == 2425
 
 
 def test_simulate_noiseless_is_error_free():
