@@ -36,6 +36,9 @@ __all__ = ["ExperimentConfig", "ConfigError", "run", "main"]
 MAX_SWEEP_POINTS = 10_000
 # Most result cells (trials x sweep points, or trials x blocks) a run will hold.
 MAX_RESULT_CELLS = 10_000_000
+# Most codeword cells (trials x N) a relay-sim block decodes at once; its
+# working arrays take about 20 bytes per cell.
+MAX_WORD_CELLS = 10_000_000
 
 # key -> (converter, default); None default means required.  fig1 takes
 # every other key from the wiretap-sweep defaults.
@@ -228,6 +231,13 @@ print("saved", out)
 '''
 
 
+def _stderr_of_rate(r) -> float:
+    """Monte-Carlo standard error of ``r.mean_equivocation_rate`` (nan for one trial)."""
+    if r.trials < 2:
+        return float("nan")
+    return float(np.std(r.equivocations, ddof=1) / np.sqrt(r.trials) / r.block_length)
+
+
 def _run_wiretap(cfg: ExperimentConfig) -> int:
     p = {key: default for key, (_, default) in _SCHEMAS["wiretap-sweep"].items()}
     p.update(cfg.params)
@@ -252,6 +262,8 @@ def _run_wiretap(cfg: ExperimentConfig) -> int:
     reports = run_wiretap_experiment(wcfg, points)
     out = cfg.output_path or Path(f"{cfg.command}.csv")
     lines = _header_lines(cfg.command, p)
+    stderrs = ",".join(repr(_stderr_of_rate(r)) for r in reports)
+    lines.append(f"# stats: mean_equivocation_rate_stderr={stderrs}")
     lines.append("e_w,mean_equivocation_rate,upper_bound,trials,info_size,secure_size,block_length,seed")
     for r in reports:
         lines.append(
@@ -276,6 +288,8 @@ def _run_relay(cfg: ExperimentConfig) -> int:
     _require(p["trials"] >= 1, "trials", "must be positive")
     _require(p["trials"] * p["blocks"] <= MAX_RESULT_CELLS, "trials",
              f"{p['trials']} trials x {p['blocks']} blocks exceed {MAX_RESULT_CELLS} result cells")
+    _require(p["trials"] << p["n"] <= MAX_WORD_CELLS, "trials",
+             f"{p['trials']} trials x N={1 << p['n']} exceed {MAX_WORD_CELLS} codeword cells")
     _require(p["margin"] == 0.0 or 0.0 < p["margin"] <= 1.0, "margin", "must be in (0, 1] (or 0 to calibrate)")
     _require(p["target"] > 0.0, "target", "must be positive")
     spec = RelayChannelSpec(p["e_sr"], p["e_deg"], p["e_rd"])

@@ -4,7 +4,10 @@ Vectors and matrices are immutable bit containers backed by numpy uint8
 arrays.  The elimination kernels pack rows (or columns) into Python
 integers, one bit per position, so every row update is a single
 word-parallel XOR on machine words.  That is what keeps 1024-column rank
-computations affordable inside Monte-Carlo loops.
+computations affordable inside Monte-Carlo loops.  Rank elimination
+(``IncrementalRank``) knows the bit width of its vectors, pivots on each
+vector's highest set bit, and stops reducing once the rank equals the
+width, since every later vector is then dependent.
 
 Index sets are sorted, duplicate-free, 0-based integer sequences
 throughout the package.
@@ -166,34 +169,43 @@ def pack_columns(m: BitMatrix) -> list[int]:
 class IncrementalRank:
     """Online GF(2) rank of a growing family of packed vectors.
 
-    Pivots are chosen as the first nonzero position in column order, so
-    the reduction is deterministic.  Feeding the same vectors in any
-    order yields the same final rank.
+    ``width`` is the bit width of the vectors: each one must be smaller
+    than ``2**width``.  Each vector is reduced on its highest set bit
+    (``v.bit_length() - 1``, which builds no temporaries), against a pivot
+    table indexed by bit position, so the reduction is deterministic.
+    Feeding the same vectors in any order yields the same final rank.  Once
+    ``rank == width`` every further vector is dependent, and ``add``
+    returns False without reducing it.
     """
 
-    __slots__ = ("_pivots", "rank")
+    __slots__ = ("_pivots", "_width", "rank")
 
-    def __init__(self):
-        self._pivots: dict[int, int] = {}
+    def __init__(self, width: int):
+        if width < 0:
+            raise ValueError(f"width must be non-negative, got {width}")
+        self._pivots = [0] * width
+        self._width = width
         self.rank = 0
 
     def add(self, v: int) -> bool:
         """Reduce ``v`` against the basis; return True if it was independent."""
+        if self.rank == self._width:
+            return False
         pivots = self._pivots
         while v:
-            low = (v & -v).bit_length() - 1
-            p = pivots.get(low)
-            if p is None:
-                pivots[low] = v
+            top = v.bit_length() - 1
+            p = pivots[top]
+            if not p:
+                pivots[top] = v
                 self.rank += 1
                 return True
             v ^= p
         return False
 
 
-def rank_of_ints(vectors: Iterable[int]) -> int:
-    """GF(2) rank of a family of packed vectors."""
-    acc = IncrementalRank()
+def rank_of_ints(vectors: Iterable[int], width: int) -> int:
+    """GF(2) rank of a family of packed vectors, each below ``2**width``."""
+    acc = IncrementalRank(width)
     for v in vectors:
         acc.add(v)
     return acc.rank
@@ -201,7 +213,7 @@ def rank_of_ints(vectors: Iterable[int]) -> int:
 
 def rank(m: BitMatrix) -> int:
     """Rank of ``m`` over GF(2) via Gaussian elimination on packed rows."""
-    return rank_of_ints(pack_rows(m))
+    return rank_of_ints(pack_rows(m), m.cols)
 
 
 def _rref_pivot_rows(row_ints: Sequence[int]) -> dict[int, int]:

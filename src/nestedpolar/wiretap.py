@@ -184,11 +184,21 @@ def bob_decode(code: NestedCodeSpec, rw: ReceivedWord) -> BitVector:
 
 
 def parity_checks(code: NestedCodeSpec) -> tuple[BitMatrix, BitMatrix]:
-    """Parity-check matrices (H, H_s) of the overall code and the subcode."""
+    """Parity-check matrices (H, H_s) of the overall code and the subcode.
+
+    Each is the reduced-echelon null-space basis of its generator rows
+    (one row per free column), with the rows in *descending* free-column
+    order.  Ranks do not depend on the order, but its cost does:
+    ``IncrementalRank`` pivots on the highest set bit, which on descending
+    rows is the row of the smallest free column a packed column touches.
+    That is the pivot a lowest-bit rule takes on ascending rows, so the
+    elimination takes the same XOR steps.  Ascending rows under the
+    highest-bit rule take about 2.7x the steps at the fig1 point.
+    """
     g = generator_matrix(code.params.n)
     h = null_space_basis(select_rows(g, code.info_set))
     h_s = null_space_basis(select_rows(g, code.secure_set))
-    return h, h_s
+    return BitMatrix(h.entries[::-1]), BitMatrix(h_s.entries[::-1])
 
 
 def equivocation_rank(h: BitMatrix, h_s: BitMatrix, erased) -> int:
@@ -269,11 +279,11 @@ def run_wiretap_experiment(cfg: WiretapConfig, e_w_sweep) -> list[EquivocationRe
         draws = RngStream(cfg.seed, t).generator().random(N)
         order = np.argsort(draws, kind="stable")
         cuts = np.searchsorted(draws[order], points[ascending], side="left")
-        acc_h = IncrementalRank()
-        acc_s = IncrementalRank()
+        acc_h = IncrementalRank(h.rows)
+        acc_s = IncrementalRank(h_s.rows)
         pos = 0
-        for pi, cut in zip(ascending, cuts):
-            for j in order[pos:cut]:
+        for pi, cut in zip(ascending.tolist(), cuts.tolist()):
+            for j in order[pos:cut].tolist():
                 acc_h.add(h_cols[j])
                 acc_s.add(hs_cols[j])
             pos = cut

@@ -9,6 +9,7 @@ import pytest
 
 from nestedpolar import __version__
 from nestedpolar.cli import _build_parser, main
+from nestedpolar.wiretap import WiretapConfig, run_wiretap_experiment
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -74,6 +75,7 @@ def test_bad_value_rejected(tmp_path):
     (["fig1", "--trials", "1000000000000"], "trials"),
     (["relay-sim", "--set", "n=2", "--set", "margin=1", "--set", "blocks=1000000000", "--trials", "2"], "blocks"),
     (["relay-sim", "--set", "n=2", "--set", "margin=1", "--set", "blocks=2", "--trials", "100000000"], "trials"),
+    (["relay-sim", "--set", "n=13", "--set", "blocks=1", "--trials", "10000000"], "trials"),
 ])
 def test_bad_size_rejected(tmp_path, capsys, args, key):
     out = tmp_path / "x.csv"
@@ -112,6 +114,23 @@ def test_wiretap_sweep_small(tmp_path):
     rates = [float(r.split(",")[1]) for r in rows[1:]]
     assert rates == sorted(rates)
     assert (tmp_path / "w_plot.py").exists()
+
+
+def test_sweep_stats_give_one_standard_error_per_point(tmp_path):
+    out = tmp_path / "w.csv"
+    args = ["--trials", "25", "--seed", "11", "--set", "n=6", "--set", "ew_start=0.3",
+            "--set", "ew_stop=0.5", "--set", "ew_step=0.1"]
+    assert main(["wiretap-sweep", "--out", str(out)] + args) == 0
+    stats = [ln for ln in out.read_text().splitlines() if ln.startswith("# stats:")]
+    assert len(stats) == 1
+    match = re.fullmatch(r"# stats: mean_equivocation_rate_stderr=(\S+)", stats[0])
+    values = [float(v) for v in match.group(1).split(",")]
+    cfg = WiretapConfig(e_m=0.25, e_w=0.5, rate=0.25, n=6, trials=25, seed=11)
+    reports = run_wiretap_experiment(cfg, [0.3, 0.4, 0.5])
+    assert len(values) == len(body_lines(out)) - 1 == len(reports)
+    for value, r in zip(values, reports):
+        eq = r.equivocations / r.block_length
+        assert value == pytest.approx(np.std(eq, ddof=1) / np.sqrt(len(eq)), rel=1e-12)
 
 
 def test_fig1_shape(tmp_path):

@@ -1,3 +1,4 @@
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -9,6 +10,7 @@ from nestedpolar.gf2 import (
     pack_columns,
     pack_rows,
     rank,
+    rank_of_ints,
     select_columns,
     select_rows,
     vec_mat_mul,
@@ -173,7 +175,65 @@ def test_incremental_rank_matches_batch():
     rng = np.random.default_rng(29)
     for _ in range(20):
         m = rng.integers(0, 2, (10, 10), dtype=np.uint8)
-        acc = IncrementalRank()
+        acc = IncrementalRank(10)
         for v in pack_rows(BitMatrix(m)):
             acc.add(v)
         assert acc.rank == naive_rank(m)
+
+
+@st.composite
+def vector_families(draw):
+    """A width w in [0, 70] and more than w vectors below 2**w, so most
+    families reach full rank and then go on adding."""
+    w = draw(st.integers(0, 70))
+    count = draw(st.integers(w + 1, w + 12))
+    # Mix unit vectors in, so full rank is reached early as well as late.
+    vec = st.integers(0, (1 << w) - 1)
+    if w:
+        vec = st.one_of(vec, st.integers(0, w - 1).map(lambda i: 1 << i))
+    return w, draw(st.lists(vec, min_size=count, max_size=count))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(vector_families())
+def test_incremental_rank_tracks_naive_rank_on_every_prefix(family):
+    w, vectors = family
+    rows = np.array([[(v >> j) & 1 for j in range(w)] for v in vectors], dtype=np.uint8)
+    acc = IncrementalRank(w)
+    before = 0
+    for k, v in enumerate(vectors, 1):
+        expected = naive_rank(rows[:k])
+        assert acc.add(v) == (expected > before)
+        assert acc.rank == expected
+        before = expected
+
+
+class _Probe(int):
+    """An int that records whether the reduction looked at its bits."""
+
+    reads = 0
+
+    def bit_length(self):
+        _Probe.reads += 1
+        return int.bit_length(self)
+
+
+def test_incremental_rank_skips_reduction_at_full_rank():
+    acc = IncrementalRank(3)
+    for v in (0b011, 0b110, 0b111):
+        assert acc.add(v)
+    _Probe.reads = 0
+    assert not acc.add(_Probe(0b101))
+    assert _Probe.reads == 0 and acc.rank == 3
+    # Below full rank the same vector is reduced.
+    acc = IncrementalRank(3)
+    acc.add(0b011)
+    assert not acc.add(_Probe(0b011))
+    assert _Probe.reads > 0
+
+
+def test_incremental_rank_width():
+    assert rank_of_ints([0, 0], 0) == 0
+    assert rank_of_ints([0b10, 0b01, 0b11], 2) == 2
+    with pytest.raises(ValueError, match="width"):
+        IncrementalRank(-1)

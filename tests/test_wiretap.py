@@ -6,7 +6,7 @@ import pytest
 from nestedpolar import wiretap
 from nestedpolar.channels import RngStream, bec_sample
 from nestedpolar.construction import bec_reliability, select_info_set, select_secure_subset
-from nestedpolar.gf2 import BitVector, rank
+from nestedpolar.gf2 import BitMatrix, BitVector, null_space_basis, pack_columns, rank, select_rows
 from nestedpolar.polar import CodeParams, generator_matrix
 from nestedpolar.sc import ERASED, ReceivedWord
 from nestedpolar.wiretap import (
@@ -209,6 +209,60 @@ def test_parity_checks_orthogonality_and_cosets():
             assert not (g[code.secure_set] @ h_s.entries.T.astype(np.int64) % 2).any()
             assert naive_rank(h.entries) == N - code.info_set.size
             assert naive_rank(h_s.entries) == N - code.randomization_len
+
+
+def test_parity_check_rows_descend_by_free_column():
+    rng = np.random.default_rng(21)
+    g = generator_matrix(6)
+    for ka, kb in ((48, 24), (32, 8), (64, 0), (10, 10)):
+        code = random_code(rng, 6, ka, kb)
+        for h, rows in zip(parity_checks(code), (code.info_set, code.secure_set)):
+            ascending = null_space_basis(select_rows(g, rows))
+            assert h == BitMatrix(ascending.entries[::-1])
+            # A reduced-echelon null-space row's last set column is its free column.
+            free = [int(np.flatnonzero(r)[-1]) for r in h.entries]
+            assert all(a > b for a, b in zip(free, free[1:]))
+            assert len(free) == 64 - rows.size
+
+
+def _xor_steps(columns, width, pivot_bit) -> int:
+    """XOR steps of an elimination that stops at full rank, under a pivot rule."""
+    pivots, steps = {}, 0
+    for v in columns:
+        if len(pivots) == width:
+            break
+        while v:
+            p = pivots.get(pivot_bit(v))
+            if p is None:
+                pivots[pivot_bit(v)] = v
+                break
+            v ^= p
+            steps += 1
+    return steps
+
+
+def test_row_order_keeps_fig1_elimination_short():
+    # One seeded fig1 trial at n=10: the columns erased at e_w = 0.5, in draw order.
+    cfg = WiretapConfig(e_m=0.25, e_w=0.5, rate=0.25, n=10, trials=1, seed=3)
+    code = build_wiretap_code(cfg)
+    draws = RngStream(cfg.seed, 0).generator().random(code.N)
+    joined = [j for j in np.argsort(draws, kind="stable").tolist() if draws[j] < 0.5]
+    g = generator_matrix(cfg.n)
+    highest = lambda v: v.bit_length() - 1  # noqa: E731
+    lowest = lambda v: (v & -v).bit_length() - 1  # noqa: E731
+    counts = np.zeros(3, dtype=np.int64)
+    for h, rows in zip(parity_checks(code), (code.info_set, code.secure_set)):
+        returned = pack_columns(h)
+        unreversed = pack_columns(null_space_basis(select_rows(g, rows)))
+        counts += [
+            _xor_steps([returned[j] for j in joined], h.rows, highest),
+            _xor_steps([unreversed[j] for j in joined], h.rows, lowest),
+            _xor_steps([unreversed[j] for j in joined], h.rows, highest),
+        ]
+    fast, lowest_unreversed, highest_unreversed = counts
+    assert fast <= lowest_unreversed
+    # The order matters: the highest-bit rule on unreversed rows does far more work.
+    assert 2 * fast < highest_unreversed
 
 
 def test_equivocation_rank_trivial():
