@@ -51,19 +51,15 @@ class RngStream:
 
 
 def bec_sample_rows(x: np.ndarray, erasure_prob: float, rng: np.random.Generator) -> np.ndarray:
-    """Erase each position of a (batch, N) uint8 array independently."""
+    """Erase each position of an array of 0/1 symbols or three-valued words
+    independently (erased stays erased); returns int8.  ``cascade_rows`` is
+    this sampler.  One uniform is drawn per position, erased or not, so the
+    stream layout is independent of the input pattern."""
     draws = rng.random(x.shape)
     return np.where(draws < erasure_prob, np.int8(ERASED), x.astype(np.int8))
 
 
-def cascade_rows(y: np.ndarray, extra_prob: float, rng: np.random.Generator) -> np.ndarray:
-    """Further erase a batch of three-valued words; erased stays erased.
-
-    Draws one uniform per position (erased or not) so the stream layout is
-    independent of the input pattern.
-    """
-    draws = rng.random(y.shape)
-    return np.where(draws < extra_prob, np.int8(ERASED), y)
+cascade_rows = bec_sample_rows
 
 
 def bec_sample(x: BitVector, erasure_prob: float, rng: np.random.Generator) -> ReceivedWord:

@@ -293,13 +293,14 @@ def _run_relay(cfg: ExperimentConfig) -> int:
     _require(p["margin"] == 0.0 or 0.0 < p["margin"] <= 1.0, "margin", "must be in (0, 1] (or 0 to calibrate)")
     _require(p["target"] > 0.0, "target", "must be positive")
     spec = RelayChannelSpec(p["e_sr"], p["e_deg"], p["e_rd"])
+    calibrate = p["margin"] == 0.0
     try:
-        if p["margin"] > 0.0:
-            scheme = build_relay_scheme(spec, p["n"], p["blocks"], p["margin"])
-        else:
+        if calibrate:
             scheme = calibrate_margin(spec, p["n"], p["blocks"], p["target"])
-    except ValueError as exc:
-        raise ConfigError(f"margin: {exc}") from exc
+        else:
+            scheme = build_relay_scheme(spec, p["n"], p["blocks"], p["margin"])
+    except ValueError as exc:  # no margin meets the target, or this margin does not fit
+        raise ConfigError(f"{'target' if calibrate else 'margin'}: {exc}") from exc
     report = simulate_relay(scheme, spec, p["trials"], p["seed"])
     out = cfg.output_path or Path("relay-sim.csv")
     lines = _header_lines(cfg.command, p)

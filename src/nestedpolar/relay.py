@@ -124,8 +124,6 @@ def _scheme_designer(spec: RelayChannelSpec, n: int, blocks: int):
         else:
             k_b = round(margin * N * spec.c_sd)
             k_a = round(margin * N * (spec.c_sd + spec.c_rd))
-            if k_a < k_b:
-                raise _InfeasibleMargin(f"infeasible at margin {margin}: |A| target {k_a} below |B| {k_b}")
             secure = select_info_set(z_sd, k_b)
             outside = z_sr.order[~np.isin(z_sr.order, secure)]
             info = np.sort(np.concatenate([secure, outside[: k_a - k_b]]))
@@ -201,10 +199,6 @@ class RelayRunReport:
 _ROLE_MESSAGE, _ROLE_SR, _ROLE_DEG, _ROLE_RD = range(4)
 
 
-def _stream(seed: int, trial: int, block: int, blocks: int, role: int) -> np.random.Generator:
-    return RngStream(seed, (trial * (blocks + 1) + block) * 4 + role).generator()
-
-
 def simulate_relay(
     scheme: RelayScheme, spec: RelayChannelSpec, trials: int, seed: int
 ) -> RelayRunReport:
@@ -212,10 +206,12 @@ def simulate_relay(
 
     Uses blocks+1 slots: the source is active in blocks 1..blocks, the
     relay forwards block k's coset during block k+1, and the destination
-    resolves block k once that arrives.  SD outputs are the SR outputs
-    further erased under the same draw, preserving physical degradedness.
-    Deterministic given the seed; each (trial, block, role) has its own
-    substream so erasure-rate changes couple monotonically.
+    resolves block k once that arrives.  The SR and RD stages are one link
+    step each: encode the bits on a code's information set, erase each
+    word, SC-decode it with that code.  SD outputs are the SR outputs
+    further erased, preserving physical degradedness.  Deterministic given
+    the seed: each (trial, block, role) draws from its own substream, so
+    erasure-rate changes couple monotonically.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -224,7 +220,26 @@ def simulate_relay(
     a_set = code.info_set
     msg_pos = np.isin(a_set, code.message_set)  # A\B positions within A
     source_spec = code.bob_spec()
-    rd_info = scheme.rd_code.info_set
+    sd_mask = np.zeros(N, dtype=bool)
+    sd_mask[code.secure_set] = True
+
+    def per_trial(block: int, role: int, draw) -> np.ndarray:
+        """Stack draw(t, rng) over the trials, rng from the (t, block, role) substream."""
+        return np.stack([
+            draw(t, RngStream(seed, (t * (blocks + 1) + block) * 4 + role).generator())
+            for t in range(trials)
+        ])
+
+    def link(link_spec: PolarCodeSpec, bits, erasure_prob: float, block: int, role: int):
+        """Encode bits on link_spec's information set, erase each word from its
+        own substream and SC-decode it with link_spec; returns the received
+        words, the decoded information bits and the undetermined counts."""
+        u = np.zeros((trials, N), dtype=np.uint8)
+        u[:, link_spec.info_set] = bits
+        x = transform_rows(u)
+        y = per_trial(block, role, lambda t, rng: bec_sample_rows(x[t], erasure_prob, rng))
+        u_hat, undet = decode_bec_rows(y, link_spec.info_mask, link_spec.frozen_template)
+        return y, u_hat[:, link_spec.info_set], undet
 
     relay_err = np.zeros((trials, blocks), dtype=bool)
     rd_err = np.zeros((trials, blocks), dtype=bool)
@@ -232,44 +247,24 @@ def simulate_relay(
     undet = np.zeros((trials, blocks, 3), dtype=np.int64)
 
     for k in range(blocks):
-        msgs = np.empty((trials, a_set.size), dtype=np.uint8)
-        y_sr = np.empty((trials, N), dtype=np.int8)
-        y_sd = np.empty((trials, N), dtype=np.int8)
-        for t in range(trials):
-            msgs[t] = _stream(seed, t, k, blocks, _ROLE_MESSAGE).integers(
-                0, 2, a_set.size, dtype=np.uint8
-            )
-        u = np.zeros((trials, N), dtype=np.uint8)
-        u[:, a_set] = msgs
-        x = transform_rows(u)
-        for t in range(trials):
-            y_sr[t] = bec_sample_rows(x[t : t + 1], spec.e_sr, _stream(seed, t, k, blocks, _ROLE_SR))[0]
-            y_sd[t] = cascade_rows(y_sr[t : t + 1], spec.e_deg, _stream(seed, t, k, blocks, _ROLE_DEG))[0]
+        msgs = per_trial(k, _ROLE_MESSAGE, lambda t, rng: rng.integers(0, 2, a_set.size, dtype=np.uint8))
 
         # relay decodes the whole information set from its SR output
-        u_relay, undet[:, k, 0] = decode_bec_rows(y_sr, source_spec.info_mask, source_spec.frozen_template)
-        relay_bits = u_relay[:, a_set]
+        y_sr, relay_bits, undet[:, k, 0] = link(source_spec, msgs, spec.e_sr, k, _ROLE_SR)
         relay_err[:, k] = np.any(relay_bits != msgs, axis=1)
+        # the destination stores its SD copy: the SR output, further erased
+        y_sd = per_trial(k, _ROLE_DEG, lambda t, rng: cascade_rows(y_sr[t], spec.e_deg, rng))
 
         # relay re-encodes A\B (its own, possibly wrong, estimate) over RD
-        coset_true = msgs[:, msg_pos]
-        coset_fwd = relay_bits[:, msg_pos]
-        u_rd = np.zeros((trials, N), dtype=np.uint8)
-        u_rd[:, rd_info] = coset_fwd
-        x_rd = transform_rows(u_rd)
-        y_rd = np.empty((trials, N), dtype=np.int8)
-        for t in range(trials):
-            y_rd[t] = bec_sample_rows(x_rd[t : t + 1], spec.e_rd, _stream(seed, t, k + 1, blocks, _ROLE_RD))[0]
-        u_dest_rd, undet[:, k, 1] = decode_bec_rows(y_rd, scheme.rd_code.info_mask, scheme.rd_code.frozen_template)
-        coset_dest = u_dest_rd[:, rd_info]
-        rd_err[:, k] = np.any(coset_dest != coset_true, axis=1)
+        _, coset_dest, undet[:, k, 1] = link(
+            scheme.rd_code, relay_bits[:, msg_pos], spec.e_rd, k + 1, _ROLE_RD
+        )
+        rd_err[:, k] = np.any(coset_dest != msgs[:, msg_pos], axis=1)
 
         # destination freezes the received coset and decodes B from stored SD
         frozen = np.zeros((trials, N), dtype=np.uint8)
         frozen[:, code.message_set] = coset_dest
-        b_mask = np.zeros(N, dtype=bool)
-        b_mask[code.secure_set] = True
-        u_dest, undet[:, k, 2] = decode_bec_rows(y_sd, b_mask, frozen)
+        u_dest, undet[:, k, 2] = decode_bec_rows(y_sd, sd_mask, frozen)
         recovered = np.empty_like(msgs)
         recovered[:, msg_pos] = coset_dest
         recovered[:, ~msg_pos] = u_dest[:, code.secure_set]

@@ -150,8 +150,11 @@ def test_criterion_5b_fig1_within_upper_bound(fig1_reports):
 def test_criterion_5c_fig1_close_to_bound_at_design_point(fig1_reports):
     at_half = [r for r in fig1_reports if abs(r.e_w - 0.5) < 1e-9][0]
     ok = at_half.mean_equivocation_rate >= 0.9 * 0.25
+    rates = at_half.equivocations / at_half.block_length
+    stderr = np.std(rates, ddof=1) / np.sqrt(rates.size)
     report("criterion 5c: design-point equivocation near the bound", ok,
-           f"rate {at_half.mean_equivocation_rate:.4f} vs floor {0.9 * 0.25}")
+           f"rate {at_half.mean_equivocation_rate:.4f} vs floor {0.9 * 0.25}, "
+           f"{(at_half.mean_equivocation_rate - 0.9 * 0.25) / stderr:+.1f} standard errors away")
 
 
 def test_criterion_6_transform_correctness():
