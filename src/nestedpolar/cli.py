@@ -246,8 +246,8 @@ def _run_wiretap(cfg: ExperimentConfig) -> int:
     _require(0.0 <= p["rate"] < 1.0, "rate", "must be in [0, 1)")
     _require(p["trials"] >= 1, "trials", "must be positive")
     _require(p["ew_step"] > 0.0, "ew_step", "must be positive")
+    _require(0.0 <= p["ew_stop"] <= 1.0, "ew_stop", "need 0 <= ew_stop <= 1")
     _require(0.0 <= p["ew_start"] <= p["ew_stop"], "ew_start", "need 0 <= ew_start <= ew_stop")
-    _require(p["ew_stop"] <= 1.0, "ew_stop", "must not exceed 1")
     points = _sweep_points(p["ew_start"], p["ew_stop"], p["ew_step"])
     _require(all(0.0 <= x <= 1.0 for x in points), "ew_stop", "sweep leaves [0, 1]")
     _require(p["trials"] * len(points) <= MAX_RESULT_CELLS, "trials",

@@ -24,13 +24,18 @@ from .gf2 import (
     BitVector,
     IncrementalRank,
     _check_index_set,
-    null_space_basis,
+    null_space_basis,  # noqa: F401  (unused; the benchmark tracer still resolves this name)
     pack_columns,
     rank,
     select_columns,
-    select_rows,
 )
-from .polar import CodeParams, PolarCodeSpec, generator_matrix, transform_rows
+from .polar import (
+    CodeParams,
+    PolarCodeSpec,
+    bit_reversal_permutation,
+    generator_matrix,
+    transform_rows,
+)
 from .sc import ReceivedWord, sc_decode_bec
 
 __all__ = [
@@ -186,19 +191,29 @@ def bob_decode(code: NestedCodeSpec, rw: ReceivedWord) -> BitVector:
 def parity_checks(code: NestedCodeSpec) -> tuple[BitMatrix, BitMatrix]:
     """Parity-check matrices (H, H_s) of the overall code and the subcode.
 
-    Each is the reduced-echelon null-space basis of its generator rows
-    (one row per free column), with the rows in *descending* free-column
-    order.  Ranks do not depend on the order, but its cost does:
-    ``IncrementalRank`` pivots on the highest set bit, which on descending
-    rows is the row of the smallest free column a packed column touches.
-    That is the pivot a lowest-bit rule takes on ascending rows, so the
-    elimination takes the same XOR steps.  Ascending rows under the
-    highest-bit rule take about 2.7x the steps at the fig1 point.
+    G is its own inverse (G G = I over GF(2)), so column j of G is
+    orthogonal to every row of G but row j.  The checks are therefore read
+    off the generator: H = G[:, free]^T with free = A^c, and H_s likewise
+    with free = B^c, one row per free position.  The rows are in
+    *ascending bit-reversed index* of their free position.  Ranks do not
+    depend on the order, but their cost does: ``IncrementalRank`` pivots
+    on the highest set bit of a packed column, and in this order the fig1
+    rank loop takes about as many XOR steps as on the old reduced-echelon
+    basis, while natural or descending bit-reversed orders take 2.5-6.5x as
+    long.
     """
-    g = generator_matrix(code.params.n)
-    h = null_space_basis(select_rows(g, code.info_set))
-    h_s = null_space_basis(select_rows(g, code.secure_set))
-    return BitMatrix(h.entries[::-1]), BitMatrix(h_s.entries[::-1])
+    n = code.params.n
+    g = generator_matrix(n).entries
+    rev = bit_reversal_permutation(n)
+
+    def checks(kept: np.ndarray) -> BitMatrix:
+        free = np.ones(code.N, dtype=bool)
+        free[kept] = False
+        # rev is an involution, so rev[free[rev]] lists the free positions
+        # in ascending order of their bit-reversed index.
+        return BitMatrix(g[:, rev[free[rev]]].T)
+
+    return checks(code.info_set), checks(code.secure_set)
 
 
 def equivocation_rank(h: BitMatrix, h_s: BitMatrix, erased) -> int:
@@ -265,7 +280,7 @@ def run_wiretap_experiment(cfg: WiretapConfig, e_w_sweep) -> list[EquivocationRe
     points = np.asarray(e_w_sweep, dtype=np.float64)
     if points.ndim != 1 or points.size == 0:
         raise ValueError("e_w sweep must be a nonempty 1-D sequence")
-    if points.min() < 0.0 or points.max() > 1.0:
+    if not np.all((points >= 0.0) & (points <= 1.0)):  # False for NaN as well
         raise ValueError("swept e_w values must lie in [0, 1]")
     code = build_wiretap_code(cfg)
     h, h_s = parity_checks(code)

@@ -119,8 +119,18 @@ FIG1_POINTS = [round(0.26 + 0.02 * k, 10) for k in range(13)]
 
 
 @pytest.fixture(scope="module")
-def fig1_reports():
-    return run_wiretap_experiment(FIG1_CFG, FIG1_POINTS)
+def fig1_sweep():
+    """The fig1 sweep with Bob's erasure rate e_m as a hidden last point.
+
+    The points share one draw per position, so the extra point leaves the
+    others unchanged and gives Bob's residual H(S|Y) for every trial.
+    """
+    return run_wiretap_experiment(FIG1_CFG, [*FIG1_POINTS, FIG1_CFG.e_m])
+
+
+@pytest.fixture(scope="module")
+def fig1_reports(fig1_sweep):
+    return fig1_sweep[:-1]
 
 
 def test_criterion_5a_fig1_monotone(fig1_reports):
@@ -145,6 +155,32 @@ def test_criterion_5b_fig1_within_upper_bound(fig1_reports):
     detail = ", ".join(f"e_w={w:.2f}: excess={e:+.4f}" for w, e in excesses if e > 0)
     report("criterion 5b: curve within bound + 1e-3", worst <= 1e-3,
            detail or f"max excess {worst:+.4f}")
+
+
+def test_criterion_5b_excess_within_bob_residual(fig1_sweep):
+    """The finite-length form of 5b, which explains its failure.
+
+    Each erased column moves each rank by at most one, so per trial
+    eq(E_w) <= eq(E_m) + |E_w \\ E_m|, where eq(E_m) is Bob's residual
+    H(S|Y).  The code runs Bob at capacity (|A| = N (1 - e_m)), so that
+    residual is positive at finite N, and the mean excess over
+    min(R, e_w - e_m) is bounded by Bob's mean rate, not by zero.
+    """
+    *reports, bob = fig1_sweep
+    N, e_m = bob.block_length, FIG1_CFG.e_m
+    draws = np.stack([
+        RngStream(FIG1_CFG.seed, t).generator().random(N) for t in range(FIG1_CFG.trials)
+    ])
+    invariant_ok = all(
+        np.all(r.equivocations <= bob.equivocations + ((draws >= e_m) & (draws < r.e_w)).sum(axis=1))
+        for r in reports
+    )
+    bob_rates = bob.equivocations / N
+    limit = bob.mean_equivocation_rate + 3 * np.std(bob_rates, ddof=1) / np.sqrt(bob_rates.size)
+    worst = max(r.mean_equivocation_rate - r.upper_bound for r in reports)
+    report("criterion 5b explained: excess within Bob's residual", invariant_ok and worst <= limit,
+           f"per-trial invariant {'holds' if invariant_ok else 'FAILS'}; worst excess {worst:+.5f} "
+           f"<= Bob's rate {bob.mean_equivocation_rate:.5f} + 3 standard errors = {limit:.5f}")
 
 
 def test_criterion_5c_fig1_close_to_bound_at_design_point(fig1_reports):

@@ -79,6 +79,7 @@ def test_bad_value_rejected(tmp_path):
     (["relay-sim", "--set", "n=13", "--set", "blocks=1", "--trials", "10000000"], "trials"),
     (["relay-sim", "--set", "n=10", "--set", "e_sr=0.6", "--set", "e_deg=0.5", "--set", "e_rd=0.9",
       "--set", "target=1e-300", "--trials", "2"], "target"),
+    (["wiretap-sweep", "--set", "ew_stop=nan"], "ew_stop"),
 ])
 def test_bad_size_rejected(tmp_path, capsys, args, key):
     out = tmp_path / "x.csv"

@@ -1,12 +1,13 @@
 import itertools
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from nestedpolar import wiretap
 from nestedpolar.channels import RngStream, bec_sample
 from nestedpolar.construction import bec_reliability, select_info_set, select_secure_subset
-from nestedpolar.gf2 import BitMatrix, BitVector, null_space_basis, pack_columns, rank, select_rows
+from nestedpolar.gf2 import BitVector, null_space_basis, pack_columns, rank, select_rows
 from nestedpolar.polar import CodeParams, generator_matrix
 from nestedpolar.sc import ERASED, ReceivedWord
 from nestedpolar.wiretap import (
@@ -22,6 +23,7 @@ from nestedpolar.wiretap import (
 )
 
 from oracles import (
+    bitrev,
     exhaustive_bec_bitchannel_z,
     naive_rank,
     naive_vec_mat_mul,
@@ -211,18 +213,28 @@ def test_parity_checks_orthogonality_and_cosets():
             assert naive_rank(h_s.entries) == N - code.randomization_len
 
 
-def test_parity_check_rows_descend_by_free_column():
+def test_parity_checks_are_generator_columns_in_bit_reversed_order(monkeypatch):
+    # G G = I: the checks are the columns of G outside A (or B), one row
+    # each, in ascending order of the bit-reversed free position.
     rng = np.random.default_rng(21)
-    g = generator_matrix(6)
-    for ka, kb in ((48, 24), (32, 8), (64, 0), (10, 10)):
-        code = random_code(rng, 6, ka, kb)
-        for h, rows in zip(parity_checks(code), (code.info_set, code.secure_set)):
-            ascending = null_space_basis(select_rows(g, rows))
-            assert h == BitMatrix(ascending.entries[::-1])
-            # A reduced-echelon null-space row's last set column is its free column.
-            free = [int(np.flatnonzero(r)[-1]) for r in h.entries]
-            assert all(a > b for a, b in zip(free, free[1:]))
-            assert len(free) == 64 - rows.size
+    for n in range(1, 8):
+        N = 1 << n
+        g = reference_generator(n)
+        for _ in range(6):
+            ka = int(rng.integers(0, N + 1))
+            code = random_code(rng, n, ka, int(rng.integers(0, ka + 1)))
+            for h, kept in zip(parity_checks(code), (code.info_set, code.secure_set)):
+                free = sorted(set(range(N)) - set(kept.tolist()), key=lambda j: bitrev(j, n))
+                assert np.array_equal(h.entries, g[:, free].T)
+
+    # The design step never falls back to a null-space elimination.
+    def elimination(*args):
+        raise AssertionError("parity_checks ran a null-space elimination")
+
+    monkeypatch.setattr(wiretap, "null_space_basis", elimination)
+    code = build_wiretap_code(WiretapConfig(e_m=0.25, e_w=0.5, rate=0.25, n=10, trials=1, seed=0))
+    h, h_s = parity_checks(code)
+    assert (h.rows, h_s.rows) == (256, 512)
 
 
 def _xor_steps(columns, width, pivot_bit) -> int:
@@ -292,6 +304,25 @@ def test_equivocation_rank_matches_bruteforce():
             assert equivocation_bruteforce(code, erased) == equivocation_rank(h, h_s, erased)
 
 
+@st.composite
+def nested_codes_and_erasures(draw):
+    """A random nested code A ⊇ B at n <= 4 and a random erased position set."""
+    n = draw(st.integers(0, 4))
+    positions = list(range(1 << n))
+    info = draw(st.lists(st.sampled_from(positions), unique=True))
+    secure = draw(st.lists(st.sampled_from(info), unique=True)) if info else []
+    erased = draw(st.lists(st.sampled_from(positions), unique=True))
+    code = NestedCodeSpec(CodeParams(n), sorted(info), sorted(secure))
+    return code, sorted(erased)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(nested_codes_and_erasures())
+def test_equivocation_rank_on_closed_form_checks_matches_bruteforce(case):
+    code, erased = case
+    assert equivocation_rank(*parity_checks(code), erased) == equivocation_bruteforce(code, erased)
+
+
 def test_equivocation_monotone_in_erasures():
     code = toy_code(6, 2)
     h, h_s = parity_checks(code)
@@ -318,8 +349,13 @@ def test_bruteforce_edges_and_guard():
 
 @pytest.mark.parametrize(
     "sweep, message",
-    [([], "nonempty 1-D"), ([[0.3, 0.4]], "nonempty 1-D"), ([0.3, 1.5], r"\[0, 1\]")],
-    ids=["empty", "2-D", "outside"],
+    [
+        ([], "nonempty 1-D"),
+        ([[0.3, 0.4]], "nonempty 1-D"),
+        ([0.3, 1.5], r"\[0, 1\]"),
+        ([float("nan"), 1.0], r"\[0, 1\]"),
+    ],
+    ids=["empty", "2-D", "outside", "nan"],
 )
 def test_experiment_rejects_bad_sweep_before_design(monkeypatch, sweep, message):
     def design_step(*args):
