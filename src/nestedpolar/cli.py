@@ -242,7 +242,8 @@ def _run_wiretap(cfg: ExperimentConfig) -> int:
     p = {key: default for key, (_, default) in _SCHEMAS["wiretap-sweep"].items()}
     p.update(cfg.params)
     _require_n(p["n"])
-    _require(0.0 <= p["e_m"] <= p["design_e_w"] <= 1.0, "e_m", "need 0 <= e_m <= design_e_w <= 1")
+    _require(0.0 <= p["design_e_w"] <= 1.0, "design_e_w", "need 0 <= design_e_w <= 1")
+    _require(0.0 <= p["e_m"] <= p["design_e_w"], "e_m", "need 0 <= e_m <= design_e_w")
     _require(0.0 <= p["rate"] < 1.0, "rate", "must be in [0, 1)")
     _require(p["trials"] >= 1, "trials", "must be positive")
     _require(p["ew_step"] > 0.0, "ew_step", "must be positive")

@@ -13,6 +13,24 @@ message domains supply f and g:
   logaddexp(0, a+b) - logaddexp(a, b), which equals the hyperbolic-tangent
   rule without overflow.
 
+The walk holds a batch's messages position-major: axis 0 is the code
+position, in bit-reversed order so that a node's two halves are the
+contiguous slices msgs[:h] and msgs[h:], and the other axes belong to the
+domain.
+
+* Erasure messages are bit-sliced: each position holds two planes of
+  uint64 words, erased and value, with bit r of word w for row 64 w + r
+  (rows past the batch are zero padding, never erased).  The check
+  combine is e = ea | eb, v = va ^ vb, and the variable combine is
+  e = ea & eb, v = vb ^ (eb & (vb ^ va ^ xl)), so one word operation
+  combines 64 rows, and a value under a set erased bit means nothing.
+  The decoder keeps its decisions and the erased bits of its information
+  leaves as words and unpacks them once at the end.
+* LLR messages are (position, row) float64.  The decoders pass the
+  transposed view of a row-major bit-reversed copy of the input, not a
+  position-major copy: each row's messages then stay contiguous, as the
+  combines read them, and no second (batch, N) float array is made.
+
 Two leaf rules run on either domain: a decoder decides information bits
 from their messages and outputs frozen bits as given; a genie records
 whether the bit's message was erased (or decided wrongly) and feeds the
@@ -29,14 +47,13 @@ The erasure decoder also gives the walk a node rule, as in simplified SC
   because below such a node f and g see no erasure, so no decision is
   undetermined and every decision agrees with the messages.
 
-Every other node descends as usual, a rate-1 node with an erasure among
-its rows included; its children try the rule again.
+Both run the butterfly on the words, all rows at once.  Every other node
+descends as usual, a rate-1 node with an erasure among its rows included;
+its children try the rule again.
 
 LLR sign convention: positive means bit 0 is more likely; a tie (LLR
 exactly zero) decides 0, matching a likelihood-ratio-at-least-one rule.
-Decoding order is the natural index order of u; the received word is
-bit-reversal permuted once up front so the in-place butterfly halves pair
-correctly.
+Decoding order is the natural index order of u.
 
 The batch entry points (`decode_bec_rows`, `decode_llr_rows`, genie
 variants) process many received words at once and are what the
@@ -145,49 +162,81 @@ def _check_word(spec: PolarCodeSpec, word: ReceivedWord, kind: str) -> None:
 # the SC tree walk
 
 
-def _sc_walk(y: np.ndarray, f, g, leaf, node=None) -> None:
-    """Walk the SC tree once over a (batch, N) array of channel messages.
+def _sc_walk(msgs: np.ndarray, f, g, leaf, node=None) -> None:
+    """Walk the SC tree once over the channel messages of a batch.
 
-    At each node, f(a, b) gives the left child's messages from the two
-    halves a, b; once the left subtree returns its re-encoded bits xl,
-    g(a, b, xl) gives the right child's.  leaf(i, m) receives the (batch,)
-    messages of bit i and returns the bits to feed forward for it.  If
-    given, node(lo, msgs) is asked first at each internal node covering
-    bits lo, lo+1, ...; an array it returns is taken as the subtree's
-    re-encoded bits and the walk does not descend, None lets it descend.
+    msgs holds one message per code position on axis 0, in bit-reversed
+    order, so the two halves of a node are msgs[:h] and msgs[h:]; the
+    other axes are the message domain's.  At each node, f(a, b) gives the
+    left child's messages from the halves a, b; once the left subtree
+    returns its re-encoded bits xl, g(a, b, xl) gives the right child's.
+    leaf(i, m) receives the messages msgs[0] of bit i and returns the bits
+    to feed forward for it.  If given, node(lo, msgs) is asked first at
+    each internal node covering bits lo, lo+1, ...; an array it returns is
+    taken as the subtree's re-encoded bits and the walk does not descend,
+    None lets it descend.
     """
-    n = y.shape[1].bit_length() - 1
 
     def rec(msgs: np.ndarray, lo: int) -> np.ndarray:
-        L = msgs.shape[1]
+        L = msgs.shape[0]
         if L == 1:
-            return leaf(lo, msgs[:, 0])[:, None]
+            return leaf(lo, msgs[0])[None]
         if node is not None:
             x = node(lo, msgs)
             if x is not None:
                 return x
         h = L // 2
-        a = msgs[:, :h]
-        b = msgs[:, h:]
+        a = msgs[:h]
+        b = msgs[h:]
         xl = rec(f(a, b), lo)
         xr = rec(g(a, b, xl), lo + h)
-        return np.concatenate([xl ^ xr, xr], axis=1)
+        return np.concatenate([xl ^ xr, xr])
 
-    rec(y.take(bit_reversal_permutation(n), axis=1), 0)
+    rec(msgs, 0)
 
 
-# Erasure messages are int8 over {0, 1, ERASED}; ERASED is all ones, so an
-# arithmetic shift by 7 maps it to ERASED and 0 or 1 to 0.
+# Erasure messages are (L, 2, W) uint64 arrays: plane 0 holds the erased
+# bits, plane 1 the value bits (see the module docstring).
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """(L, W) uint64 words of an (L, batch) array: bit r of word [j, w] is
+    set iff bits[j, 64 w + r] is nonzero; padding bits are 0."""
+    L, nbatch = bits.shape
+    words = np.zeros((L, 8 * (-(-nbatch // 64))), dtype=np.uint8)
+    # packbits is several times faster on rows that are contiguous
+    words[:, : -(-nbatch // 8)] = np.packbits(np.ascontiguousarray(bits), axis=1, bitorder="little")
+    return words.view(np.uint64)
+
+
+def _unpack(words: np.ndarray, nbatch: int) -> np.ndarray:
+    """The (batch, L) uint8 bits of (L, W) words."""
+    return np.unpackbits(words.view(np.uint8).T, axis=0, count=nbatch, bitorder="little")
+
+
+def _bec_messages(y: np.ndarray) -> np.ndarray:
+    """The bit-reversed (N, 2, W) messages of a (batch, N) erasure array."""
+    yr = np.ascontiguousarray(y.T)[bit_reversal_permutation(y.shape[1].bit_length() - 1)]
+    return np.stack([_pack(yr == ERASED), _pack(yr)], axis=1)
 
 
 def _bec_check(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a ^ b) | ((a | b) >> 7)
+    # erased iff either is, value va ^ vb: (ea ^ eb) | ea == ea | eb
+    out = a ^ b
+    e = out[:, 0]
+    e |= a[:, 0]
+    return out
 
 
 def _bec_var(a: np.ndarray, b: np.ndarray, xl: np.ndarray) -> np.ndarray:
-    t = (a ^ xl) | (a >> 7)
-    m = b >> 7
-    return (b & ~m) | (t & m)
+    # b where b is known, else a with its value ^ xl; with t = a ^ b ^ (0, xl),
+    # b ^ (eb & t) gives eb ^ (eb & (ea ^ eb)) == ea & eb and vb ^ (eb & (va ^ vb ^ xl))
+    t = a ^ b
+    v = t[:, 1]
+    v ^= xl
+    t &= b[:, :1]
+    t ^= b
+    return t
 
 
 def _llr_check(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -196,6 +245,14 @@ def _llr_check(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _llr_var(a: np.ndarray, b: np.ndarray, xl: np.ndarray) -> np.ndarray:
     return b + a * (1.0 - 2.0 * xl)
+
+
+def _llr_messages(llr: np.ndarray) -> np.ndarray:
+    """The bit-reversed (N, batch) messages of a (batch, N) LLR array: a
+    transposed view of a row-major copy, so each row's messages stay
+    contiguous as the combines read them."""
+    N = llr.shape[1]
+    return np.asarray(llr, dtype=np.float64).take(bit_reversal_permutation(N.bit_length() - 1), axis=1).T
 
 
 # ---------------------------------------------------------------------------
@@ -213,35 +270,35 @@ def decode_bec_rows(
     decisions that had to be made on an erased message (decided 0).
     """
     nbatch, N = y.shape
-    fv = np.broadcast_to(frozen_values, (nbatch, N))
-    uhat = np.zeros((nbatch, N), dtype=np.uint8)
-    undet = np.zeros(nbatch, dtype=np.int64)
-    n_info = np.concatenate([[0], np.cumsum(info_mask)])  # info bits before each index
+    # frozen bits from the start; the walk writes each information bit
+    u = _pack(np.broadcast_to(frozen_values, (nbatch, N)).T)
+    # erased bits of the information leaves' messages, after a zero row so
+    # that the stack at the end is never empty
+    erased = [np.zeros_like(u[0])]
+    n_info = np.concatenate([[0], np.cumsum(info_mask)]).tolist()  # info bits before each index
 
     def leaf(i: int, m: np.ndarray) -> np.ndarray:
         if info_mask[i]:
-            er = m == ERASED
-            u = np.where(er, 0, m).astype(np.int8)
-            undet[er] += 1
-        else:
-            u = fv[:, i].astype(np.int8)
-        uhat[:, i] = u
-        return u
+            u[i] = m[1] & ~m[0]
+            erased.append(m[0])
+        return u[i]
 
     def node(lo: int, msgs: np.ndarray) -> np.ndarray | None:
-        L = msgs.shape[1]
+        L = msgs.shape[0]
         k = n_info[lo + L] - n_info[lo]
+        # butterfly_rows on the (W, L) transpose re-encodes every row's bits
         if k == 0:
-            u = fv[:, lo : lo + L].astype(np.int8, order="F")
-            uhat[:, lo : lo + L] = u
-            return butterfly_rows(u)
-        if k == L and msgs.min(initial=0) >= 0:
-            uhat[:, lo : lo + L] = butterfly_rows(msgs.copy(order="F"))
-            return msgs
+            x = u[lo : lo + L].copy()
+            butterfly_rows(x.T)
+            return x
+        if k == L and not msgs[:, 0].any():
+            u[lo : lo + L] = msgs[:, 1]
+            butterfly_rows(u[lo : lo + L].T)
+            return msgs[:, 1]
         return None
 
-    _sc_walk(y, _bec_check, _bec_var, leaf, node)
-    return uhat, undet
+    _sc_walk(_bec_messages(y), _bec_check, _bec_var, leaf, node)
+    return _unpack(u, nbatch), _unpack(np.stack(erased), nbatch).sum(axis=1, dtype=np.int64)
 
 
 def genie_bec_rows(y: np.ndarray, u_true: np.ndarray) -> np.ndarray:
@@ -251,14 +308,15 @@ def genie_bec_rows(y: np.ndarray, u_true: np.ndarray) -> np.ndarray:
     returned (batch, N) boolean array marks exactly the positions whose
     synthesized bit-channel erased in that trial.
     """
-    flags = np.zeros(y.shape, dtype=bool)
+    u = _pack(u_true.T)
+    flags = np.empty_like(u)
 
     def leaf(i: int, m: np.ndarray) -> np.ndarray:
-        flags[:, i] = m == ERASED
-        return u_true[:, i].astype(np.int8)
+        flags[i] = m[0]
+        return u[i]
 
-    _sc_walk(y, _bec_check, _bec_var, leaf)
-    return flags
+    _sc_walk(_bec_messages(y), _bec_check, _bec_var, leaf)
+    return _unpack(flags, y.shape[0]).view(bool)
 
 
 def decode_llr_rows(
@@ -279,7 +337,7 @@ def decode_llr_rows(
         uhat[:, i] = u
         return u
 
-    _sc_walk(np.asarray(llr, dtype=np.float64), _llr_check, _llr_var, leaf)
+    _sc_walk(_llr_messages(llr), _llr_check, _llr_var, leaf)
     return uhat, ties
 
 
@@ -291,7 +349,7 @@ def genie_llr_rows(llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
         flags[:, i] = (m < 0).astype(np.uint8) != u_true[:, i]
         return u_true[:, i]
 
-    _sc_walk(np.asarray(llr, dtype=np.float64), _llr_check, _llr_var, leaf)
+    _sc_walk(_llr_messages(llr), _llr_check, _llr_var, leaf)
     return flags
 
 

@@ -80,6 +80,8 @@ def test_bad_value_rejected(tmp_path):
     (["relay-sim", "--set", "n=10", "--set", "e_sr=0.6", "--set", "e_deg=0.5", "--set", "e_rd=0.9",
       "--set", "target=1e-300", "--trials", "2"], "target"),
     (["wiretap-sweep", "--set", "ew_stop=nan"], "ew_stop"),
+    (["wiretap-sweep", "--set", "design_e_w=nan"], "design_e_w"),
+    (["wiretap-sweep", "--set", "design_e_w=2"], "design_e_w"),
 ])
 def test_bad_size_rejected(tmp_path, capsys, args, key):
     out = tmp_path / "x.csv"

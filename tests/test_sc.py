@@ -14,6 +14,7 @@ from nestedpolar.sc import (
     LLR_CAP,
     ReceivedWord,
     decode_bec_rows,
+    decode_llr_rows,
     genie_bec_rows,
     genie_llr_rows,
     sc_decode_bec,
@@ -143,6 +144,17 @@ def test_llr_matches_sequential_ml_reference():
         got = sc_decode_llr(spec, ReceivedWord.from_llrs(llrs))
         expected = sequential_ml_decode(llrs, spec.info_mask, spec.frozen_template)
         assert np.array_equal(got.u_hat.bits, expected)
+    # whole batches with per-row frozen values; LLRs are rounded to 3
+    # decimals, because exact ties among integer LLRs can fall either way
+    for n in (1, 2, 3):
+        N = 1 << n
+        for _ in range(4):
+            mask = rng.random(N) < rng.random()
+            fv = rng.integers(0, 2, (12, N), dtype=np.uint8)
+            llrs = np.round(rng.normal(0, 2, (12, N)), 3)
+            u_hat, _ = decode_llr_rows(llrs, mask, fv)
+            expected = [sequential_ml_decode(l, mask, f) for l, f in zip(llrs, fv)]
+            assert np.array_equal(u_hat, expected)
 
 
 def test_genie_bec_rows_match_recoverability_oracle():
@@ -155,7 +167,9 @@ def test_genie_bec_rows_match_recoverability_oracle():
 
 def test_genie_bec_rows_match_recoverability_oracle_random_patterns():
     rng = np.random.default_rng(5)
-    for n, count in ((1, 4), (2, 6), (3, 6), (4, 8), (5, 8), (6, 4)):
+    # batches of 63 to 129 rows straddle the 64-row words of the erasure planes
+    for n, count in ((1, 4), (2, 6), (3, 6), (4, 8), (5, 8), (6, 4),
+                     (1, 63), (2, 64), (3, 65), (3, 129)):
         N = 1 << n
         erased = rng.random((count, N)) < rng.random((count, 1))
         u = rng.integers(0, 2, (count, N), dtype=np.uint8)
@@ -175,7 +189,7 @@ def assert_matches_bec_reference(y, mask, fv):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     n=st.integers(0, 8),
-    nbatch=st.integers(0, 4),
+    nbatch=st.integers(0, 4) | st.sampled_from([63, 64, 65, 129]),  # around 64-row words
     mask_kind=st.sampled_from(["frozen", "info", "mixed", "reliable"]),
     eps=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
     codeword=st.booleans(),
@@ -227,14 +241,18 @@ def test_decode_bec_rows_one_erasure_in_a_rate1_subtree(n, nbatch, data):
 
 
 def count_check_nodes(monkeypatch, y, mask):
-    check = sc._bec_check
+    # count the check combines of whatever the erasure decoder hands the walk
+    walk = sc._sc_walk
     calls = []
 
-    def counting(a, b):
-        calls.append(a.shape[1])
-        return check(a, b)
+    def counting_walk(msgs, f, g, leaf, node=None):
+        def counting(a, b):
+            calls.append(a.shape[0])
+            return f(a, b)
 
-    monkeypatch.setattr(sc, "_bec_check", counting)
+        return walk(msgs, counting, g, leaf, node)
+
+    monkeypatch.setattr(sc, "_sc_walk", counting_walk)
     decode_bec_rows(y, mask, np.zeros(mask.size, dtype=np.uint8))
     return len(calls)
 
@@ -249,7 +267,7 @@ def test_node_rule_skips_rate0_and_rate1_subtrees(monkeypatch):
     assert count_check_nodes(monkeypatch, y, np.zeros(N, dtype=bool)) == 0
     mixed = np.zeros(N, dtype=bool)
     mixed[select_info_set(bec_reliability(n, 0.3), 128)] = True
-    assert count_check_nodes(monkeypatch, y, mixed) < N - 1
+    assert 0 < count_check_nodes(monkeypatch, y, mixed) < N - 1
 
 
 def test_genie_llr_rows_match_sequential_ml_reference():
