@@ -4,27 +4,25 @@ A channel-coding library and batch simulator: polar construction and
 successive cancellation decoding on erasure (and symmetric) channels,
 coset-structured nested codes for secrecy, exact eavesdropper
 equivocation through GF(2) rank computations, and a block-Markov
-decode-and-forward relay pipeline.
+decode-and-forward relay pipeline.  Encoders, samplers and decoders take
+batches, one word per row of an array.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .gf2 import (
     BitMatrix,
-    BitVector,
     null_space_basis,
     rank,
     select_columns,
     select_rows,
-    vec_mat_mul,
 )
 from .polar import (
     CodeParams,
     PolarCodeSpec,
     bit_reversal_permutation,
-    encode,
     generator_matrix,
-    polar_transform,
+    transform_rows,
 )
 from .construction import (
     BEC,
@@ -37,18 +35,16 @@ from .construction import (
 )
 from .sc import (
     ERASED,
-    DecodeResult,
-    ReceivedWord,
-    sc_decode_bec,
-    sc_decode_llr,
+    decode_bec_rows,
+    decode_llr_rows,
+    genie_bec_rows,
+    genie_llr_rows,
 )
-from .channels import RngStream, bec_sample, bsc_sample, cascade_erasure
+from .channels import RngStream, bec_sample_rows, bsc_sample_rows
 from .wiretap import (
     EquivocationReport,
     NestedCodeSpec,
     WiretapConfig,
-    alice_encode,
-    bob_decode,
     build_wiretap_code,
     equivocation_bruteforce,
     equivocation_rank,
@@ -66,17 +62,15 @@ from .relay import (
 
 __all__ = [
     "__version__",
-    "BitMatrix", "BitVector", "null_space_basis", "rank",
-    "select_columns", "select_rows", "vec_mat_mul",
+    "BitMatrix", "null_space_basis", "rank", "select_columns", "select_rows",
     "CodeParams", "PolarCodeSpec", "bit_reversal_permutation",
-    "encode", "generator_matrix", "polar_transform",
+    "generator_matrix", "transform_rows",
     "BEC", "BSC", "ReliabilityProfile",
     "bec_reliability", "mc_reliability", "select_info_set", "select_secure_subset",
-    "ERASED", "DecodeResult", "ReceivedWord", "sc_decode_bec", "sc_decode_llr",
-    "RngStream", "bec_sample", "bsc_sample", "cascade_erasure",
+    "ERASED", "decode_bec_rows", "decode_llr_rows", "genie_bec_rows", "genie_llr_rows",
+    "RngStream", "bec_sample_rows", "bsc_sample_rows",
     "EquivocationReport", "NestedCodeSpec", "WiretapConfig",
-    "alice_encode", "bob_decode", "build_wiretap_code",
-    "equivocation_bruteforce", "equivocation_rank", "parity_checks",
+    "build_wiretap_code", "equivocation_bruteforce", "equivocation_rank", "parity_checks",
     "run_wiretap_experiment",
     "RelayChannelSpec", "RelayRunReport", "RelayScheme",
     "build_relay_scheme", "calibrate_margin", "simulate_relay",

@@ -5,7 +5,8 @@ by (master_seed, stream_id); identical addresses replay identical
 realizations, which is what makes trials independently farmable and every
 experiment byte-reproducible.  Erasures are drawn by thresholding uniforms
 (erase iff draw < eps), so runs that differ only in an erasure probability
-are coupled monotonically when they share a stream.
+are coupled monotonically when they share a stream.  Each sampler maps an
+array of words, one per row, to its channel outputs in the same shape.
 """
 from __future__ import annotations
 
@@ -14,15 +15,11 @@ import math
 
 import numpy as np
 
-from .gf2 import BitVector
-from .sc import ERASED, LLR_CAP, ReceivedWord
+from .sc import ERASED, LLR_CAP
 
 __all__ = [
     "GENERATOR_NAME",
     "RngStream",
-    "bec_sample",
-    "cascade_erasure",
-    "bsc_sample",
     "bec_sample_rows",
     "bsc_sample_rows",
     "cascade_rows",
@@ -55,27 +52,13 @@ def bec_sample_rows(x: np.ndarray, erasure_prob: float, rng: np.random.Generator
     independently (erased stays erased); returns int8.  ``cascade_rows`` is
     this sampler.  One uniform is drawn per position, erased or not, so the
     stream layout is independent of the input pattern."""
+    if not 0.0 <= erasure_prob <= 1.0:
+        raise ValueError(f"erasure probability must be in [0, 1], got {erasure_prob}")
     draws = rng.random(x.shape)
     return np.where(draws < erasure_prob, np.int8(ERASED), x.astype(np.int8))
 
 
 cascade_rows = bec_sample_rows
-
-
-def bec_sample(x: BitVector, erasure_prob: float, rng: np.random.Generator) -> ReceivedWord:
-    """Pass a codeword through a binary erasure channel."""
-    if not 0.0 <= erasure_prob <= 1.0:
-        raise ValueError(f"erasure probability must be in [0, 1], got {erasure_prob}")
-    return ReceivedWord.from_symbols(bec_sample_rows(x.bits[None, :], erasure_prob, rng)[0])
-
-
-def cascade_erasure(y1: ReceivedWord, extra_prob: float, rng: np.random.Generator) -> ReceivedWord:
-    """Degrade an erasure-channel output by further independent erasures."""
-    if y1.kind != "erasure":
-        raise ValueError("cascade_erasure expects an erasure received word")
-    if not 0.0 <= extra_prob <= 1.0:
-        raise ValueError(f"erasure probability must be in [0, 1], got {extra_prob}")
-    return ReceivedWord.from_symbols(cascade_rows(y1.values[None, :], extra_prob, rng)[0])
 
 
 def bsc_llr_magnitude(crossover_prob: float) -> float:
@@ -85,15 +68,10 @@ def bsc_llr_magnitude(crossover_prob: float) -> float:
     return min(math.log((1.0 - crossover_prob) / crossover_prob), LLR_CAP)
 
 
-def bsc_sample(x: BitVector, crossover_prob: float, rng: np.random.Generator) -> ReceivedWord:
-    """Pass a codeword through a binary symmetric channel, emitting LLRs."""
-    if not 0.0 <= crossover_prob <= 0.5:
-        raise ValueError(f"crossover probability must be in [0, 1/2], got {crossover_prob}")
-    return ReceivedWord.from_llrs(bsc_sample_rows(x.bits[None, :], crossover_prob, rng)[0])
-
-
 def bsc_sample_rows(x: np.ndarray, crossover_prob: float, rng: np.random.Generator) -> np.ndarray:
     """Flip each position of a (batch, N) uint8 array independently; returns
     the (batch, N) float64 LLRs."""
+    if not 0.0 <= crossover_prob <= 0.5:
+        raise ValueError(f"crossover probability must be in [0, 1/2], got {crossover_prob}")
     flips = rng.random(x.shape) < crossover_prob
     return (1.0 - 2.0 * (x ^ flips)) * bsc_llr_magnitude(crossover_prob)

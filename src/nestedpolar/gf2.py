@@ -1,10 +1,11 @@
-"""Dense GF(2) linear algebra: products, rank, null spaces, submatrix selection.
+"""Dense GF(2) linear algebra: rank, null spaces, submatrix selection.
 
-Vectors and matrices are immutable bit containers backed by numpy uint8
-arrays.  The elimination kernels pack rows (or columns) into Python
-integers, one bit per position, so every row update is a single
-word-parallel XOR on machine words.  That is what keeps 1024-column rank
-computations affordable inside Monte-Carlo loops.  Rank elimination
+Matrices are immutable bit containers backed by numpy uint8 arrays, and
+words are rows of plain uint8 arrays throughout the package.  The
+elimination kernels pack rows (or columns) into Python integers, one bit
+per position, so every row update is a single word-parallel XOR on
+machine words.  That is what keeps 1024-column rank computations
+affordable inside Monte-Carlo loops.  Rank elimination
 (``IncrementalRank``) knows the bit width of its vectors, pivots on each
 vector's highest set bit, and stops reducing once the rank equals the
 width, since every later vector is then dependent.
@@ -19,10 +20,8 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "BitVector",
     "BitMatrix",
     "IncrementalRank",
-    "vec_mat_mul",
     "rank",
     "rank_of_ints",
     "null_space_basis",
@@ -33,63 +32,19 @@ __all__ = [
 ]
 
 
-def _as_bit_array(values, ndim: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.uint8)
-    if arr.ndim != ndim:
-        raise ValueError(f"expected a {ndim}-dimensional bit array, got shape {arr.shape}")
-    if arr.size and arr.max() > 1:
-        raise ValueError("entries must be 0 or 1")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
-
-
-class BitVector:
-    """Immutable vector over GF(2)."""
-
-    __slots__ = ("_bits",)
-
-    def __init__(self, bits):
-        self._bits = _as_bit_array(bits, ndim=1)
-
-    @property
-    def bits(self) -> np.ndarray:
-        return self._bits
-
-    @property
-    def length(self) -> int:
-        return self._bits.size
-
-    def __len__(self) -> int:
-        return self._bits.size
-
-    def __getitem__(self, i: int) -> int:
-        return int(self._bits[i])
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.length != other.length:
-            raise ValueError(f"length mismatch: {self.length} vs {other.length}")
-        return BitVector(self._bits ^ other._bits)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BitVector) and np.array_equal(self._bits, other._bits)
-
-    def __hash__(self):
-        return hash(self._bits.tobytes())
-
-    def __repr__(self) -> str:
-        body = "".join(map(str, self._bits[:64]))
-        tail = "..." if self.length > 64 else ""
-        return f"BitVector({body}{tail}, length={self.length})"
-
-
 class BitMatrix:
     """Immutable dense matrix over GF(2)."""
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries):
-        self._entries = _as_bit_array(entries, ndim=2)
+        arr = np.array(entries, dtype=np.uint8, order="C")  # always a copy
+        if arr.ndim != 2:
+            raise ValueError(f"expected a 2-dimensional bit array, got shape {arr.shape}")
+        if arr.size and arr.max() > 1:
+            raise ValueError("entries must be 0 or 1")
+        arr.setflags(write=False)
+        self._entries = arr
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -117,9 +72,6 @@ class BitMatrix:
 
     def transpose(self) -> "BitMatrix":
         return BitMatrix(self._entries.T)
-
-    def row(self, i: int) -> BitVector:
-        return BitVector(self._entries[i])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BitMatrix) and np.array_equal(self._entries, other._entries)
@@ -264,18 +216,7 @@ def null_space_basis(m: BitMatrix) -> BitMatrix:
 
 
 # ---------------------------------------------------------------------------
-# products and selection
-
-
-def vec_mat_mul(v: BitVector, m: BitMatrix) -> BitVector:
-    """Vector-matrix product over GF(2): result[j] = XOR_i v[i]*m[i,j]."""
-    if v.length != m.rows:
-        raise ValueError(f"dimension mismatch: vector length {v.length}, matrix rows {m.rows}")
-    sel = np.nonzero(v.bits)[0]
-    acc = 0
-    for r in _pack_2d(m.entries[sel]):
-        acc ^= r
-    return BitVector(_unpack_int(acc, m.cols))
+# selection
 
 
 def _check_index_set(idx, limit: int, name: str = "index set") -> np.ndarray:

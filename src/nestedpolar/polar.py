@@ -1,9 +1,10 @@
 """Polar transform core: bit reversal, generator matrix, fast encoding.
 
 The generator is G = R F^(x)n where R is the bit-reversal permutation and
-F = [[1,0],[1,1]].  Encoding never materialises G: it permutes the input
-by R and runs the O(N log N) butterfly.  The explicit matrix is kept for
-tests and for parity-check extraction.
+F = [[1,0],[1,1]].  Encoding (``transform_rows``, one u word per row of a
+batch) never materialises G: it permutes the input by R and runs the
+O(N log N) butterfly.  The explicit matrix is kept for tests and for
+parity-check extraction.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2 import BitMatrix, BitVector, _check_index_set
+from .gf2 import BitMatrix, _check_index_set
 
 __all__ = [
     "MAX_LOG2_BLOCK",
@@ -20,8 +21,6 @@ __all__ = [
     "PolarCodeSpec",
     "bit_reversal_permutation",
     "generator_matrix",
-    "polar_transform",
-    "encode",
     "transform_rows",
     "butterfly_rows",
 ]
@@ -96,14 +95,6 @@ def transform_rows(rows: np.ndarray) -> np.ndarray:
     return butterfly_rows(rows[:, bit_reversal_permutation(N.bit_length() - 1)])
 
 
-def polar_transform(u: BitVector) -> BitVector:
-    """x = u G computed by the butterfly recursion; an involution."""
-    N = u.length
-    if N == 0 or N & (N - 1):
-        raise ValueError(f"input length must be a power of two, got {N}")
-    return BitVector(transform_rows(u.bits[None, :])[0])
-
-
 class PolarCodeSpec:
     """A polar code: block structure, information set A, frozen-bit values.
 
@@ -161,11 +152,3 @@ class PolarCodeSpec:
     def __repr__(self) -> str:
         return f"PolarCodeSpec(N={self.N}, |A|={self.info_len})"
 
-
-def encode(spec: PolarCodeSpec, message: BitVector) -> BitVector:
-    """Codeword for ``message``: info bits on A, frozen values elsewhere."""
-    if message.length != spec.info_len:
-        raise ValueError(f"message length must be {spec.info_len}, got {message.length}")
-    u = spec.frozen_template.copy()
-    u[spec.info_set] = message.bits
-    return BitVector(transform_rows(u[None, :])[0])

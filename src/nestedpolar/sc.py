@@ -55,26 +55,19 @@ LLR sign convention: positive means bit 0 is more likely; a tie (LLR
 exactly zero) decides 0, matching a likelihood-ratio-at-least-one rule.
 Decoding order is the natural index order of u.
 
-The batch entry points (`decode_bec_rows`, `decode_llr_rows`, genie
-variants) process many received words at once and are what the
-Monte-Carlo drivers call.
+The entry points (`decode_bec_rows`, `decode_llr_rows`, `genie_bec_rows`,
+`genie_llr_rows`) decode a (batch, N) array of received words, one per
+row, after checking the shapes of their arguments.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .gf2 import BitVector
-from .polar import PolarCodeSpec, bit_reversal_permutation, butterfly_rows
+from .polar import bit_reversal_permutation, butterfly_rows
 
 __all__ = [
     "ERASED",
     "LLR_CAP",
-    "ReceivedWord",
-    "DecodeResult",
-    "sc_decode_bec",
-    "sc_decode_llr",
     "decode_bec_rows",
     "decode_llr_rows",
     "genie_bec_rows",
@@ -84,78 +77,9 @@ __all__ = [
 # Sentinel for an erased symbol in three-valued words.
 ERASED = -1
 
-# Input LLR magnitudes are clamped to this; keeps combines well-scaled.
+# decode_llr_rows clamps input LLR magnitudes to this, and the BSC sampler
+# emits none larger; keeps combines well-scaled.
 LLR_CAP = 40.0
-
-
-class ReceivedWord:
-    """Channel output over one block: hard symbols with erasures, or LLRs."""
-
-    __slots__ = ("_values", "_kind")
-
-    def __init__(self, values, kind: str):
-        if kind not in ("erasure", "llr"):
-            raise ValueError(f"unknown received-word kind {kind!r}")
-        if kind == "erasure":
-            arr = np.asarray(values, dtype=np.int8)
-            if arr.ndim != 1 or arr.size == 0:
-                raise ValueError("received word must be a nonempty 1-D sequence")
-            ok = (arr == 0) | (arr == 1) | (arr == ERASED)
-            if not ok.all():
-                raise ValueError(f"erasure symbols must be 0, 1 or {ERASED}")
-        else:
-            arr = np.asarray(values, dtype=np.float64)
-            if arr.ndim != 1 or arr.size == 0:
-                raise ValueError("received word must be a nonempty 1-D sequence")
-            if not np.isfinite(arr).all():
-                raise ValueError("LLR values must be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self._values = arr
-        self._kind = kind
-
-    @classmethod
-    def from_symbols(cls, symbols) -> "ReceivedWord":
-        return cls(symbols, "erasure")
-
-    @classmethod
-    def from_llrs(cls, values) -> "ReceivedWord":
-        return cls(values, "llr")
-
-    @property
-    def kind(self) -> str:
-        return self._kind
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values
-
-    def __len__(self) -> int:
-        return self._values.size
-
-    def erased_mask(self) -> np.ndarray:
-        if self._kind != "erasure":
-            raise ValueError("erased_mask is only defined for erasure words")
-        return self._values == ERASED
-
-    def __repr__(self) -> str:
-        return f"ReceivedWord(kind={self._kind!r}, length={len(self)})"
-
-
-@dataclass(frozen=True)
-class DecodeResult:
-    """Hard SC output: full u estimate, its restriction to A, erasure count."""
-
-    u_hat: BitVector
-    info_bits: BitVector
-    undetermined_count: int
-
-
-def _check_word(spec: PolarCodeSpec, word: ReceivedWord, kind: str) -> None:
-    if word.kind != kind:
-        raise ValueError(f"expected a {kind} received word, got {word.kind}")
-    if len(word) != spec.N:
-        raise ValueError(f"received word length {len(word)} != block length {spec.N}")
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +183,21 @@ def _llr_messages(llr: np.ndarray) -> np.ndarray:
 # batch entry points
 
 
+def _check_shapes(name: str, words, **per_position) -> tuple[int, int]:
+    """(batch, N) of the batch ``words``, checked in O(1): it is 2-D with N a
+    power of two, info_mask is (N,), and any other per-position argument is
+    (N,) or (batch, N).  The ValueError names the argument at fault."""
+    shape = np.shape(words)
+    if len(shape) != 2 or not shape[1] or shape[1] & (shape[1] - 1):
+        raise ValueError(f"{name} must have shape (batch, N) with N a power of two, got {shape}")
+    nbatch, N = shape
+    for arg, value in per_position.items():
+        allowed = [(N,)] if arg == "info_mask" else [(N,), (nbatch, N)]
+        if np.shape(value) not in allowed:
+            raise ValueError(f"{arg} must have shape {' or '.join(map(str, allowed))}, got {np.shape(value)}")
+    return nbatch, N
+
+
 def decode_bec_rows(
     y: np.ndarray, info_mask: np.ndarray, frozen_values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +208,7 @@ def decode_bec_rows(
     decoded (batch, N) u array and the per-word count of information-bit
     decisions that had to be made on an erased message (decided 0).
     """
-    nbatch, N = y.shape
+    nbatch, N = _check_shapes("y", y, info_mask=info_mask, frozen_values=frozen_values)
     # frozen bits from the start; the walk writes each information bit
     u = _pack(np.broadcast_to(frozen_values, (nbatch, N)).T)
     # erased bits of the information leaves' messages, after a zero row so
@@ -306,9 +245,10 @@ def genie_bec_rows(y: np.ndarray, u_true: np.ndarray) -> np.ndarray:
 
     Every decision is replaced by the true bit before propagating, so the
     returned (batch, N) boolean array marks exactly the positions whose
-    synthesized bit-channel erased in that trial.
+    synthesized bit-channel erased in that trial.  u_true is (N,) or (batch, N).
     """
-    u = _pack(u_true.T)
+    nbatch, N = _check_shapes("y", y, u_true=u_true)
+    u = _pack(np.broadcast_to(u_true, (nbatch, N)).T)
     flags = np.empty_like(u)
 
     def leaf(i: int, m: np.ndarray) -> np.ndarray:
@@ -316,14 +256,23 @@ def genie_bec_rows(y: np.ndarray, u_true: np.ndarray) -> np.ndarray:
         return u[i]
 
     _sc_walk(_bec_messages(y), _bec_check, _bec_var, leaf)
-    return _unpack(flags, y.shape[0]).view(bool)
+    return _unpack(flags, nbatch).view(bool)
 
 
 def decode_llr_rows(
     llr: np.ndarray, info_mask: np.ndarray, frozen_values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """SC-decode a batch of LLR words; returns (u array, zero-LLR tie counts)."""
-    nbatch, N = llr.shape
+    """SC-decode a batch of LLR words; returns (u array, zero-LLR tie counts).
+
+    llr is (batch, N) and must be finite; magnitudes are clamped to LLR_CAP.
+    frozen_values is as for ``decode_bec_rows``.
+    """
+    nbatch, N = _check_shapes("llr", llr, info_mask=info_mask, frozen_values=frozen_values)
+    msgs = _llr_messages(llr)
+    if not np.isfinite(msgs).all():
+        raise ValueError("LLR values must be finite")
+    # msgs views a fresh copy, so clamping it leaves the caller's array alone
+    np.clip(msgs, -LLR_CAP, LLR_CAP, out=msgs)
     fv = np.broadcast_to(frozen_values, (nbatch, N))
     uhat = np.zeros((nbatch, N), dtype=np.uint8)
     ties = np.zeros(nbatch, dtype=np.int64)
@@ -337,13 +286,16 @@ def decode_llr_rows(
         uhat[:, i] = u
         return u
 
-    _sc_walk(_llr_messages(llr), _llr_check, _llr_var, leaf)
+    _sc_walk(msgs, _llr_check, _llr_var, leaf)
     return uhat, ties
 
 
 def genie_llr_rows(llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
-    """Per-position hard-decision error indicators of genie-aided SC."""
-    flags = np.zeros(llr.shape, dtype=bool)
+    """Per-position hard-decision error indicators of genie-aided SC; llr is
+    used unclamped and unchecked, u_true is (N,) or (batch, N)."""
+    nbatch, N = _check_shapes("llr", llr, u_true=u_true)
+    u_true = np.broadcast_to(u_true, (nbatch, N))
+    flags = np.zeros((nbatch, N), dtype=bool)
 
     def leaf(i: int, m: np.ndarray) -> np.ndarray:
         flags[:, i] = (m < 0).astype(np.uint8) != u_true[:, i]
@@ -352,32 +304,3 @@ def genie_llr_rows(llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
     _sc_walk(_llr_messages(llr), _llr_check, _llr_var, leaf)
     return flags
 
-
-# ---------------------------------------------------------------------------
-# single-word entry points
-
-
-def sc_decode_bec(spec: PolarCodeSpec, word: ReceivedWord) -> DecodeResult:
-    """Exact erasure-propagation SC decoding of one received word.
-
-    Frozen positions always output their frozen value.  An information
-    bit whose message is erased is decided 0 and counted in
-    ``undetermined_count``.
-    """
-    _check_word(spec, word, "erasure")
-    uhat, undet = decode_bec_rows(word.values[None, :], spec.info_mask, spec.frozen_template)
-    u = BitVector(uhat[0])
-    return DecodeResult(u, BitVector(uhat[0][spec.info_set]), int(undet[0]))
-
-
-def sc_decode_llr(spec: PolarCodeSpec, word: ReceivedWord) -> DecodeResult:
-    """LLR-domain SC decoding of one received word.
-
-    Inputs are clamped to +/-LLR_CAP.  ``undetermined_count`` reports how
-    many information decisions hit an exactly-zero LLR (decided 0).
-    """
-    _check_word(spec, word, "llr")
-    llr = np.clip(word.values, -LLR_CAP, LLR_CAP)
-    uhat, ties = decode_llr_rows(llr[None, :], spec.info_mask, spec.frozen_template)
-    u = BitVector(uhat[0])
-    return DecodeResult(u, BitVector(uhat[0][spec.info_set]), int(ties[0]))

@@ -3,7 +3,9 @@
 The sender hides a message in the choice of coset: codewords are
 x = t G_B + s G_{A\\B} with t uniform, where A is chosen by main-channel
 reliability and B (the positions sacrificed to randomization) collects
-the members of A the eavesdropper receives most reliably.
+the members of A the eavesdropper receives most reliably.  Encoding puts s
+on ``message_set`` and t on ``secure_set`` of u rows for ``transform_rows``;
+Bob runs ``decode_bec_rows`` on ``bob_spec()``.
 
 For erasure channels the eavesdropper's residual uncertainty about s is
 measured exactly, with no decoder in the loop: given the erased position
@@ -21,7 +23,6 @@ from .channels import RngStream
 from .construction import bec_reliability, select_info_set, select_secure_subset
 from .gf2 import (
     BitMatrix,
-    BitVector,
     IncrementalRank,
     _check_index_set,
     null_space_basis,  # noqa: F401  (unused; the benchmark tracer still resolves this name)
@@ -36,15 +37,12 @@ from .polar import (
     generator_matrix,
     transform_rows,
 )
-from .sc import ReceivedWord, sc_decode_bec
 
 __all__ = [
     "NestedCodeSpec",
     "WiretapConfig",
     "EquivocationReport",
     "build_wiretap_code",
-    "alice_encode",
-    "bob_decode",
     "parity_checks",
     "equivocation_rank",
     "equivocation_bruteforce",
@@ -168,24 +166,6 @@ def build_wiretap_code(cfg: WiretapConfig) -> NestedCodeSpec:
     info = select_info_set(main, k)
     secure = select_secure_subset(info, wire, b)
     return NestedCodeSpec(CodeParams(cfg.n), info, secure)
-
-
-def alice_encode(code: NestedCodeSpec, s: BitVector, t: BitVector) -> BitVector:
-    """Codeword carrying message s on A\\B and randomization t on B."""
-    if s.length != code.message_len:
-        raise ValueError(f"message length must be {code.message_len}, got {s.length}")
-    if t.length != code.randomization_len:
-        raise ValueError(f"randomization length must be {code.randomization_len}, got {t.length}")
-    u = np.zeros(code.N, dtype=np.uint8)
-    u[code.message_set] = s.bits
-    u[code.secure_set] = t.bits
-    return BitVector(transform_rows(u[None, :])[0])
-
-
-def bob_decode(code: NestedCodeSpec, rw: ReceivedWord) -> BitVector:
-    """Bob's estimate of the message: SC over A, then restrict to A\\B."""
-    result = sc_decode_bec(code.bob_spec(), rw)
-    return BitVector(result.u_hat.bits[code.message_set])
 
 
 def parity_checks(code: NestedCodeSpec) -> tuple[BitMatrix, BitMatrix]:

@@ -218,22 +218,34 @@ def test_readme_lists_exactly_the_subcommands():
     assert set(re.findall(r"^nestedpolar (\S+)", section, flags=re.M)) == _subcommands()
 
 
+def test_readme_library_tour_runs():
+    # every python block of the tour, in order, in one namespace
+    section = README.read_text().split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```", section, flags=re.M | re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["report"].trials == 200
+
+
 def test_reruns_are_byte_identical(tmp_path):
     # Each output's SHA-256 without its "# generated:" line, recorded with
     # numpy 2.4.6.  The relay hash covers the "# stats: undetermined_*" line,
     # so it moves with any change to decoding or to the RNG streams, even on
-    # a run without errors.
+    # a run without errors.  Each hash also covers the "# nestedpolar
+    # <version>" header line, so a version bump moves all four.
     for name, (args, digest) in {
         "a": (["construct", "--set", "n=4", "--set", "erasure_prob=0.3"],
-              "2ee871317471a1bc7b2a5ec1bf87eed772dd11a68e1452b9ac828135b9f4f3cf"),
+              "a67be849c324f49e76fcd33ae1f802f1e328ec3d3f2f733406bb0ff4601d867a"),
         "b": (["wiretap-sweep", "--trials", "10", "--seed", "3", "--set", "n=5",
                "--set", "ew_start=0.3", "--set", "ew_stop=0.4", "--set", "ew_step=0.05"],
-              "dfea88695f0d30c5f15249b1d4b1d7c596fd22a534163a007759efe6aa66b2ec"),
+              "3fb8426b1f4c668aa9a1bfb997d35357bf4ddc6adbdbf03c9fa84674a37dfbad"),
         "c": (["relay-sim", "--trials", "3", "--seed", "8", "--set", "n=5",
                "--set", "blocks=2", "--set", "margin=0.5"],
-              "d58d670dc75ed0a5572cc7f76cf687b95667bb4ed15e7cea5a7c6d2ca9247a74"),
+              "6353190350347b6b399530bbb4f6afa54141fafa67a9319db65fa7e665eb6915"),
         "d": (["fig1", "--trials", "5", "--seed", "4"],
-              "9630b89fff97d3f0f8215b947995305c490505929a2c584cb97eef2884a741d4"),
+              "ccfb5d7b82b12dbf7bfa1ab219b4ddf3798d49a67d4023f7dc169bf231e93873"),
     }.items():
         first = tmp_path / f"{name}1.csv"
         second = tmp_path / f"{name}2.csv"

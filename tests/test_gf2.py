@@ -4,7 +4,6 @@ import pytest
 
 from nestedpolar.gf2 import (
     BitMatrix,
-    BitVector,
     IncrementalRank,
     null_space_basis,
     pack_columns,
@@ -13,20 +12,9 @@ from nestedpolar.gf2 import (
     rank_of_ints,
     select_columns,
     select_rows,
-    vec_mat_mul,
 )
 
-from oracles import F, kron_power, naive_rank, naive_vec_mat_mul
-
-
-def test_bitvector_validation():
-    v = BitVector([1, 0, 1])
-    assert v.length == 3 and v[2] == 1
-    with pytest.raises(ValueError):
-        BitVector([0, 2, 1])
-    with pytest.raises(ValueError):
-        BitVector([[1, 0]])
-    assert not v.bits.flags.writeable
+from oracles import F, naive_rank
 
 
 def test_bitmatrix_validation():
@@ -34,37 +22,17 @@ def test_bitmatrix_validation():
     assert m.shape == (2, 2)
     with pytest.raises(ValueError):
         BitMatrix([[3]])
-    assert BitMatrix.identity(3) == BitMatrix(np.eye(3, dtype=np.uint8))
-
-
-def test_vec_mat_mul_identity():
-    assert vec_mat_mul(BitVector([1, 0]), BitMatrix.identity(2)) == BitVector([1, 0])
-
-
-def test_vec_mat_mul_f_matrix():
-    # (1,1) F = first row xor second row = (0,1)
-    assert vec_mat_mul(BitVector([1, 1]), BitMatrix(F)) == BitVector([0, 1])
-
-
-def test_vec_mat_mul_against_naive_product():
-    g = kron_power(2)
-    v = np.array([1, 0, 1, 1], dtype=np.uint8)
-    got = vec_mat_mul(BitVector(v), BitMatrix(g))
-    assert np.array_equal(got.bits, naive_vec_mat_mul(v, g))
-
-
-def test_vec_mat_mul_dimension_mismatch():
     with pytest.raises(ValueError):
-        vec_mat_mul(BitVector([1, 0, 1]), BitMatrix.identity(2))
-
-
-def test_vec_mat_mul_xor_distributes():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        m = BitMatrix(rng.integers(0, 2, (6, 9), dtype=np.uint8))
-        u = BitVector(rng.integers(0, 2, 6, dtype=np.uint8))
-        v = BitVector(rng.integers(0, 2, 6, dtype=np.uint8))
-        assert vec_mat_mul(u ^ v, m) == vec_mat_mul(u, m) ^ vec_mat_mul(v, m)
+        BitMatrix([1, 0])
+    assert BitMatrix.identity(3) == BitMatrix(np.eye(3, dtype=np.uint8))
+    # entries are a read-only, row-major copy of the input, whatever its layout
+    src = np.array([[1, 1], [0, 1]], dtype=np.uint8)
+    for arr in (src, src.T):
+        m = BitMatrix(arr)
+        assert not m.entries.flags.writeable and m.entries.flags.c_contiguous
+        assert np.array_equal(m.entries, arr)
+    src[0, 0] = 0
+    assert m.entries[0, 0] == 1
 
 
 def test_rank_trivial():

@@ -5,20 +5,16 @@ import numpy as np
 import pytest
 
 from nestedpolar import sc
-from nestedpolar.channels import RngStream, bec_sample
+from nestedpolar.channels import RngStream, bec_sample_rows
 from nestedpolar.construction import bec_reliability, select_info_set
-from nestedpolar.gf2 import BitVector
-from nestedpolar.polar import CodeParams, PolarCodeSpec, encode, polar_transform, transform_rows
+from nestedpolar.polar import CodeParams, PolarCodeSpec, transform_rows
 from nestedpolar.sc import (
     ERASED,
     LLR_CAP,
-    ReceivedWord,
     decode_bec_rows,
     decode_llr_rows,
     genie_bec_rows,
     genie_llr_rows,
-    sc_decode_bec,
-    sc_decode_llr,
 )
 
 from oracles import bec_sc_reference, bitrev, genie_erased_bits, sequential_ml_decode
@@ -29,43 +25,53 @@ def random_spec(n, k, rng):
     return PolarCodeSpec.zero_frozen(CodeParams(n), info)
 
 
-def test_received_word_validation():
-    with pytest.raises(ValueError):
-        ReceivedWord.from_symbols([0, 1, 3])
-    with pytest.raises(ValueError):
-        ReceivedWord.from_llrs([0.0, np.inf])
-    w = ReceivedWord.from_symbols([0, 1, ERASED])
-    assert np.array_equal(w.erased_mask(), [False, False, True])
+def codewords(spec, msgs):
+    """Codewords of spec for a (batch, |A|) array of messages."""
+    u = np.broadcast_to(spec.frozen_template, (len(msgs), spec.N)).copy()
+    u[:, spec.info_set] = msgs
+    return transform_rows(u)
+
+
+def bec_decode(spec, y):
+    return decode_bec_rows(y, spec.info_mask, spec.frozen_template)
+
+
+def sample_bec_trials(spec, eps, seed, trials):
+    """Messages and BEC outputs of ``trials`` codewords of spec; trial t draws
+    its message bits, then one uniform per position, from RngStream(seed, t)."""
+    rngs = [RngStream(seed, t).generator() for t in range(trials)]
+    msgs = np.array([g.integers(0, 2, spec.info_len, dtype=np.uint8) for g in rngs])
+    x = codewords(spec, msgs)
+    return msgs, np.array([bec_sample_rows(row, eps, g) for row, g in zip(x, rngs)])
 
 
 def test_noiseless_round_trip_inverts():
     rng = np.random.default_rng(0)
     for n in (2, 4, 6):
         spec = random_spec(n, (1 << n) // 2, rng)
-        msg = BitVector(rng.integers(0, 2, spec.info_len, dtype=np.uint8))
-        x = encode(spec, msg)
-        res = sc_decode_bec(spec, ReceivedWord.from_symbols(x.bits.astype(np.int8)))
-        assert res.undetermined_count == 0
-        assert res.info_bits == msg
-        assert polar_transform(res.u_hat) == x
+        msg = rng.integers(0, 2, (1, spec.info_len), dtype=np.uint8)
+        x = codewords(spec, msg)
+        u_hat, undet = bec_decode(spec, x.astype(np.int8))
+        assert undet[0] == 0
+        assert np.array_equal(u_hat[:, spec.info_set], msg)
+        assert np.array_equal(transform_rows(u_hat), x)
 
 
 def test_all_erased_returns_zero_guesses():
     spec = PolarCodeSpec.zero_frozen(CodeParams(3), [3, 5, 6, 7])
-    y = ReceivedWord.from_symbols(np.full(8, ERASED, dtype=np.int8))
-    res = sc_decode_bec(spec, y)
-    assert res.undetermined_count == 4
-    assert np.array_equal(res.info_bits.bits, np.zeros(4))
+    y = np.full((1, 8), ERASED, dtype=np.int8)
+    u_hat, undet = bec_decode(spec, y)
+    assert undet[0] == 4
+    assert np.array_equal(u_hat[0, spec.info_set], np.zeros(4))
 
 
 def test_frozen_positions_always_output_frozen_values():
     rng = np.random.default_rng(8)
     frozen = np.array([1, 0, 1, 1, 0, 0, 0, 0], dtype=np.uint8)
     spec = PolarCodeSpec(CodeParams(3), [5, 6, 7], frozen)
-    for _ in range(20):
-        y = rng.choice(np.array([0, 1, ERASED], dtype=np.int8), size=8)
-        res = sc_decode_bec(spec, ReceivedWord.from_symbols(y))
-        assert np.array_equal(res.u_hat.bits[:5], frozen[:5])
+    y = np.array([rng.choice(np.array([0, 1, ERASED], dtype=np.int8), size=8) for _ in range(20)])
+    u_hat, _ = bec_decode(spec, y)
+    assert np.array_equal(u_hat[:, :5], np.broadcast_to(frozen[:5], (20, 5)))
 
 
 def test_bec_consistency_when_fully_determined():
@@ -73,19 +79,13 @@ def test_bec_consistency_when_fully_determined():
     # every unerased received symbol
     info = select_info_set(bec_reliability(4, 0.3), 6)
     spec = PolarCodeSpec.zero_frozen(CodeParams(4), info)
-    hits = 0
-    for t in range(200):
-        g = RngStream(50, t).generator()
-        msg = BitVector(g.integers(0, 2, 6, dtype=np.uint8))
-        x = encode(spec, msg)
-        y = bec_sample(x, 0.3, g)
-        res = sc_decode_bec(spec, y)
-        if res.undetermined_count == 0:
-            hits += 1
-            re_encoded = polar_transform(res.u_hat)
-            keep = ~y.erased_mask()
-            assert np.array_equal(re_encoded.bits[keep], y.values[keep])
-    assert hits > 20
+    _, y = sample_bec_trials(spec, 0.3, 50, 200)
+    u_hat, undet = bec_decode(spec, y)
+    determined = undet == 0
+    re_encoded = transform_rows(u_hat[determined])
+    keep = y[determined] != ERASED
+    assert np.array_equal(re_encoded[keep], y[determined][keep])
+    assert determined.sum() > 20
 
 
 def test_block_error_rate_within_union_bound():
@@ -94,41 +94,30 @@ def test_block_error_rate_within_union_bound():
     info = select_info_set(profile, 4)
     spec = PolarCodeSpec.zero_frozen(CodeParams(n), info)
     bound = profile.z[info].sum()
-    errors = 0
-    for t in range(trials):
-        g = RngStream(77, t).generator()
-        msg = BitVector(g.integers(0, 2, 4, dtype=np.uint8))
-        y = bec_sample(encode(spec, msg), eps, g)
-        if sc_decode_bec(spec, y).info_bits != msg:
-            errors += 1
+    msgs, y = sample_bec_trials(spec, eps, 77, trials)
+    errors = np.any(bec_decode(spec, y)[0][:, info] != msgs, axis=1).sum()
     sigma = np.sqrt(bound * (1 - bound) / trials)
     assert errors / trials <= bound + 3 * sigma
 
 
 def test_llr_all_strong_zero_codeword():
     spec = PolarCodeSpec.zero_frozen(CodeParams(3), [3, 5, 6, 7])
-    res = sc_decode_llr(spec, ReceivedWord.from_llrs(np.full(8, LLR_CAP)))
-    assert np.array_equal(res.info_bits.bits, np.zeros(4))
-    assert res.undetermined_count == 0
+    u_hat, ties = decode_llr_rows(np.full((1, 8), LLR_CAP), spec.info_mask, spec.frozen_template)
+    assert np.array_equal(u_hat[0, spec.info_set], np.zeros(4))
+    assert ties[0] == 0
 
 
 def test_llr_agrees_with_bec_decoder():
     n, N = 6, 64
     info = select_info_set(bec_reliability(n, 0.25), 32)
     spec = PolarCodeSpec.zero_frozen(CodeParams(n), info)
-    checked = 0
-    for t in range(1000):
-        g = RngStream(42, t).generator()
-        msg = BitVector(g.integers(0, 2, 32, dtype=np.uint8))
-        y = bec_sample(encode(spec, msg), 0.25, g)
-        hard = sc_decode_bec(spec, y)
-        if hard.undetermined_count:
-            continue
-        checked += 1
-        llr = np.where(y.values == ERASED, 0.0, (1.0 - 2.0 * y.values) * LLR_CAP)
-        soft = sc_decode_llr(spec, ReceivedWord.from_llrs(llr))
-        assert soft.info_bits == hard.info_bits
-    assert checked > 500
+    _, y = sample_bec_trials(spec, 0.25, 42, 1000)
+    hard, undet = bec_decode(spec, y)
+    y = y[undet == 0]
+    llr = np.where(y == ERASED, 0.0, (1.0 - 2.0 * y) * LLR_CAP)
+    soft, _ = decode_llr_rows(llr, spec.info_mask, spec.frozen_template)
+    assert np.array_equal(soft[:, info], hard[undet == 0][:, info])
+    assert len(y) > 500
 
 
 def test_llr_matches_sequential_ml_reference():
@@ -141,9 +130,9 @@ def test_llr_matches_sequential_ml_reference():
             frozen[i] = rng.integers(0, 2)
         spec = PolarCodeSpec(CodeParams(2), info, frozen)
         llrs = np.round(rng.normal(0, 2, 4), 3)  # keep magnitudes moderate
-        got = sc_decode_llr(spec, ReceivedWord.from_llrs(llrs))
+        got, _ = decode_llr_rows(llrs[None, :], spec.info_mask, spec.frozen_template)
         expected = sequential_ml_decode(llrs, spec.info_mask, spec.frozen_template)
-        assert np.array_equal(got.u_hat.bits, expected)
+        assert np.array_equal(got[0], expected)
     # whole batches with per-row frozen values; LLRs are rounded to 3
     # decimals, because exact ties among integer LLRs can fall either way
     for n in (1, 2, 3):
@@ -286,24 +275,69 @@ def test_genie_llr_rows_match_sequential_ml_reference():
 
 def test_llr_tie_decides_zero():
     spec = PolarCodeSpec.zero_frozen(CodeParams(2), np.arange(4))
-    res = sc_decode_llr(spec, ReceivedWord.from_llrs(np.zeros(4)))
-    assert np.array_equal(res.u_hat.bits, np.zeros(4))
-    assert res.undetermined_count == 4
+    u_hat, ties = decode_llr_rows(np.zeros((1, 4)), spec.info_mask, spec.frozen_template)
+    assert np.array_equal(u_hat[0], np.zeros(4))
+    assert ties[0] == 4
+
+
+def test_llr_inputs_must_be_finite_and_are_clamped():
+    mask, fv = np.ones(4, dtype=bool), np.zeros(4, dtype=np.uint8)
+    with pytest.raises(ValueError, match="finite"):
+        decode_llr_rows(np.array([[np.inf, 1.0, 1.0, 1.0]]), mask, fv)
+    with pytest.raises(ValueError, match="finite"):
+        decode_llr_rows(np.array([[1.0, 1.0], [np.nan, 1.0]]), mask[:2], fv[:2])
+    # Beyond the cap only the sign counts.  Unclamped, unequal magnitudes
+    # break the ties the cap makes, and +-1e308 overflows the combines.
+    rng = np.random.default_rng(9)
+    signs = rng.choice([-1.0, 1.0], size=(32, 8))
+    mags = np.concatenate([np.full((2, 8), 1e300), np.full((2, 8), 1e308),
+                           10.0 ** rng.uniform(2, 300, (28, 8))])
+    spec = PolarCodeSpec.zero_frozen(CodeParams(3), [3, 5, 6, 7])
+    huge = signs * mags
+    got = decode_llr_rows(huge, spec.info_mask, spec.frozen_template)
+    capped = decode_llr_rows(signs * LLR_CAP, spec.info_mask, spec.frozen_template)
+    for g, c in zip(got, capped):
+        assert np.array_equal(g, c)
+    assert np.array_equal(huge, signs * mags)  # the caller's array is left alone
 
 
 def test_decoders_are_deterministic():
     spec = PolarCodeSpec.zero_frozen(CodeParams(4), np.arange(0, 16, 2))
-    y = ReceivedWord.from_symbols(
-        np.resize(np.array([0, 1, ERASED], dtype=np.int8), 16)
-    )
-    a = sc_decode_bec(spec, y)
-    b = sc_decode_bec(spec, y)
-    assert a.u_hat == b.u_hat and a.undetermined_count == b.undetermined_count
+    y = np.resize(np.array([0, 1, ERASED], dtype=np.int8), (1, 16))
+    a = bec_decode(spec, y)
+    b = bec_decode(spec, y)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_word_length_checked():
     spec = PolarCodeSpec.zero_frozen(CodeParams(3), [7])
-    with pytest.raises(ValueError):
-        sc_decode_bec(spec, ReceivedWord.from_symbols([0, 1]))
-    with pytest.raises(ValueError):
-        sc_decode_llr(spec, ReceivedWord.from_symbols([0] * 8))
+    mask, fv = spec.info_mask, spec.frozen_template
+    with pytest.raises(ValueError, match=r"^info_mask must have shape \(2,\), got \(8,\)"):
+        decode_bec_rows(np.zeros((1, 2), dtype=np.int8), mask, fv)
+    with pytest.raises(ValueError, match="^frozen_values must"):
+        decode_bec_rows(np.zeros((1, 2), dtype=np.int8), mask[:2], fv)
+    with pytest.raises(ValueError, match="^llr must"):
+        decode_llr_rows(np.zeros(8), mask, fv)
+    # a non-power-of-two length, and an information mask of the wrong length
+    with pytest.raises(ValueError, match="^y must .* power of two"):
+        decode_bec_rows(np.zeros((1, 6), dtype=np.int8), np.ones(6, dtype=bool), np.zeros(6, dtype=np.uint8))
+    with pytest.raises(ValueError, match="^info_mask must"):
+        decode_bec_rows(np.zeros((1, 8), dtype=np.int8), np.ones(4, dtype=bool), fv)
+    with pytest.raises(ValueError, match="^info_mask must"):
+        decode_llr_rows(np.zeros((3, 8)), np.ones((3, 8), dtype=bool), fv)
+    with pytest.raises(ValueError, match="^frozen_values must"):
+        decode_llr_rows(np.zeros((2, 8)), mask, np.zeros((3, 8), dtype=np.uint8))
+    # one word of true bits serves every row; the genie's true bits must
+    # cover the words, not run past them
+    rng = np.random.default_rng(10)
+    u = rng.integers(0, 2, 8, dtype=np.uint8)
+    y = np.where(rng.random((3, 8)) < 0.4, np.int8(ERASED), transform_rows(u[None, :]).astype(np.int8))
+    assert np.array_equal(genie_bec_rows(y, u), genie_bec_rows(y, np.tile(u, (3, 1))))
+    llr = rng.normal(0, 2, (3, 8))
+    assert np.array_equal(genie_llr_rows(llr, u), genie_llr_rows(llr, np.tile(u, (3, 1))))
+    with pytest.raises(ValueError, match="^u_true must"):
+        genie_bec_rows(np.zeros((3, 8), dtype=np.int8), np.zeros((3, 16), dtype=np.uint8))
+    with pytest.raises(ValueError, match="^u_true must"):
+        genie_llr_rows(np.zeros((3, 8)), np.zeros((2, 8), dtype=np.uint8))
+    with pytest.raises(ValueError, match="^y must"):
+        genie_bec_rows(np.zeros((3, 6), dtype=np.int8), np.zeros((3, 6), dtype=np.uint8))

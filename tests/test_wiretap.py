@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 
 from nestedpolar import wiretap
-from nestedpolar.channels import RngStream, bec_sample
+from nestedpolar.channels import RngStream, bec_sample_rows
 from nestedpolar.construction import bec_reliability, select_info_set, select_secure_subset
-from nestedpolar.gf2 import BitVector, null_space_basis, pack_columns, rank, select_rows
-from nestedpolar.polar import CodeParams, generator_matrix
-from nestedpolar.sc import ERASED, ReceivedWord
+from nestedpolar.gf2 import null_space_basis, pack_columns, rank, select_rows
+from nestedpolar.polar import CodeParams, generator_matrix, transform_rows
+from nestedpolar.sc import ERASED, decode_bec_rows
 from nestedpolar.wiretap import (
     NestedCodeSpec,
     WiretapConfig,
-    alice_encode,
-    bob_decode,
     build_wiretap_code,
     equivocation_bruteforce,
     equivocation_rank,
@@ -89,17 +87,32 @@ def test_build_matches_oracle_selection():
     assert np.array_equal(code.secure_set, secure)
 
 
+def coset_codewords(code, s, t):
+    """Codewords carrying the rows of s on A\\B and those of t on B."""
+    s, t = np.atleast_2d(s, t)
+    u = np.zeros((len(s), code.N), dtype=np.uint8)
+    u[:, code.message_set] = s
+    u[:, code.secure_set] = t
+    return transform_rows(u)
+
+
+def bob_messages(code, y):
+    """Bob's message estimates: SC over A, then restricted to A\\B."""
+    bob = code.bob_spec()
+    return decode_bec_rows(y, bob.info_mask, bob.frozen_template)[0][:, code.message_set]
+
+
 def test_alice_encode_zero_and_linearity():
     code = toy_code()
-    z = alice_encode(code, BitVector([0, 0]), BitVector([0, 0, 0]))
-    assert np.array_equal(z.bits, np.zeros(8))
+    z = coset_codewords(code, [0, 0], [0, 0, 0])
+    assert np.array_equal(z, np.zeros((1, 8)))
     rng = np.random.default_rng(14)
     for _ in range(20):
-        s1, s2 = (BitVector(rng.integers(0, 2, 2, dtype=np.uint8)) for _ in range(2))
-        t1, t2 = (BitVector(rng.integers(0, 2, 3, dtype=np.uint8)) for _ in range(2))
-        lhs = alice_encode(code, s1 ^ s2, t1 ^ t2)
-        rhs = alice_encode(code, s1, t1) ^ alice_encode(code, s2, t2)
-        assert lhs == rhs
+        s1, s2 = (rng.integers(0, 2, 2, dtype=np.uint8) for _ in range(2))
+        t1, t2 = (rng.integers(0, 2, 3, dtype=np.uint8) for _ in range(2))
+        lhs = coset_codewords(code, s1 ^ s2, t1 ^ t2)
+        rhs = coset_codewords(code, s1, t1) ^ coset_codewords(code, s2, t2)
+        assert np.array_equal(lhs, rhs)
 
 
 def test_alice_encode_fixed_message_spans_a_coset():
@@ -113,39 +126,28 @@ def test_alice_encode_fixed_message_spans_a_coset():
         (base ^ naive_vec_mat_mul(np.array(t, dtype=np.uint8), g_b)).astype(np.uint8).tobytes()
         for t in itertools.product([0, 1], repeat=3)
     }
-    encoded = {
-        alice_encode(code, BitVector(s), BitVector(t)).bits.tobytes()
-        for t in itertools.product([0, 1], repeat=3)
-    }
+    t_all = list(itertools.product([0, 1], repeat=3))
+    encoded = {row.tobytes() for row in coset_codewords(code, np.tile(s, (len(t_all), 1)), t_all)}
     assert encoded == explicit
-
-
-def test_alice_encode_length_checks():
-    code = toy_code()
-    with pytest.raises(ValueError):
-        alice_encode(code, BitVector([1]), BitVector([0, 0, 0]))
-    with pytest.raises(ValueError):
-        alice_encode(code, BitVector([1, 0]), BitVector([0]))
 
 
 def test_bob_decodes_noiseless():
     code = toy_code()
     rng = np.random.default_rng(15)
+    s, t = [], []
     for _ in range(20):
-        s = BitVector(rng.integers(0, 2, 2, dtype=np.uint8))
-        t = BitVector(rng.integers(0, 2, 3, dtype=np.uint8))
-        x = alice_encode(code, s, t)
-        assert bob_decode(code, ReceivedWord.from_symbols(x.bits.astype(np.int8))) == s
+        s.append(rng.integers(0, 2, 2, dtype=np.uint8))
+        t.append(rng.integers(0, 2, 3, dtype=np.uint8))
+    x = coset_codewords(code, s, t)
+    assert np.array_equal(bob_messages(code, x.astype(np.int8)), s)
 
 
 def test_bob_all_erased_guesses():
     code = toy_code()
-    y = ReceivedWord.from_symbols(np.full(8, ERASED, dtype=np.int8))
+    y = np.full((400, 8), ERASED, dtype=np.int8)
     rng = np.random.default_rng(16)
-    errors = sum(
-        bob_decode(code, y) != BitVector(rng.integers(0, 2, 2, dtype=np.uint8))
-        for _ in range(400)
-    )
+    guesses = np.array([rng.integers(0, 2, 2, dtype=np.uint8) for _ in range(400)])
+    errors = np.any(bob_messages(code, y) != guesses, axis=1).sum()
     # random guess of 2 bits is right 1/4 of the time
     assert abs(errors / 400 - 0.75) < 0.08
 
@@ -155,13 +157,14 @@ def test_bob_error_rate_within_union_bound():
     code = build_wiretap_code(cfg)
     profile = bec_reliability(6, 0.25)
     bound = min(1.0, profile.z[code.info_set].sum())
-    trials, errors = 400, 0
-    for t in range(trials):
-        g = RngStream(31, t).generator()
-        s = BitVector(g.integers(0, 2, code.message_len, dtype=np.uint8))
-        tt = BitVector(g.integers(0, 2, code.randomization_len, dtype=np.uint8))
-        y = bec_sample(alice_encode(code, s, tt), 0.25, g)
-        errors += bob_decode(code, y) != s
+    trials = 400
+    # each trial draws s, then t, then the erasures from its own substream
+    rngs = [RngStream(31, t).generator() for t in range(trials)]
+    s = np.array([g.integers(0, 2, code.message_len, dtype=np.uint8) for g in rngs])
+    tt = np.array([g.integers(0, 2, code.randomization_len, dtype=np.uint8) for g in rngs])
+    x = coset_codewords(code, s, tt)
+    y = np.array([bec_sample_rows(row, 0.25, g) for row, g in zip(x, rngs)])
+    errors = np.any(bob_messages(code, y) != s, axis=1).sum()
     sigma = np.sqrt(bound * (1 - bound) / trials) if bound < 1 else 0.0
     assert errors / trials <= bound + 3 * sigma
 
@@ -186,7 +189,7 @@ def test_parity_checks_orthogonality_and_cosets():
     for s in itertools.product([0, 1], repeat=2):
         sync = None
         for t in itertools.product([0, 1], repeat=3):
-            x = alice_encode(code, BitVector(s), BitVector(t)).bits
+            x = coset_codewords(code, s, t)[0]
             assert not naive_vec_mat_mul(x, h.entries.T).any()
             z = tuple(naive_vec_mat_mul(x, h_s.entries.T))
             if sync is None:
