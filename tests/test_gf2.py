@@ -22,9 +22,14 @@ def test_bitmatrix_validation():
     assert m.shape == (2, 2)
     with pytest.raises(ValueError):
         BitMatrix([[3]])
+    assert BitMatrix.identity(3) == BitMatrix(np.eye(3, dtype=np.uint8))
+
+
+def test_bitmatrix_rejects_vectors_and_copies_read_only():
     with pytest.raises(ValueError):
         BitMatrix([1, 0])
-    assert BitMatrix.identity(3) == BitMatrix(np.eye(3, dtype=np.uint8))
+    with pytest.raises(ValueError):
+        BitMatrix([[0, 2, 1]])
     # entries are a read-only, row-major copy of the input, whatever its layout
     src = np.array([[1, 1], [0, 1]], dtype=np.uint8)
     for arr in (src, src.T):
