@@ -10,7 +10,12 @@ The relay decodes all of A and forwards the coset part A\\B over RD in
 the next block; the destination first recovers that coset from the relay,
 freezes it into the nested code, and then resolves the remaining B bits
 from its stored SD output of the previous block.  Relay mistakes
-propagate into the forwarded coset; there is no genie.
+propagate into the forwarded coset; there is no genie at the relay or the
+destination.  Every decoded word equals what SC decoding gives.  The
+erasure genie (``genie_bec_rows``) is run on each stage's words only to
+choose which rows need the SC walk: a row whose frozen values are the
+sent ones and which has no erased information decision decodes to the
+sent bits, so those rows take the sent bits without a walk.
 
 Finite-length sizing is driven by the computable union bound: each
 stage's summed bit-channel parameters are pushed under a target by
@@ -26,7 +31,7 @@ import numpy as np
 from .channels import RngStream, bec_sample_rows, cascade_rows
 from .construction import bec_reliability, select_info_set
 from .polar import CodeParams, PolarCodeSpec, transform_rows
-from .sc import decode_bec_rows
+from .sc import decode_bec_rows, genie_bec_rows
 from .wiretap import NestedCodeSpec
 
 __all__ = [
@@ -209,7 +214,15 @@ def simulate_relay(
     resolves block k once that arrives.  The SR and RD stages are one link
     step each: encode the bits on a code's information set, erase each
     word, SC-decode it with that code.  SD outputs are the SR outputs
-    further erased, preserving physical degradedness.  Deterministic given
+    further erased, preserving physical degradedness.
+
+    Each stage SC-decodes every row, but walks only the rows in doubt: the
+    rows with an erased information decision, plus, at the destination's
+    SD stage, the rows whose forwarded coset (a frozen part of that
+    decode) arrived wrong.  Every other row has the sent frozen values and
+    no erased decision, so SC decodes it to the sent bits, which it takes
+    as is.  The undetermined counts come from ``genie_bec_rows``, which
+    marks the same erased decisions the walk would make.  Deterministic given
     the seed: each (trial, block, role) draws from its own substream, so
     erasure-rate changes couple monotonically.
     """
@@ -230,16 +243,27 @@ def simulate_relay(
             for t in range(trials)
         ])
 
+    def sc_decode(y, info_mask, frozen, u_sent, suspect=False):
+        """decode_bec_rows(y, info_mask, frozen) on every row, walking only the
+        rows in doubt: those with an erased information leaf, and those
+        ``suspect`` marks because their frozen values may differ from u_sent.
+        Every other row decodes to u_sent, so it is copied, not walked."""
+        undet = np.count_nonzero(genie_bec_rows(y, u_sent)[:, info_mask], axis=1)
+        doubt = (undet > 0) | suspect
+        u_hat = u_sent.copy()
+        u_hat[doubt], _ = decode_bec_rows(y[doubt], info_mask, np.broadcast_to(frozen, u_sent.shape)[doubt])
+        return u_hat, undet
+
     def link(link_spec: PolarCodeSpec, bits, erasure_prob: float, block: int, role: int):
         """Encode bits on link_spec's information set, erase each word from its
-        own substream and SC-decode it with link_spec; returns the received
-        words, the decoded information bits and the undetermined counts."""
+        own substream and SC-decode it with link_spec; returns the sent u, the
+        received words, the decoded information bits and the undetermined counts."""
         u = np.zeros((trials, N), dtype=np.uint8)
         u[:, link_spec.info_set] = bits
         x = transform_rows(u)
         y = per_trial(block, role, lambda t, rng: bec_sample_rows(x[t], erasure_prob, rng))
-        u_hat, undet = decode_bec_rows(y, link_spec.info_mask, link_spec.frozen_template)
-        return y, u_hat[:, link_spec.info_set], undet
+        u_hat, undet = sc_decode(y, link_spec.info_mask, link_spec.frozen_template, u)
+        return u, y, u_hat[:, link_spec.info_set], undet
 
     relay_err = np.zeros((trials, blocks), dtype=bool)
     rd_err = np.zeros((trials, blocks), dtype=bool)
@@ -250,21 +274,22 @@ def simulate_relay(
         msgs = per_trial(k, _ROLE_MESSAGE, lambda t, rng: rng.integers(0, 2, a_set.size, dtype=np.uint8))
 
         # relay decodes the whole information set from its SR output
-        y_sr, relay_bits, undet[:, k, 0] = link(source_spec, msgs, spec.e_sr, k, _ROLE_SR)
+        u_sr, y_sr, relay_bits, undet[:, k, 0] = link(source_spec, msgs, spec.e_sr, k, _ROLE_SR)
         relay_err[:, k] = np.any(relay_bits != msgs, axis=1)
         # the destination stores its SD copy: the SR output, further erased
         y_sd = per_trial(k, _ROLE_DEG, lambda t, rng: cascade_rows(y_sr[t], spec.e_deg, rng))
 
         # relay re-encodes A\B (its own, possibly wrong, estimate) over RD
-        _, coset_dest, undet[:, k, 1] = link(
+        _, _, coset_dest, undet[:, k, 1] = link(
             scheme.rd_code, relay_bits[:, msg_pos], spec.e_rd, k + 1, _ROLE_RD
         )
         rd_err[:, k] = np.any(coset_dest != msgs[:, msg_pos], axis=1)
 
-        # destination freezes the received coset and decodes B from stored SD
+        # destination freezes the received coset and decodes B from stored SD;
+        # a wrong coset makes a row's frozen values differ from the sent ones
         frozen = np.zeros((trials, N), dtype=np.uint8)
         frozen[:, code.message_set] = coset_dest
-        u_dest, undet[:, k, 2] = decode_bec_rows(y_sd, sd_mask, frozen)
+        u_dest, undet[:, k, 2] = sc_decode(y_sd, sd_mask, frozen, u_sr, rd_err[:, k])
         recovered = np.empty_like(msgs)
         recovered[:, msg_pos] = coset_dest
         recovered[:, ~msg_pos] = u_dest[:, code.secure_set]

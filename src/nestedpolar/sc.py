@@ -31,10 +31,22 @@ domain.
   position-major copy: each row's messages then stay contiguous, as the
   combines read them, and no second (batch, N) float array is made.
 
-Two leaf rules run on either domain: a decoder decides information bits
+Two leaf rules run on the LLR domain: a decoder decides information bits
 from their messages and outputs frozen bits as given; a genie records
-whether the bit's message was erased (or decided wrongly) and feeds the
-true bit forward.
+whether the bit's decision was wrong and feeds the true bit forward.  The
+erasure domain has only the decoder's leaf rule.  Its genie needs no walk:
+whether a message is erased never depends on a value (the check combine
+erases iff either input is, the variable combine iff both are), so
+`genie_bec_rows` takes the erased planes through the n levels of the tree
+with two word operations per level, for every node and row at once.
+
+The erasure genie's flags also tell which rows a full SC walk could decode
+to anything but the sent bits.  A row whose frozen values
+are the sent ones and none of whose information leaves has an erased
+message decodes to the sent bits: by induction over the decoding order
+every unerased message carries the sent value.  The relay simulation
+(`relay.simulate_relay`) uses the flags only to choose the rows that get
+the walk; every output still equals what the walk gives on every row.
 
 The erasure decoder also gives the walk a node rule, as in simplified SC
 (Alamdar-Yazdi & Kschischang 2011), that stops at two kinds of subtree of
@@ -57,7 +69,8 @@ Decoding order is the natural index order of u.
 
 The entry points (`decode_bec_rows`, `decode_llr_rows`, `genie_bec_rows`,
 `genie_llr_rows`) decode a (batch, N) array of received words, one per
-row, after checking the shapes of their arguments.
+row, after checking the shapes of their arguments (and, for erasure
+words, that every symbol is 0, 1 or ERASED).
 """
 from __future__ import annotations
 
@@ -138,9 +151,15 @@ def _unpack(words: np.ndarray, nbatch: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8).T, axis=0, count=nbatch, bitorder="little")
 
 
+def _bit_reversed_positions(y: np.ndarray) -> np.ndarray:
+    """A position-major (N, batch) copy of a (batch, N) array, positions in
+    bit-reversed order."""
+    return np.ascontiguousarray(y.T)[bit_reversal_permutation(y.shape[1].bit_length() - 1)]
+
+
 def _bec_messages(y: np.ndarray) -> np.ndarray:
     """The bit-reversed (N, 2, W) messages of a (batch, N) erasure array."""
-    yr = np.ascontiguousarray(y.T)[bit_reversal_permutation(y.shape[1].bit_length() - 1)]
+    yr = _bit_reversed_positions(y)
     return np.stack([_pack(yr == ERASED), _pack(yr)], axis=1)
 
 
@@ -198,6 +217,15 @@ def _check_shapes(name: str, words, **per_position) -> tuple[int, int]:
     return nbatch, N
 
 
+def _check_erasure_symbols(y: np.ndarray) -> None:
+    """Reject symbols outside {0, 1, ERASED}: the three are the integers
+    -1, 0 and 1, so one min/max scan of the batch decides it."""
+    if y.size and (y.min() < ERASED or y.max() > 1):
+        raise ValueError(
+            f"y symbols must be 0, 1 or ERASED ({ERASED}), got values in [{y.min()}, {y.max()}]"
+        )
+
+
 def decode_bec_rows(
     y: np.ndarray, info_mask: np.ndarray, frozen_values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -209,6 +237,9 @@ def decode_bec_rows(
     decisions that had to be made on an erased message (decided 0).
     """
     nbatch, N = _check_shapes("y", y, info_mask=info_mask, frozen_values=frozen_values)
+    _check_erasure_symbols(y)
+    if not nbatch:  # the node rule would still visit the tree for no rows
+        return np.zeros((0, N), dtype=np.uint8), np.zeros(0, dtype=np.int64)
     # frozen bits from the start; the walk writes each information bit
     u = _pack(np.broadcast_to(frozen_values, (nbatch, N)).T)
     # erased bits of the information leaves' messages, after a zero row so
@@ -245,18 +276,28 @@ def genie_bec_rows(y: np.ndarray, u_true: np.ndarray) -> np.ndarray:
 
     Every decision is replaced by the true bit before propagating, so the
     returned (batch, N) boolean array marks exactly the positions whose
-    synthesized bit-channel erased in that trial.  u_true is (N,) or (batch, N).
+    synthesized bit-channel erased in that trial.  On the BEC whether a
+    message is erased does not depend on any bit value, so u_true, (N,) or
+    (batch, N), only has its shape checked.
+
+    No tree walk: level d of the SC tree holds 2^d nodes, each of whose
+    bit-reversed erased plane splits into halves a, b; the left child's
+    plane is a | b and the right child's a & b.  After n levels the planes
+    are the leaves', in natural index order.
     """
     nbatch, N = _check_shapes("y", y, u_true=u_true)
-    u = _pack(np.broadcast_to(u_true, (nbatch, N)).T)
-    flags = np.empty_like(u)
-
-    def leaf(i: int, m: np.ndarray) -> np.ndarray:
-        flags[i] = m[0]
-        return u[i]
-
-    _sc_walk(_bec_messages(y), _bec_check, _bec_var, leaf)
-    return _unpack(flags, nbatch).view(bool)
+    _check_erasure_symbols(y)
+    erased = _pack(_bit_reversed_positions(y) == ERASED)
+    W = erased.shape[1]
+    half = N // 2
+    while half:
+        nodes = erased.reshape(N // (2 * half), 2, half, W)
+        a, b = nodes[:, 0], nodes[:, 1]
+        both = a & b
+        a |= b
+        b[...] = both
+        half //= 2
+    return _unpack(erased, nbatch).view(bool)
 
 
 def decode_llr_rows(

@@ -61,12 +61,25 @@ def genie_erased_bits(erased) -> np.ndarray:
 
     Bit i is recoverable iff row i of the generator restricted to unerased
     columns is independent of the rows below it (past bits are given,
-    future bits are unknown).
+    future bits are unknown).  The rows are taken from the bottom up, each
+    as an integer bit mask, into an echelon basis of the rows below: row i
+    is dependent on them iff it reduces to zero against that basis.  This
+    equals rank(rows i..) == rank(rows i+1..) with ``naive_rank``, and
+    stays fast enough for n = 10.
     """
     erased = np.asarray(erased, dtype=bool)
     N = erased.size
     sub = reference_generator(N.bit_length() - 1)[:, ~erased]
-    return np.array([naive_rank(sub[i:]) == naive_rank(sub[i + 1 :]) for i in range(N)])
+    basis = {}  # leading bit -> basis row
+    out = np.zeros(N, dtype=bool)
+    for i in range(N - 1, -1, -1):
+        r = int.from_bytes(np.packbits(sub[i]).tobytes(), "big")
+        while r and r.bit_length() in basis:
+            r ^= basis[r.bit_length()]
+        if r:
+            basis[r.bit_length()] = r
+        out[i] = not r
+    return out
 
 
 def exhaustive_bec_bitchannel_z(n: int, eps: float) -> np.ndarray:

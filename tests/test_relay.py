@@ -1,4 +1,5 @@
 from fractions import Fraction
+import hashlib
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from nestedpolar.relay import (
     calibrate_margin,
     simulate_relay,
 )
+from nestedpolar.sc import genie_bec_rows
 
 
 def test_channel_spec_cascade():
@@ -175,3 +177,75 @@ def test_simulate_monotone_in_erasure_probability():
     worse_sr = RelayChannelSpec(0.25, 4 / 9, 0.4)
     r3 = simulate_relay(scheme, worse_sr, trials=60, seed=9)
     assert r3.relay_errors.sum() >= r1.relay_errors.sum()
+
+
+# Error-rich runs: every stage of each has rows whose decode is in doubt.
+# (design spec, run spec, n, blocks, margin, trials, seed)
+ERROR_RICH = {
+    "regime1": (RelayChannelSpec(0.1, 4 / 9, 0.5), None, 7, 3, 0.9, 40, 11),
+    "regime2": (RelayChannelSpec(0.05, 0.65 / 0.95, 0.8), RelayChannelSpec(0.35, 0.5, 0.7), 8, 4, 0.95, 40, 12),
+    # SR and RD worse than designed: relay errors propagate into the coset
+    "propagate": (RelayChannelSpec(0.1, 4 / 9, 0.5), RelayChannelSpec(0.3, 4 / 9, 0.6), 8, 3, 0.7, 40, 13),
+    "n10_8blocks": (RelayChannelSpec(0.1, 4 / 9, 0.5), None, 10, 8, 0.9, 24, 14),
+}
+
+# SHA-256 of each report array, from a simulator that SC-walked every row
+# of every stage.
+ERROR_RICH_PINS = {
+    "regime1": {
+        "relay_errors": "6486ee6dc32dc54f6efedc5c42e942fcd7ae38d34bf8451af090f261468bf987",
+        "rd_errors": "ae3db714421e33a057b9111c1f068c8eba39703491910f670c29835896ec9562",
+        "dest_errors": "4c9551fe03720b1aa97ff7528f2a0241482e5367b079a9ec9b237dd61aab9571",
+        "undetermined": "22a24b40f13d403ff17fa66ebb2ae8ca9ee2a4d25d2e0a98a5f853cfd0976785",
+    },
+    "regime2": {
+        "relay_errors": "01b66a2ff6096b01390b967928b7e74899a42eed6f5a86b46ae58a464a7c3d8a",
+        "rd_errors": "1ea63a8874f0eef0a7c86b1daf9bc3da949f133b446ebcd25a2cd2094ba46128",
+        "dest_errors": "f9899afd990a858380f32f96e6c523ccb3a5f67064c9358c24ab5bc5cc0daef8",
+        "undetermined": "7bac7562fb2f360afbfcdb9f4ed54d619b186671c6cc265199122faef295c0d8",
+    },
+    "propagate": {
+        "relay_errors": "f9ab5833bb0b48ffd7c64afca27a8c8f2f9af1473b20601afde2f10af829abcf",
+        "rd_errors": "526f6335b698da953a16b82e33619afcf05af1127559de4e9eda10245f00929d",
+        "dest_errors": "0ee3a3b0a0c4d33570d7ff0cbd9cdfc480fde48baaa547b7e123b1ec124816f6",
+        "undetermined": "852dd4e747c0855b96700727677881f46d1adaec4973db2580039e9dc15dd995",
+    },
+    "n10_8blocks": {
+        "relay_errors": "b46ddd1b2e17792944fd3394f73bf4cab83e1dbf1e859e84e7f09b4a6885edd6",
+        "rd_errors": "dfab3abe8d3d11ca2a603ca932bd30f423407f674d10ed444a67e22386e06f38",
+        "dest_errors": "00cae002a790e2dc961d0cbbf1095a54624201f621bec7925f1b8e00758f3f71",
+        "undetermined": "10d8b3aa03741adec138eecf79ae2b725a7b98de27bc64466552a221ff01cf29",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_RICH))
+def test_error_rich_runs_match_full_sc_walks(monkeypatch, name):
+    design, run, n, blocks, margin, trials, seed = ERROR_RICH[name]
+    scheme = build_relay_scheme(design, n, blocks, margin)
+    code = scheme.source_code
+    sd_mask = np.zeros(code.N, dtype=bool)
+    sd_mask[code.secure_set] = True
+    stages = {code.bob_spec().info_mask.tobytes(): 0, scheme.rd_code.info_mask.tobytes(): 1,
+              sd_mask.tobytes(): 2}
+    walked = []  # (stage, rows) per decode call
+    decode = relay.decode_bec_rows
+
+    def checked_decode(y, info_mask, frozen_values):
+        u_hat, undet = decode(y, info_mask, frozen_values)
+        # the walk's own count of erased decisions is the genie's
+        genie = genie_bec_rows(y, np.zeros(y.shape[1], dtype=np.uint8))
+        assert np.array_equal(undet, genie[:, info_mask].sum(axis=1))
+        walked.append((stages[info_mask.tobytes()], y.shape[0]))
+        return u_hat, undet
+
+    monkeypatch.setattr(relay, "decode_bec_rows", checked_decode)
+    report = simulate_relay(scheme, run or design, trials, seed)
+    for field, pin in ERROR_RICH_PINS[name].items():
+        assert hashlib.sha256(getattr(report, field).tobytes()).hexdigest() == pin, field
+    # one call per stage and block, on exactly the rows in doubt: an erased
+    # information decision, or at SD a wrong forwarded coset
+    in_doubt = report.undetermined > 0
+    in_doubt[:, :, 2] |= report.rd_errors
+    assert walked == [(stage, int(in_doubt[:, k, stage].sum())) for k in range(blocks) for stage in range(3)]
+    assert in_doubt.any(axis=(0, 1)).all()  # rows in doubt in every stage

@@ -17,7 +17,14 @@ from nestedpolar.sc import (
     genie_llr_rows,
 )
 
-from oracles import bec_sc_reference, bitrev, genie_erased_bits, sequential_ml_decode
+from oracles import (
+    bec_sc_reference,
+    bitrev,
+    genie_erased_bits,
+    naive_rank,
+    reference_generator,
+    sequential_ml_decode,
+)
 
 
 def random_spec(n, k, rng):
@@ -158,13 +165,59 @@ def test_genie_bec_rows_match_recoverability_oracle_random_patterns():
     rng = np.random.default_rng(5)
     # batches of 63 to 129 rows straddle the 64-row words of the erasure planes
     for n, count in ((1, 4), (2, 6), (3, 6), (4, 8), (5, 8), (6, 4),
-                     (1, 63), (2, 64), (3, 65), (3, 129)):
+                     (1, 63), (2, 64), (3, 65), (3, 129), (7, 65), (8, 20), (9, 6), (10, 3)):
         N = 1 << n
         erased = rng.random((count, N)) < rng.random((count, 1))
         u = rng.integers(0, 2, (count, N), dtype=np.uint8)
         y = np.where(erased, np.int8(ERASED), transform_rows(u).astype(np.int8))
         expected = np.array([genie_erased_bits(p) for p in erased])
         assert np.array_equal(genie_bec_rows(y, u), expected)
+
+
+def test_recoverability_oracle_is_the_rank_definition():
+    # the oracle's echelon form against rank(rows i..) == rank(rows i+1..)
+    rng = np.random.default_rng(7)
+    for n in range(5):
+        for erased in rng.random((12, 1 << n)) < rng.random((12, 1)):
+            sub = reference_generator(n)[:, ~erased]
+            by_rank = [naive_rank(sub[i:]) == naive_rank(sub[i + 1 :]) for i in range(1 << n)]
+            assert np.array_equal(genie_erased_bits(erased), by_rank)
+
+
+def test_genie_counts_equal_decoder_undetermined_counts():
+    # an information decision is undetermined iff the genie marks its leaf
+    # erased, whatever the mask, the frozen values and the received bits
+    rng = np.random.default_rng(8)
+    for n in (0, 1, 3, 6, 9):
+        N = 1 << n
+        for nbatch in (1, 63, 64, 65, 130):
+            mask = rng.random(N) < rng.random()
+            fv = rng.integers(0, 2, (nbatch, N) if rng.random() < 0.5 else N, dtype=np.uint8)
+            y = rng.integers(0, 2, (nbatch, N)).astype(np.int8)
+            y[rng.random((nbatch, N)) < rng.random((nbatch, 1))] = ERASED
+            u = rng.integers(0, 2, (nbatch, N), dtype=np.uint8)
+            _, undet = decode_bec_rows(y, mask, fv)
+            assert np.array_equal(genie_bec_rows(y, u)[:, mask].sum(axis=1), undet)
+
+
+def test_empty_batches():
+    N = 16
+    y = np.zeros((0, N), dtype=np.int8)
+    u_hat, undet = decode_bec_rows(y, np.ones(N, dtype=bool), np.zeros(N, dtype=np.uint8))
+    assert u_hat.shape == (0, N) and u_hat.dtype == np.uint8
+    assert undet.shape == (0,) and undet.dtype == np.int64
+    flags = genie_bec_rows(y, np.zeros(N, dtype=np.uint8))
+    assert flags.shape == (0, N) and flags.dtype == bool
+
+
+def test_erasure_symbols_checked():
+    mask, fv = np.ones(4, dtype=bool), np.zeros(4, dtype=np.uint8)
+    for bad in ([[0, 3, 0, 0]], [[0, -2, 0, 0]]):
+        y = np.array(bad, dtype=np.int8)
+        with pytest.raises(ValueError, match="^y symbols must be 0, 1 or ERASED"):
+            decode_bec_rows(y, mask, fv)
+        with pytest.raises(ValueError, match="^y symbols must be 0, 1 or ERASED"):
+            genie_bec_rows(y, fv)
 
 
 def assert_matches_bec_reference(y, mask, fv):
