@@ -39,6 +39,7 @@ from .sc import (
     decode_llr_rows,
     genie_bec_rows,
     genie_llr_rows,
+    undetermined_bec_rows,
 )
 from .channels import RngStream, bec_sample_rows, bsc_sample_rows
 from .wiretap import (
@@ -68,6 +69,7 @@ __all__ = [
     "BEC", "BSC", "ReliabilityProfile",
     "bec_reliability", "mc_reliability", "select_info_set", "select_secure_subset",
     "ERASED", "decode_bec_rows", "decode_llr_rows", "genie_bec_rows", "genie_llr_rows",
+    "undetermined_bec_rows",
     "RngStream", "bec_sample_rows", "bsc_sample_rows",
     "EquivocationReport", "NestedCodeSpec", "WiretapConfig",
     "build_wiretap_code", "equivocation_bruteforce", "equivocation_rank", "parity_checks",

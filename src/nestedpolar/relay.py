@@ -12,10 +12,11 @@ freezes it into the nested code, and then resolves the remaining B bits
 from its stored SD output of the previous block.  Relay mistakes
 propagate into the forwarded coset; there is no genie at the relay or the
 destination.  Every decoded word equals what SC decoding gives.  The
-erasure genie (``genie_bec_rows``) is run on each stage's words only to
-choose which rows need the SC walk: a row whose frozen values are the
-sent ones and which has no erased information decision decodes to the
-sent bits, so those rows take the sent bits without a walk.
+erasure counts of ``undetermined_bec_rows`` are taken on each stage's
+words only to choose which rows need the SC walk: a row whose frozen
+values are the sent ones and which has no erased information decision
+decodes to the sent bits, so those rows take the sent bits without a
+walk.
 
 Finite-length sizing is driven by the computable union bound: each
 stage's summed bit-channel parameters are pushed under a target by
@@ -31,7 +32,7 @@ import numpy as np
 from .channels import RngStream, bec_sample_rows, cascade_rows
 from .construction import bec_reliability, select_info_set
 from .polar import CodeParams, PolarCodeSpec, transform_rows
-from .sc import decode_bec_rows, genie_bec_rows
+from .sc import decode_bec_rows, undetermined_bec_rows
 from .wiretap import NestedCodeSpec
 
 __all__ = [
@@ -217,14 +218,14 @@ def simulate_relay(
     further erased, preserving physical degradedness.
 
     Each stage SC-decodes every row, but walks only the rows in doubt: the
-    rows with an erased information decision, plus, at the destination's
-    SD stage, the rows whose forwarded coset (a frozen part of that
-    decode) arrived wrong.  Every other row has the sent frozen values and
-    no erased decision, so SC decodes it to the sent bits, which it takes
-    as is.  The undetermined counts come from ``genie_bec_rows``, which
-    marks the same erased decisions the walk would make.  Deterministic given
-    the seed: each (trial, block, role) draws from its own substream, so
-    erasure-rate changes couple monotonically.
+    rows with an erased information decision, plus the rows whose frozen
+    values differ from the sent ones (at the destination's SD stage, those
+    whose forwarded coset arrived wrong).  Every other row decodes to the
+    sent bits, which it takes as is.  The undetermined counts come from
+    ``undetermined_bec_rows``, which counts the same erased decisions the
+    walk would make.  Deterministic given the seed: each (trial, block,
+    role) draws from its own substream, so erasure-rate changes couple
+    monotonically.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -243,15 +244,18 @@ def simulate_relay(
             for t in range(trials)
         ])
 
-    def sc_decode(y, info_mask, frozen, u_sent, suspect=False):
+    def sc_decode(y, info_mask, frozen, u_sent):
         """decode_bec_rows(y, info_mask, frozen) on every row, walking only the
-        rows in doubt: those with an erased information leaf, and those
-        ``suspect`` marks because their frozen values may differ from u_sent.
-        Every other row decodes to u_sent, so it is copied, not walked."""
-        undet = np.count_nonzero(genie_bec_rows(y, u_sent)[:, info_mask], axis=1)
-        doubt = (undet > 0) | suspect
+        rows in doubt: those with an erased information leaf, and those whose
+        frozen values differ from u_sent's.  Every other row decodes to
+        u_sent, so it is copied, not walked."""
+        frozen = np.broadcast_to(frozen, u_sent.shape)
+        undet = undetermined_bec_rows(y, info_mask)
+        doubt = (undet > 0) | np.any((frozen != u_sent) & ~info_mask, axis=1)
+        if doubt.all():  # every row is walked: skip the copies of y, frozen and u_sent
+            return decode_bec_rows(y, info_mask, frozen)[0], undet
         u_hat = u_sent.copy()
-        u_hat[doubt], _ = decode_bec_rows(y[doubt], info_mask, np.broadcast_to(frozen, u_sent.shape)[doubt])
+        u_hat[doubt], _ = decode_bec_rows(y[doubt], info_mask, frozen[doubt])
         return u_hat, undet
 
     def link(link_spec: PolarCodeSpec, bits, erasure_prob: float, block: int, role: int):
@@ -285,11 +289,10 @@ def simulate_relay(
         )
         rd_err[:, k] = np.any(coset_dest != msgs[:, msg_pos], axis=1)
 
-        # destination freezes the received coset and decodes B from stored SD;
-        # a wrong coset makes a row's frozen values differ from the sent ones
+        # destination freezes the received coset and decodes B from stored SD
         frozen = np.zeros((trials, N), dtype=np.uint8)
         frozen[:, code.message_set] = coset_dest
-        u_dest, undet[:, k, 2] = sc_decode(y_sd, sd_mask, frozen, u_sr, rd_err[:, k])
+        u_dest, undet[:, k, 2] = sc_decode(y_sd, sd_mask, frozen, u_sr)
         recovered = np.empty_like(msgs)
         recovered[:, msg_pos] = coset_dest
         recovered[:, ~msg_pos] = u_dest[:, code.secure_set]

@@ -37,16 +37,20 @@ whether the bit's decision was wrong and feeds the true bit forward.  The
 erasure domain has only the decoder's leaf rule.  Its genie needs no walk:
 whether a message is erased never depends on a value (the check combine
 erases iff either input is, the variable combine iff both are), so
-`genie_bec_rows` takes the erased planes through the n levels of the tree
-with two word operations per level, for every node and row at once.
+`genie_bec_rows` takes each row's erased bits, packed along the row,
+through the n levels of the tree with a few word operations per level,
+for every node and row at once.  `undetermined_bec_rows` counts the
+erased information leaves on the same words: the decoder's undetermined
+counts, without the walk.
 
 The erasure genie's flags also tell which rows a full SC walk could decode
-to anything but the sent bits.  A row whose frozen values
-are the sent ones and none of whose information leaves has an erased
-message decodes to the sent bits: by induction over the decoding order
-every unerased message carries the sent value.  The relay simulation
-(`relay.simulate_relay`) uses the flags only to choose the rows that get
-the walk; every output still equals what the walk gives on every row.
+to anything but the sent bits.  A row whose frozen values are the sent
+ones and none of whose information leaves has an erased message decodes
+to the sent bits: by induction over the decoding order every unerased
+message carries the sent value.  The relay simulation
+(`relay.simulate_relay`) uses the counts of `undetermined_bec_rows` only
+to choose the rows that get the walk; every output still equals what the
+walk gives on every row.
 
 The erasure decoder also gives the walk a node rule, as in simplified SC
 (Alamdar-Yazdi & Kschischang 2011), that stops at two kinds of subtree of
@@ -68,9 +72,9 @@ exactly zero) decides 0, matching a likelihood-ratio-at-least-one rule.
 Decoding order is the natural index order of u.
 
 The entry points (`decode_bec_rows`, `decode_llr_rows`, `genie_bec_rows`,
-`genie_llr_rows`) decode a (batch, N) array of received words, one per
-row, after checking the shapes of their arguments (and, for erasure
-words, that every symbol is 0, 1 or ERASED).
+`genie_llr_rows`, `undetermined_bec_rows`) take a (batch, N) array of
+received words, one per row, after checking the shapes of their
+arguments (and, for erasure words, that every symbol is 0, 1 or ERASED).
 """
 from __future__ import annotations
 
@@ -85,6 +89,7 @@ __all__ = [
     "decode_llr_rows",
     "genie_bec_rows",
     "genie_llr_rows",
+    "undetermined_bec_rows",
 ]
 
 # Sentinel for an erased symbol in three-valued words.
@@ -271,6 +276,51 @@ def decode_bec_rows(
     return _unpack(u, nbatch), _unpack(np.stack(erased), nbatch).sum(axis=1, dtype=np.int64)
 
 
+# Bits of a little-endian uint64 word whose bit index has bit s clear, for
+# the in-word strides s = 1, 2, ..., 32 of the level-wise erasure pass.
+_LOW_HALVES = {
+    1 << d: np.array(m, dtype="<u8")
+    for d, m in enumerate([0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+                           0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF])
+}
+
+# Number of set bits of each byte value.
+_BYTE_WEIGHTS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
+
+
+def _erased_leaf_words(y: np.ndarray) -> np.ndarray:
+    """(batch, ceil(N/64)) little-endian uint64 words whose bit p of a row
+    says whether SC leaf rev(p) of that row has an erased message, rev the
+    n-bit reversal; padding bits are 0.
+
+    No tree walk: a node of the SC tree pairs the code positions that differ
+    in one bit, bit 0 at the root and bit d at depth d, in natural order.
+    Each pair's erased flags a, b become the left child's a | b and the
+    right child's a & b, in place, for all pairs of a level at once: with a
+    shift and a mask inside a word for the strides below 64, and on whole
+    words above.  After n levels, position p holds leaf rev(p).
+    """
+    nbatch, N = y.shape
+    words = np.zeros((nbatch, 8 * -(-N // 64)), dtype=np.uint8)
+    words[:, : -(-N // 8)] = np.packbits(y == ERASED, axis=1, bitorder="little")
+    words = words.view("<u8")
+    s = 1
+    while s < min(N, 64):
+        low, shift = _LOW_HALVES[s], np.uint64(s)
+        a = words & low
+        b = (words >> shift) & low
+        words = a | b | ((a & b) << shift)
+        s *= 2
+    while s < N:
+        pairs = words.reshape(nbatch, N // (2 * s), 2, s // 64)
+        a, b = pairs[:, :, 0], pairs[:, :, 1]
+        both = a & b
+        a |= b
+        b[...] = both
+        s *= 2
+    return words
+
+
 def genie_bec_rows(y: np.ndarray, u_true: np.ndarray) -> np.ndarray:
     """Per-position erasure indicators of genie-aided SC over a batch.
 
@@ -278,26 +328,28 @@ def genie_bec_rows(y: np.ndarray, u_true: np.ndarray) -> np.ndarray:
     returned (batch, N) boolean array marks exactly the positions whose
     synthesized bit-channel erased in that trial.  On the BEC whether a
     message is erased does not depend on any bit value, so u_true, (N,) or
-    (batch, N), only has its shape checked.
-
-    No tree walk: level d of the SC tree holds 2^d nodes, each of whose
-    bit-reversed erased plane splits into halves a, b; the left child's
-    plane is a | b and the right child's a & b.  After n levels the planes
-    are the leaves', in natural index order.
+    (batch, N), only has its shape checked.  No tree walk is made (see
+    ``_erased_leaf_words``).
     """
     nbatch, N = _check_shapes("y", y, u_true=u_true)
     _check_erasure_symbols(y)
-    erased = _pack(_bit_reversed_positions(y) == ERASED)
-    W = erased.shape[1]
-    half = N // 2
-    while half:
-        nodes = erased.reshape(N // (2 * half), 2, half, W)
-        a, b = nodes[:, 0], nodes[:, 1]
-        both = a & b
-        a |= b
-        b[...] = both
-        half //= 2
-    return _unpack(erased, nbatch).view(bool)
+    flags = np.unpackbits(_erased_leaf_words(y).view(np.uint8), axis=1, count=N, bitorder="little")
+    return flags.take(bit_reversal_permutation(N.bit_length() - 1), axis=1).view(bool)
+
+
+def undetermined_bec_rows(y: np.ndarray, info_mask: np.ndarray) -> np.ndarray:
+    """Per-row count of the information decisions SC makes on an erased
+    message: ``decode_bec_rows(y, info_mask, ...)[1]`` for any frozen
+    values, and ``genie_bec_rows(y, ...)[:, info_mask].sum(axis=1)``,
+    without a tree walk or unpacking the flags."""
+    nbatch, N = _check_shapes("y", y, info_mask=info_mask)
+    _check_erasure_symbols(y)
+    mask = np.zeros(8 * -(-N // 64), dtype=np.uint8)
+    mask[: -(-N // 8)] = np.packbits(
+        np.asarray(info_mask, dtype=bool)[bit_reversal_permutation(N.bit_length() - 1)], bitorder="little"
+    )
+    info_erased = _erased_leaf_words(y) & mask.view("<u8")
+    return _BYTE_WEIGHTS[info_erased.view(np.uint8)].sum(axis=1, dtype=np.int64)
 
 
 def decode_llr_rows(

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 import hashlib
 
@@ -12,6 +13,7 @@ from nestedpolar.relay import (
     calibrate_margin,
     simulate_relay,
 )
+from nestedpolar.polar import PolarCodeSpec
 from nestedpolar.sc import genie_bec_rows
 
 
@@ -249,3 +251,32 @@ def test_error_rich_runs_match_full_sc_walks(monkeypatch, name):
     in_doubt[:, :, 2] |= report.rd_errors
     assert walked == [(stage, int(in_doubt[:, k, stage].sum())) for k in range(blocks) for stage in range(3)]
     assert in_doubt.any(axis=(0, 1)).all()  # rows in doubt in every stage
+
+
+def test_nonzero_frozen_rd_code_walks_every_mismatched_row(monkeypatch):
+    # The link encodes zeros on the frozen positions, so an RD code with
+    # nonzero frozen values puts every RD row in doubt.  Its decoded words
+    # must equal those of a run that walks every row of every stage.
+    design = RelayChannelSpec(0.1, 4 / 9, 0.5)
+    scheme = build_relay_scheme(design, 7, 2, 0.9)
+    rd = scheme.rd_code
+    frozen = np.zeros(rd.N, dtype=np.uint8)
+    frozen[np.flatnonzero(~rd.info_mask)[::2]] = 1
+    scheme = dataclasses.replace(scheme, rd_code=PolarCodeSpec(rd.params, rd.info_set, frozen))
+    rows = []
+    decode = relay.decode_bec_rows
+
+    def recording_decode(y, info_mask, frozen_values):
+        if np.array_equal(info_mask, rd.info_mask):
+            rows.append(y.shape[0])
+        return decode(y, info_mask, frozen_values)
+
+    monkeypatch.setattr(relay, "decode_bec_rows", recording_decode)
+    report = simulate_relay(scheme, design, trials=30, seed=5)
+    assert rows == [30, 30]
+    # counting an erased decision in every row sends every row to the walk
+    monkeypatch.setattr(relay, "undetermined_bec_rows", lambda y, info_mask: np.ones(len(y), dtype=np.int64))
+    walked = simulate_relay(scheme, design, trials=30, seed=5)
+    for field in ("relay_errors", "rd_errors", "dest_errors"):
+        assert np.array_equal(getattr(report, field), getattr(walked, field)), field
+    assert report.rd_errors.any()

@@ -15,6 +15,7 @@ from nestedpolar.sc import (
     decode_llr_rows,
     genie_bec_rows,
     genie_llr_rows,
+    undetermined_bec_rows,
 )
 
 from oracles import (
@@ -186,9 +187,11 @@ def test_recoverability_oracle_is_the_rank_definition():
 
 def test_genie_counts_equal_decoder_undetermined_counts():
     # an information decision is undetermined iff the genie marks its leaf
-    # erased, whatever the mask, the frozen values and the received bits
+    # erased, whatever the mask, the frozen values and the received bits;
+    # n = 5, 6, 7 put the level-wise pass's last in-word stride, and its
+    # first whole-word one, on either side of a 64-bit word
     rng = np.random.default_rng(8)
-    for n in (0, 1, 3, 6, 9):
+    for n in (0, 1, 3, 5, 6, 7, 9):
         N = 1 << n
         for nbatch in (1, 63, 64, 65, 130):
             mask = rng.random(N) < rng.random()
@@ -198,6 +201,8 @@ def test_genie_counts_equal_decoder_undetermined_counts():
             u = rng.integers(0, 2, (nbatch, N), dtype=np.uint8)
             _, undet = decode_bec_rows(y, mask, fv)
             assert np.array_equal(genie_bec_rows(y, u)[:, mask].sum(axis=1), undet)
+            counts = undetermined_bec_rows(y, mask)
+            assert counts.dtype == np.int64 and np.array_equal(counts, undet)
 
 
 def test_empty_batches():
@@ -208,6 +213,8 @@ def test_empty_batches():
     assert undet.shape == (0,) and undet.dtype == np.int64
     flags = genie_bec_rows(y, np.zeros(N, dtype=np.uint8))
     assert flags.shape == (0, N) and flags.dtype == bool
+    counts = undetermined_bec_rows(y, np.ones(N, dtype=bool))
+    assert counts.shape == (0,) and counts.dtype == np.int64
 
 
 def test_erasure_symbols_checked():
@@ -218,6 +225,8 @@ def test_erasure_symbols_checked():
             decode_bec_rows(y, mask, fv)
         with pytest.raises(ValueError, match="^y symbols must be 0, 1 or ERASED"):
             genie_bec_rows(y, fv)
+        with pytest.raises(ValueError, match="^y symbols must be 0, 1 or ERASED"):
+            undetermined_bec_rows(y, mask)
 
 
 def assert_matches_bec_reference(y, mask, fv):
@@ -376,6 +385,10 @@ def test_word_length_checked():
         decode_bec_rows(np.zeros((1, 6), dtype=np.int8), np.ones(6, dtype=bool), np.zeros(6, dtype=np.uint8))
     with pytest.raises(ValueError, match="^info_mask must"):
         decode_bec_rows(np.zeros((1, 8), dtype=np.int8), np.ones(4, dtype=bool), fv)
+    with pytest.raises(ValueError, match="^info_mask must"):
+        undetermined_bec_rows(np.zeros((2, 8), dtype=np.int8), np.ones((2, 8), dtype=bool))
+    with pytest.raises(ValueError, match="^y must .* power of two"):
+        undetermined_bec_rows(np.zeros(8, dtype=np.int8), mask)
     with pytest.raises(ValueError, match="^info_mask must"):
         decode_llr_rows(np.zeros((3, 8)), np.ones((3, 8), dtype=bool), fv)
     with pytest.raises(ValueError, match="^frozen_values must"):
