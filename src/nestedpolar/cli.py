@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from .polar import CodeParams
 from .relay import RelayChannelSpec, build_relay_scheme, calibrate_margin, simulate_relay
 from .wiretap import WiretapConfig, run_wiretap_experiment
 
-__all__ = ["ExperimentConfig", "ConfigError", "run", "main"]
+__all__ = ["ConfigError", "main"]
 
 # Longest e_w sweep a wiretap command will build.
 MAX_SWEEP_POINTS = 10_000
@@ -39,6 +38,9 @@ MAX_RESULT_CELLS = 10_000_000
 # Most codeword cells (trials x N) a relay-sim block decodes at once; its
 # working arrays take about 20 bytes per cell.
 MAX_WORD_CELLS = 10_000_000
+# Most cells of the N x N generator a wiretap design step builds (n <= 14);
+# its peak memory is about 3 bytes per cell.
+MAX_GENERATOR_CELLS = 1 << 28
 
 # key -> (converter, default); None default means required.  fig1 takes
 # every other key from the wiretap-sweep defaults.
@@ -82,15 +84,6 @@ _SCHEMAS: dict[str, dict] = {
 
 class ConfigError(Exception):
     """Invalid configuration; the message names the offending key."""
-
-
-@dataclass
-class ExperimentConfig:
-    """One validated experiment: command, typed parameters, output target."""
-
-    command: str
-    params: dict = field(default_factory=dict)
-    output_path: Path | None = None
 
 
 def _parse_config_file(path: Path) -> dict[str, str]:
@@ -141,14 +134,8 @@ def _require_n(n: int) -> None:
         raise ConfigError(f"n: {exc}") from exc
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _header_lines(command: str, params: dict) -> list[str]:
-    items = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(params.items()))
+    items = " ".join(f"{k}={v}" for k, v in sorted(params.items()))  # str(float) is its repr
     return [
         f"# nestedpolar {__version__} schema={command}-v1",
         f"# config: command={command} {items}",
@@ -163,8 +150,8 @@ def _write_artifacts(files: list[tuple[Path, str]]) -> None:
     try:
         for path, content in files:
             tmp = path.with_name(path.name + ".tmp")
+            temps.append((tmp, path))  # before the write, which can fail halfway
             tmp.write_text(content)
-            temps.append((tmp, path))
         for tmp, path in temps:
             os.replace(tmp, path)
     except BaseException:
@@ -177,11 +164,11 @@ def _write_artifacts(files: list[tuple[Path, str]]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each validates its parameters, runs, and returns the
+# (path, text) artifacts to write, the CSV at ``out`` first
 
 
-def _run_construct(cfg: ExperimentConfig) -> int:
-    p = cfg.params
+def _run_construct(command: str, p: dict, out: Path) -> list[tuple[Path, str]]:
     _require_n(p["n"])
     _require(p["channel"] in ("bec", "bsc"), "channel", "must be 'bec' or 'bsc'")
     if p["channel"] == "bec":
@@ -191,15 +178,12 @@ def _run_construct(cfg: ExperimentConfig) -> int:
         _require(0.0 <= p["crossover_prob"] <= 0.5, "crossover_prob", "must be in [0, 1/2]")
         _require(p["trials"] >= 1, "trials", "must be positive")
         profile = mc_reliability(BSC(p["crossover_prob"]), p["n"], p["trials"], p["seed"])
-    out = cfg.output_path or Path("construct.csv")
-    lines = _header_lines(cfg.command, p)
+    lines = _header_lines(command, p)
     lines.append("index,z,exact")
     flag = "true" if profile.exact else "false"
     for i, z in enumerate(profile.z):
         lines.append(f"{i},{float(z)!r},{flag}")
-    _write_artifacts([(out, "\n".join(lines) + "\n")])
-    print(f"wrote {out}")
-    return 0
+    return [(out, "\n".join(lines) + "\n")]
 
 
 def _sweep_points(start: float, stop: float, step: float) -> list[float]:
@@ -238,10 +222,12 @@ def _stderr_of_rate(r) -> float:
     return float(np.std(r.equivocations, ddof=1) / np.sqrt(r.trials) / r.block_length)
 
 
-def _run_wiretap(cfg: ExperimentConfig) -> int:
+def _run_wiretap(command: str, params: dict, out: Path) -> list[tuple[Path, str]]:
     p = {key: default for key, (_, default) in _SCHEMAS["wiretap-sweep"].items()}
-    p.update(cfg.params)
+    p.update(params)
     _require_n(p["n"])
+    _require(4 ** p["n"] <= MAX_GENERATOR_CELLS, "n",
+             f"the design step's N x N generator would exceed {MAX_GENERATOR_CELLS} cells")
     _require(0.0 <= p["design_e_w"] <= 1.0, "design_e_w", "need 0 <= design_e_w <= 1")
     _require(0.0 <= p["e_m"] <= p["design_e_w"], "e_m", "need 0 <= e_m <= design_e_w")
     _require(0.0 <= p["rate"] < 1.0, "rate", "must be in [0, 1)")
@@ -261,8 +247,7 @@ def _run_wiretap(cfg: ExperimentConfig) -> int:
     except ValueError as exc:  # every field but the code sizes is checked above
         raise ConfigError(f"rate: {exc}") from exc
     reports = run_wiretap_experiment(wcfg, points)
-    out = cfg.output_path or Path(f"{cfg.command}.csv")
-    lines = _header_lines(cfg.command, p)
+    lines = _header_lines(command, p)
     stderrs = ",".join(repr(_stderr_of_rate(r)) for r in reports)
     lines.append(f"# stats: mean_equivocation_rate_stderr={stderrs}")
     lines.append("e_w,mean_equivocation_rate,upper_bound,trials,info_size,secure_size,block_length,seed")
@@ -271,17 +256,13 @@ def _run_wiretap(cfg: ExperimentConfig) -> int:
             f"{r.e_w!r},{r.mean_equivocation_rate!r},{r.upper_bound!r},"
             f"{r.trials},{r.info_size},{r.secure_size},{r.block_length},{r.seed}"
         )
-    script_path = out.with_name(out.stem + "_plot.py")
-    _write_artifacts([
+    return [
         (out, "\n".join(lines) + "\n"),
-        (script_path, _plot_script(out.name)),
-    ])
-    print(f"wrote {out} and {script_path}")
-    return 0
+        (out.with_name(out.stem + "_plot.py"), _plot_script(out.name)),
+    ]
 
 
-def _run_relay(cfg: ExperimentConfig) -> int:
-    p = cfg.params
+def _run_relay(command: str, p: dict, out: Path) -> list[tuple[Path, str]]:
     _require_n(p["n"])
     for key in ("e_sr", "e_deg", "e_rd"):
         _require(0.0 <= p[key] <= 1.0, key, "must be in [0, 1]")
@@ -303,8 +284,7 @@ def _run_relay(cfg: ExperimentConfig) -> int:
     except ValueError as exc:  # no margin meets the target, or this margin does not fit
         raise ConfigError(f"{'target' if calibrate else 'margin'}: {exc}") from exc
     report = simulate_relay(scheme, spec, p["trials"], p["seed"])
-    out = cfg.output_path or Path("relay-sim.csv")
-    lines = _header_lines(cfg.command, p)
+    lines = _header_lines(command, p)
     lines.append(
         f"# scheme: regime={scheme.regime} margin={scheme.margin!r} "
         f"info_size={scheme.source_code.info_set.size} "
@@ -324,9 +304,7 @@ def _run_relay(cfg: ExperimentConfig) -> int:
         f"summary,achieved_rate,{report.achieved_rate},"
         f"overall_error_rate,{report.overall_error_rate!r}"
     )
-    _write_artifacts([(out, "\n".join(lines) + "\n")])
-    print(f"wrote {out}")
-    return 0
+    return [(out, "\n".join(lines) + "\n")]
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +316,6 @@ _RUNNERS = {
     "relay-sim": _run_relay,
     "fig1": _run_wiretap,
 }
-
-
-def run(config: ExperimentConfig) -> int:
-    """Execute one validated experiment; returns the process exit status."""
-    runner = _RUNNERS.get(config.command)
-    if runner is None:
-        raise ConfigError(f"command: unknown command {config.command!r}")
-    seed = config.params["seed"]
-    _require(0 <= seed < 2**64, "seed", f"must be in [0, 2**64), got {seed}")
-    return runner(config)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -372,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
+def _assemble_params(args: argparse.Namespace) -> dict:
     raw: dict[str, str] = {}
     if args.config is not None:
         raw.update(_parse_config_file(args.config))
@@ -385,18 +353,27 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
         value = getattr(args, key)
         if value is not None:
             raw[key] = str(value)
-    params = _typed_params(args.command, raw)
-    return ExperimentConfig(command=args.command, params=params, output_path=args.out)
+    return _typed_params(args.command, raw)
 
 
 def main(argv=None) -> int:
+    """Run one command; returns the exit status, 2 for a bad configuration."""
     args = _build_parser().parse_args(argv)
+    out = args.out or Path(f"{args.command}.csv")
     try:
-        config = _assemble_config(args)
-        return run(config)
+        params = _assemble_params(args)
+        _require(0 <= params["seed"] < 2**64, "seed", f"must be in [0, 2**64), got {params['seed']}")
+        _require(out.parent.is_dir(), "out", f"{str(out.parent)!r} is not a directory")
+        files = _RUNNERS[args.command](args.command, params, out)
+        _write_artifacts(files)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # only the write touches files; it removed its temp files
+        print(f"error: out: cannot write {out}: {exc}", file=sys.stderr)
+        return 2
+    print("wrote " + " and ".join(str(path) for path, _ in files))
+    return 0
 
 
 if __name__ == "__main__":

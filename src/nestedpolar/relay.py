@@ -11,12 +11,16 @@ the next block; the destination first recovers that coset from the relay,
 freezes it into the nested code, and then resolves the remaining B bits
 from its stored SD output of the previous block.  Relay mistakes
 propagate into the forwarded coset; there is no genie at the relay or the
-destination.  Every decoded word equals what SC decoding gives.  The
-erasure counts of ``undetermined_bec_rows`` are taken on each stage's
-words only to choose which rows need the SC walk: a row whose frozen
-values are the sent ones and which has no erased information decision
-decodes to the sent bits, so those rows take the sent bits without a
-walk.
+destination.
+
+The relay rule: a stage SC-walks a row if and only if the row has an
+information decision made on an erased message (``undetermined_bec_rows``);
+every other row takes the sent bits.  A link encodes the frozen values its
+decoder assumes, and a row whose frozen values are the sent ones with no
+erased information decision decodes to the sent bits, so every outcome is
+what SC decoding gives.  Only the SD stage can freeze other values than
+the sent ones, the coset the destination received; a row whose coset
+arrived wrong is a destination error whatever B decodes to.
 
 Finite-length sizing is driven by the computable union bound: each
 stage's summed bit-channel parameters are pushed under a target by
@@ -215,17 +219,12 @@ def simulate_relay(
     resolves block k once that arrives.  The SR and RD stages are one link
     step each: encode the bits on a code's information set, erase each
     word, SC-decode it with that code.  SD outputs are the SR outputs
-    further erased, preserving physical degradedness.
-
-    Each stage SC-decodes every row, but walks only the rows in doubt: the
-    rows with an erased information decision, plus the rows whose frozen
-    values differ from the sent ones (at the destination's SD stage, those
-    whose forwarded coset arrived wrong).  Every other row decodes to the
-    sent bits, which it takes as is.  The undetermined counts come from
-    ``undetermined_bec_rows``, which counts the same erased decisions the
-    walk would make.  Deterministic given the seed: each (trial, block,
-    role) draws from its own substream, so erasure-rate changes couple
-    monotonically.
+    further erased, preserving physical degradedness.  The rows each stage
+    SC-walks follow the rule in the module docstring; the undetermined
+    counts come from ``undetermined_bec_rows``, which counts the erased
+    decisions the walk would make.  Deterministic given the seed: each
+    (trial, block, role) draws from its own substream, so erasure-rate
+    changes couple monotonically.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -245,24 +244,22 @@ def simulate_relay(
         ])
 
     def sc_decode(y, info_mask, frozen, u_sent):
-        """decode_bec_rows(y, info_mask, frozen) on every row, walking only the
-        rows in doubt: those with an erased information leaf, and those whose
-        frozen values differ from u_sent's.  Every other row decodes to
-        u_sent, so it is copied, not walked."""
-        frozen = np.broadcast_to(frozen, u_sent.shape)
+        """SC-decode y against frozen, walking only the rows with an erased
+        information decision; every other row takes u_sent (module docstring)."""
         undet = undetermined_bec_rows(y, info_mask)
-        doubt = (undet > 0) | np.any((frozen != u_sent) & ~info_mask, axis=1)
+        doubt = undet > 0
         if doubt.all():  # every row is walked: skip the copies of y, frozen and u_sent
             return decode_bec_rows(y, info_mask, frozen)[0], undet
         u_hat = u_sent.copy()
-        u_hat[doubt], _ = decode_bec_rows(y[doubt], info_mask, frozen[doubt])
+        u_hat[doubt], _ = decode_bec_rows(y[doubt], info_mask, np.broadcast_to(frozen, u_sent.shape)[doubt])
         return u_hat, undet
 
     def link(link_spec: PolarCodeSpec, bits, erasure_prob: float, block: int, role: int):
-        """Encode bits on link_spec's information set, erase each word from its
-        own substream and SC-decode it with link_spec; returns the sent u, the
-        received words, the decoded information bits and the undetermined counts."""
-        u = np.zeros((trials, N), dtype=np.uint8)
+        """Encode bits on link_spec's information set and its frozen values
+        elsewhere, erase each word from its own substream and SC-decode it
+        with link_spec; returns the sent u, the received words, the decoded
+        information bits and the undetermined counts."""
+        u = np.tile(link_spec.frozen_template, (trials, 1))
         u[:, link_spec.info_set] = bits
         x = transform_rows(u)
         y = per_trial(block, role, lambda t, rng: bec_sample_rows(x[t], erasure_prob, rng))
@@ -293,10 +290,8 @@ def simulate_relay(
         frozen = np.zeros((trials, N), dtype=np.uint8)
         frozen[:, code.message_set] = coset_dest
         u_dest, undet[:, k, 2] = sc_decode(y_sd, sd_mask, frozen, u_sr)
-        recovered = np.empty_like(msgs)
-        recovered[:, msg_pos] = coset_dest
-        recovered[:, ~msg_pos] = u_dest[:, code.secure_set]
-        dest_err[:, k] = np.any(recovered != msgs, axis=1)
+        b = code.secure_set
+        dest_err[:, k] = rd_err[:, k] | np.any(u_dest[:, b] != u_sr[:, b], axis=1)
 
     return RelayRunReport(
         relay_errors=relay_err,

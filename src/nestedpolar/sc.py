@@ -47,10 +47,9 @@ The erasure genie's flags also tell which rows a full SC walk could decode
 to anything but the sent bits.  A row whose frozen values are the sent
 ones and none of whose information leaves has an erased message decodes
 to the sent bits: by induction over the decoding order every unerased
-message carries the sent value.  The relay simulation
-(`relay.simulate_relay`) uses the counts of `undetermined_bec_rows` only
-to choose the rows that get the walk; every output still equals what the
-walk gives on every row.
+message carries the sent value.  The relay simulation SC-walks only the
+rows with an erased information decision, by the rule stated in the
+`relay` module docstring.
 
 The erasure decoder also gives the walk a node rule, as in simplified SC
 (Alamdar-Yazdi & Kschischang 2011), that stops at two kinds of subtree of
@@ -74,7 +73,8 @@ Decoding order is the natural index order of u.
 The entry points (`decode_bec_rows`, `decode_llr_rows`, `genie_bec_rows`,
 `genie_llr_rows`, `undetermined_bec_rows`) take a (batch, N) array of
 received words, one per row, after checking the shapes of their
-arguments (and, for erasure words, that every symbol is 0, 1 or ERASED).
+arguments (and, for erasure words, that the dtype is integer or bool and
+every symbol is 0, 1 or ERASED).
 """
 from __future__ import annotations
 
@@ -142,13 +142,13 @@ def _sc_walk(msgs: np.ndarray, f, g, leaf, node=None) -> None:
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
-    """(L, W) uint64 words of an (L, batch) array: bit r of word [j, w] is
-    set iff bits[j, 64 w + r] is nonzero; padding bits are 0."""
-    L, nbatch = bits.shape
-    words = np.zeros((L, 8 * (-(-nbatch // 64))), dtype=np.uint8)
+    """(L, W) little-endian uint64 words of an (L, M) array: bit r of word
+    [j, w] is set iff bits[j, 64 w + r] is nonzero; padding bits are 0."""
+    L, M = bits.shape
+    words = np.zeros((L, 8 * -(-M // 64)), dtype=np.uint8)
     # packbits is several times faster on rows that are contiguous
-    words[:, : -(-nbatch // 8)] = np.packbits(np.ascontiguousarray(bits), axis=1, bitorder="little")
-    return words.view(np.uint64)
+    words[:, : -(-M // 8)] = np.packbits(np.ascontiguousarray(bits), axis=1, bitorder="little")
+    return words.view("<u8")
 
 
 def _unpack(words: np.ndarray, nbatch: int) -> np.ndarray:
@@ -156,15 +156,9 @@ def _unpack(words: np.ndarray, nbatch: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8).T, axis=0, count=nbatch, bitorder="little")
 
 
-def _bit_reversed_positions(y: np.ndarray) -> np.ndarray:
-    """A position-major (N, batch) copy of a (batch, N) array, positions in
-    bit-reversed order."""
-    return np.ascontiguousarray(y.T)[bit_reversal_permutation(y.shape[1].bit_length() - 1)]
-
-
 def _bec_messages(y: np.ndarray) -> np.ndarray:
     """The bit-reversed (N, 2, W) messages of a (batch, N) erasure array."""
-    yr = _bit_reversed_positions(y)
+    yr = np.ascontiguousarray(y.T)[bit_reversal_permutation(y.shape[1].bit_length() - 1)]
     return np.stack([_pack(yr == ERASED), _pack(yr)], axis=1)
 
 
@@ -224,7 +218,10 @@ def _check_shapes(name: str, words, **per_position) -> tuple[int, int]:
 
 def _check_erasure_symbols(y: np.ndarray) -> None:
     """Reject symbols outside {0, 1, ERASED}: the three are the integers
-    -1, 0 and 1, so one min/max scan of the batch decides it."""
+    -1, 0 and 1, so an integer or bool dtype and one min/max scan of the
+    batch decide it."""
+    if y.dtype.kind not in "biu":
+        raise ValueError(f"y symbols must be 0, 1 or ERASED ({ERASED}) of an integer dtype, got {y.dtype}")
     if y.size and (y.min() < ERASED or y.max() > 1):
         raise ValueError(
             f"y symbols must be 0, 1 or ERASED ({ERASED}), got values in [{y.min()}, {y.max()}]"
@@ -301,9 +298,7 @@ def _erased_leaf_words(y: np.ndarray) -> np.ndarray:
     words above.  After n levels, position p holds leaf rev(p).
     """
     nbatch, N = y.shape
-    words = np.zeros((nbatch, 8 * -(-N // 64)), dtype=np.uint8)
-    words[:, : -(-N // 8)] = np.packbits(y == ERASED, axis=1, bitorder="little")
-    words = words.view("<u8")
+    words = _pack(y == ERASED)
     s = 1
     while s < min(N, 64):
         low, shift = _LOW_HALVES[s], np.uint64(s)
@@ -344,11 +339,8 @@ def undetermined_bec_rows(y: np.ndarray, info_mask: np.ndarray) -> np.ndarray:
     without a tree walk or unpacking the flags."""
     nbatch, N = _check_shapes("y", y, info_mask=info_mask)
     _check_erasure_symbols(y)
-    mask = np.zeros(8 * -(-N // 64), dtype=np.uint8)
-    mask[: -(-N // 8)] = np.packbits(
-        np.asarray(info_mask, dtype=bool)[bit_reversal_permutation(N.bit_length() - 1)], bitorder="little"
-    )
-    info_erased = _erased_leaf_words(y) & mask.view("<u8")
+    mask = _pack(np.asarray(info_mask, dtype=bool)[None, bit_reversal_permutation(N.bit_length() - 1)])
+    info_erased = _erased_leaf_words(y) & mask
     return _BYTE_WEIGHTS[info_erased.view(np.uint8)].sum(axis=1, dtype=np.int64)
 
 

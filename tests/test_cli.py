@@ -1,5 +1,7 @@
 import argparse
+import errno
 import hashlib
+import os
 from pathlib import Path
 import re
 import subprocess
@@ -8,11 +10,12 @@ import sys
 import numpy as np
 import pytest
 
-from nestedpolar import __version__
+from nestedpolar import __version__, cli
 from nestedpolar.cli import _build_parser, main
 from nestedpolar.wiretap import WiretapConfig, run_wiretap_experiment
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 # One small run per command.
 SMALL_RUNS = {
@@ -82,12 +85,50 @@ def test_bad_value_rejected(tmp_path):
     (["wiretap-sweep", "--set", "ew_stop=nan"], "ew_stop"),
     (["wiretap-sweep", "--set", "design_e_w=nan"], "design_e_w"),
     (["wiretap-sweep", "--set", "design_e_w=2"], "design_e_w"),
+    # the design step's N x N generator would not fit in memory
+    (["wiretap-sweep", "--set", "n=15"], "n"),
+    (["wiretap-sweep", "--set", "n=20"], "n"),
 ])
 def test_bad_size_rejected(tmp_path, capsys, args, key):
     out = tmp_path / "x.csv"
     assert main(args + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {key}: ")
     assert not out.exists()
+
+
+def test_out_in_missing_directory_rejected_before_any_computation(tmp_path, capsys, monkeypatch):
+    def no_run(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setitem(cli._RUNNERS, "construct", no_run)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["construct", "--set", "n=3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: out: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["construct", "wiretap-sweep"])
+def test_failed_write_is_reported_and_leaves_no_file(tmp_path, capsys, command):
+    # renaming a file onto a directory fails after the run
+    target = tmp_path / "taken"
+    target.mkdir()
+    assert main(SMALL_RUNS[command] + ["--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: out: ") and not captured.out
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []
+
+
+def test_write_failing_halfway_leaves_no_file(tmp_path, capsys, monkeypatch):
+    def disk_full(path, text):
+        with open(path, "w") as f:
+            f.write(text[:10])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", disk_full)
+    assert main(SMALL_RUNS["wiretap-sweep"] + ["--out", str(tmp_path / "w.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: out: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_file_and_override(tmp_path):
@@ -201,6 +242,33 @@ def test_header_names_schema(tmp_path):
         out = tmp_path / f"{command}.csv"
         assert main(args + ["--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == f"# nestedpolar {__version__} schema={command}-v1"
+
+
+def test_each_command_prints_what_it_wrote(tmp_path, capsys):
+    for command, args in SMALL_RUNS.items():
+        out = tmp_path / f"{command}.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        line = f"wrote {out}"
+        if command in ("wiretap-sweep", "fig1"):
+            line += f" and {tmp_path / f'{command}_plot.py'}"
+        assert capsys.readouterr().out == line + "\n"
+
+
+def test_process_entry_point(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+    def cli_process(*args):
+        return subprocess.run([sys.executable, "-m", "nestedpolar.cli", *args],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+
+    good = cli_process("construct", "--set", "n=3")
+    assert good.returncode == 0, good.stderr
+    assert good.stdout == "wrote construct.csv\n"
+    assert (tmp_path / "construct.csv").exists()
+    bad = cli_process("construct", "--set", "n=3", "--set", "channel=awgn", "--out", "y.csv")
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("error: channel: ") and "Traceback" not in bad.stderr
+    assert not (tmp_path / "y.csv").exists()
 
 
 def test_fig1_is_wiretap_sweep_at_its_defaults(tmp_path):

@@ -245,18 +245,18 @@ def test_error_rich_runs_match_full_sc_walks(monkeypatch, name):
     report = simulate_relay(scheme, run or design, trials, seed)
     for field, pin in ERROR_RICH_PINS[name].items():
         assert hashlib.sha256(getattr(report, field).tobytes()).hexdigest() == pin, field
-    # one call per stage and block, on exactly the rows in doubt: an erased
-    # information decision, or at SD a wrong forwarded coset
+    # one call per stage and block, on exactly the rows with an erased
+    # information decision
     in_doubt = report.undetermined > 0
-    in_doubt[:, :, 2] |= report.rd_errors
     assert walked == [(stage, int(in_doubt[:, k, stage].sum())) for k in range(blocks) for stage in range(3)]
     assert in_doubt.any(axis=(0, 1)).all()  # rows in doubt in every stage
 
 
-def test_nonzero_frozen_rd_code_walks_every_mismatched_row(monkeypatch):
-    # The link encodes zeros on the frozen positions, so an RD code with
-    # nonzero frozen values puts every RD row in doubt.  Its decoded words
-    # must equal those of a run that walks every row of every stage.
+def test_nonzero_frozen_rd_code_walks_only_erased_rows(monkeypatch):
+    # The link encodes an RD code's own frozen values, so nonzero ones put
+    # no extra RD row in doubt: the walked rows are exactly those with an
+    # erased decision, and the report equals that of a run that walks
+    # every row of every stage.
     design = RelayChannelSpec(0.1, 4 / 9, 0.5)
     scheme = build_relay_scheme(design, 7, 2, 0.9)
     rd = scheme.rd_code
@@ -273,7 +273,7 @@ def test_nonzero_frozen_rd_code_walks_every_mismatched_row(monkeypatch):
 
     monkeypatch.setattr(relay, "decode_bec_rows", recording_decode)
     report = simulate_relay(scheme, design, trials=30, seed=5)
-    assert rows == [30, 30]
+    assert rows == [int((report.undetermined[:, k, 1] > 0).sum()) for k in range(2)]
     # counting an erased decision in every row sends every row to the walk
     monkeypatch.setattr(relay, "undetermined_bec_rows", lambda y, info_mask: np.ones(len(y), dtype=np.int64))
     walked = simulate_relay(scheme, design, trials=30, seed=5)

@@ -219,14 +219,17 @@ def test_empty_batches():
 
 def test_erasure_symbols_checked():
     mask, fv = np.ones(4, dtype=bool), np.zeros(4, dtype=np.uint8)
-    for bad in ([[0, 3, 0, 0]], [[0, -2, 0, 0]]):
-        y = np.array(bad, dtype=np.int8)
+    # the float word lies within [ERASED, 1], so only its dtype gives it away
+    for y in (np.array([[0, 3, 0, 0]], dtype=np.int8), np.array([[0, -2, 0, 0]], dtype=np.int8),
+              np.array([[0, 0.5, 0, -1.0]])):
         with pytest.raises(ValueError, match="^y symbols must be 0, 1 or ERASED"):
             decode_bec_rows(y, mask, fv)
         with pytest.raises(ValueError, match="^y symbols must be 0, 1 or ERASED"):
             genie_bec_rows(y, fv)
         with pytest.raises(ValueError, match="^y symbols must be 0, 1 or ERASED"):
             undetermined_bec_rows(y, mask)
+    # a bool word is a word of 0s and 1s
+    assert undetermined_bec_rows(np.array([[False, True, False, True]]), mask).tolist() == [0]
 
 
 def assert_matches_bec_reference(y, mask, fv):
