@@ -15,7 +15,6 @@ from .gf2 import (
     null_space_basis,
     rank,
     select_columns,
-    select_rows,
 )
 from .polar import (
     CodeParams,
@@ -63,7 +62,7 @@ from .relay import (
 
 __all__ = [
     "__version__",
-    "BitMatrix", "null_space_basis", "rank", "select_columns", "select_rows",
+    "BitMatrix", "null_space_basis", "rank", "select_columns",
     "CodeParams", "PolarCodeSpec", "bit_reversal_permutation",
     "generator_matrix", "transform_rows",
     "BEC", "BSC", "ReliabilityProfile",

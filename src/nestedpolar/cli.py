@@ -15,6 +15,7 @@ plot script so the core keeps zero graphics dependencies.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from datetime import datetime, timezone
@@ -145,13 +146,17 @@ def _header_lines(command: str, params: dict) -> list[str]:
 
 
 def _write_artifacts(files: list[tuple[Path, str]]) -> None:
-    """Write all artifacts, or none: temp files are renamed only at the end."""
+    """Write all artifacts, or none: temp files are renamed only at the end,
+    and only once no target is a directory, which a rename cannot replace."""
     temps = []
     try:
         for path, content in files:
             tmp = path.with_name(path.name + ".tmp")
             temps.append((tmp, path))  # before the write, which can fail halfway
             tmp.write_text(content)
+        for tmp, path in temps:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         for tmp, path in temps:
             os.replace(tmp, path)
     except BaseException:

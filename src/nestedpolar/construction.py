@@ -10,7 +10,6 @@ threshold sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .sc import genie_bec_rows, genie_llr_rows
 __all__ = [
     "BEC",
     "BSC",
-    "ChannelSpec",
     "ReliabilityProfile",
     "bec_reliability",
     "mc_reliability",
@@ -51,9 +49,6 @@ class BSC:
     def __post_init__(self):
         if not 0.0 <= self.crossover_prob <= 0.5:
             raise ValueError(f"crossover probability must be in [0, 1/2], got {self.crossover_prob}")
-
-
-ChannelSpec = Union[BEC, BSC]
 
 
 @dataclass(frozen=True)
@@ -106,7 +101,7 @@ def bec_reliability(n: int, erasure_prob: float) -> ReliabilityProfile:
     return ReliabilityProfile(CodeParams(n), z, exact=True)
 
 
-def mc_reliability(channel: ChannelSpec, n: int, trials: int, seed: int) -> ReliabilityProfile:
+def mc_reliability(channel: BEC | BSC, n: int, trials: int, seed: int) -> ReliabilityProfile:
     """Genie-aided SC Monte-Carlo estimate of each bit-channel's error rate.
 
     Random inputs are encoded, passed through the channel, and decoded
@@ -129,7 +124,7 @@ def mc_reliability(channel: ChannelSpec, n: int, trials: int, seed: int) -> Reli
         u = rng.integers(0, 2, size=(size, N), dtype=np.uint8)
         x = transform_rows(u)
         if isinstance(channel, BEC):
-            flags = genie_bec_rows(bec_sample_rows(x, channel.erasure_prob, rng), u)
+            flags = genie_bec_rows(bec_sample_rows(x, channel.erasure_prob, rng))
         else:
             flags = genie_llr_rows(bsc_sample_rows(x, channel.crossover_prob, rng), u)
         counts += flags.sum(axis=0)

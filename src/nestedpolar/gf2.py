@@ -25,7 +25,6 @@ __all__ = [
     "rank",
     "rank_of_ints",
     "null_space_basis",
-    "select_rows",
     "select_columns",
     "pack_rows",
     "pack_columns",
@@ -46,14 +45,6 @@ class BitMatrix:
         arr.setflags(write=False)
         self._entries = arr
 
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(np.eye(n, dtype=np.uint8))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.uint8))
-
     @property
     def entries(self) -> np.ndarray:
         return self._entries
@@ -70,14 +61,8 @@ class BitMatrix:
     def shape(self) -> tuple[int, int]:
         return self._entries.shape
 
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix(self._entries.T)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, BitMatrix) and np.array_equal(self._entries, other._entries)
-
-    def __hash__(self):
-        return hash((self.shape, self._entries.tobytes()))
 
     def __repr__(self) -> str:
         return f"BitMatrix(rows={self.rows}, cols={self.cols})"
@@ -235,12 +220,6 @@ def _check_index_set(idx, limit: int, name: str = "index set") -> np.ndarray:
         if arr[0] < 0 or arr[-1] >= limit:
             raise ValueError(f"{name} indices must lie in [0, {limit})")
     return arr
-
-
-def select_rows(m: BitMatrix, idx) -> BitMatrix:
-    """Submatrix of the rows listed in ``idx`` (strictly increasing)."""
-    arr = _check_index_set(idx, m.rows)
-    return BitMatrix(m.entries[arr])
 
 
 def select_columns(m: BitMatrix, idx) -> BitMatrix:

@@ -96,41 +96,27 @@ def transform_rows(rows: np.ndarray) -> np.ndarray:
 
 
 class PolarCodeSpec:
-    """A polar code: block structure, information set A, frozen-bit values.
+    """A polar code: block structure and information set A.
 
-    ``PolarCodeSpec(params, info_set, frozen_values)``: ``info_set`` is
-    strictly increasing inside [0, N); ``frozen_values`` is a length-N
-    array of 0/1 values, read only outside A (the meaning of
-    ``decode_bec_rows``'s argument of that name).  The values need not be
-    zero: coset decoding fixes some of them to message bits from another
-    stage.
+    ``PolarCodeSpec(params, info_set)``: ``info_set`` is strictly
+    increasing inside [0, N), and every bit outside it is frozen to zero.
+    On the symmetric channels modelled here the SC error probability does
+    not depend on the frozen values (Arikan 2009).  The decoders still take
+    frozen values as an array, because coset decoding fixes some frozen
+    bits to message bits from another stage.
     """
 
-    __slots__ = ("params", "info_set", "_info_mask", "_u_template")
+    __slots__ = ("params", "info_set", "info_mask")
 
-    def __init__(self, params: CodeParams, info_set, frozen_values):
-        N = params.N
-        info = _check_index_set(info_set, N, "info_set")
-        vals = np.asarray(frozen_values)
-        if vals.shape != (N,):
-            raise ValueError(f"frozen_values must have shape ({N},), got {vals.shape}")
-        mask = np.zeros(N, dtype=bool)
+    def __init__(self, params: CodeParams, info_set):
+        info = _check_index_set(info_set, params.N, "info_set")
+        mask = np.zeros(params.N, dtype=bool)
         mask[info] = True
-        bad = ~mask & (vals != 0) & (vals != 1)
-        if bad.any():
-            raise ValueError(f"frozen value at index {bad.argmax()} must be 0 or 1")
-        template = np.where(mask, 0, vals).astype(np.uint8)
         info.setflags(write=False)
         mask.setflags(write=False)
-        template.setflags(write=False)
         self.params = params
         self.info_set = info
-        self._info_mask = mask
-        self._u_template = template
-
-    @classmethod
-    def zero_frozen(cls, params: CodeParams, info_set) -> "PolarCodeSpec":
-        return cls(params, info_set, np.zeros(params.N, dtype=np.uint8))
+        self.info_mask = mask
 
     @property
     def N(self) -> int:
@@ -140,15 +126,5 @@ class PolarCodeSpec:
     def info_len(self) -> int:
         return self.info_set.size
 
-    @property
-    def info_mask(self) -> np.ndarray:
-        return self._info_mask
-
-    @property
-    def frozen_template(self) -> np.ndarray:
-        """Length-N uint8 array: frozen values, zeros at information positions."""
-        return self._u_template
-
     def __repr__(self) -> str:
         return f"PolarCodeSpec(N={self.N}, |A|={self.info_len})"
-

@@ -15,12 +15,12 @@ destination.
 
 The relay rule: a stage SC-walks a row if and only if the row has an
 information decision made on an erased message (``undetermined_bec_rows``);
-every other row takes the sent bits.  A link encodes the frozen values its
-decoder assumes, and a row whose frozen values are the sent ones with no
-erased information decision decodes to the sent bits, so every outcome is
-what SC decoding gives.  Only the SD stage can freeze other values than
-the sent ones, the coset the destination received; a row whose coset
-arrived wrong is a destination error whatever B decodes to.
+every other row takes the sent bits.  The SR and RD links send and decode
+zeros outside their information sets, and a row whose frozen values are
+the sent ones with no erased information decision decodes to the sent
+bits, so every outcome is what SC decoding gives.  The SD stage freezes
+the coset the destination received; a row whose coset arrived wrong is a
+destination error whatever B decodes to.
 
 Finite-length sizing is driven by the computable union bound: each
 stage's summed bit-channel parameters are pushed under a target by
@@ -140,7 +140,7 @@ def _scheme_designer(spec: RelayChannelSpec, n: int, blocks: int):
 
         source = NestedCodeSpec(params, info, secure)
         rd_info = select_info_set(z_rd, source.message_len)
-        rd_code = PolarCodeSpec.zero_frozen(params, rd_info)
+        rd_code = PolarCodeSpec(params, rd_info)
         bounds = (float(z_sr.z[info].sum()), float(z_sd.z[secure].sum()), float(z_rd.z[rd_info].sum()))
         return RelayScheme(source, rd_code, blocks, regime, margin, bounds)
 
@@ -255,15 +255,15 @@ def simulate_relay(
         return u_hat, undet
 
     def link(link_spec: PolarCodeSpec, bits, erasure_prob: float, block: int, role: int):
-        """Encode bits on link_spec's information set and its frozen values
-        elsewhere, erase each word from its own substream and SC-decode it
-        with link_spec; returns the sent u, the received words, the decoded
+        """Encode bits on link_spec's information set and zeros elsewhere,
+        erase each word from its own substream and SC-decode it with
+        link_spec; returns the sent u, the received words, the decoded
         information bits and the undetermined counts."""
-        u = np.tile(link_spec.frozen_template, (trials, 1))
+        u = np.zeros((trials, N), dtype=np.uint8)
         u[:, link_spec.info_set] = bits
         x = transform_rows(u)
         y = per_trial(block, role, lambda t, rng: bec_sample_rows(x[t], erasure_prob, rng))
-        u_hat, undet = sc_decode(y, link_spec.info_mask, link_spec.frozen_template, u)
+        u_hat, undet = sc_decode(y, link_spec.info_mask, np.zeros(N, dtype=np.uint8), u)
         return u, y, u_hat[:, link_spec.info_set], undet
 
     relay_err = np.zeros((trials, blocks), dtype=bool)

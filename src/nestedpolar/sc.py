@@ -73,8 +73,8 @@ Decoding order is the natural index order of u.
 The entry points (`decode_bec_rows`, `decode_llr_rows`, `genie_bec_rows`,
 `genie_llr_rows`, `undetermined_bec_rows`) take a (batch, N) array of
 received words, one per row, after checking the shapes of their
-arguments (and, for erasure words, that the dtype is integer or bool and
-every symbol is 0, 1 or ERASED).
+arguments, that erasure words hold only 0, 1 or ERASED and frozen values
+only 0 or 1, both of an integer or bool dtype, and that LLRs are finite.
 """
 from __future__ import annotations
 
@@ -192,9 +192,13 @@ def _llr_var(a: np.ndarray, b: np.ndarray, xl: np.ndarray) -> np.ndarray:
 def _llr_messages(llr: np.ndarray) -> np.ndarray:
     """The bit-reversed (N, batch) messages of a (batch, N) LLR array: a
     transposed view of a row-major copy, so each row's messages stay
-    contiguous as the combines read them."""
+    contiguous as the combines read them.  Rejects a non-finite LLR; min and
+    max propagate NaN, so two scans decide it without a (batch, N) temporary."""
     N = llr.shape[1]
-    return np.asarray(llr, dtype=np.float64).take(bit_reversal_permutation(N.bit_length() - 1), axis=1).T
+    msgs = np.asarray(llr, dtype=np.float64).take(bit_reversal_permutation(N.bit_length() - 1), axis=1).T
+    if msgs.size and not np.isfinite([msgs.min(), msgs.max()]).all():
+        raise ValueError("LLR values must be finite")
+    return msgs
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +220,19 @@ def _check_shapes(name: str, words, **per_position) -> tuple[int, int]:
     return nbatch, N
 
 
+def _check_values(name: str, values, low: int, allowed: str) -> None:
+    """Reject entries outside the integers low..1 (erasure symbols are -1, 0
+    and 1, frozen values 0 and 1): an integer or bool dtype and one min/max
+    scan decide it, with no temporary of the array's size."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biu":
+        raise ValueError(f"{name} must be {allowed} of an integer dtype, got {arr.dtype}")
+    if arr.size and (arr.min() < low or arr.max() > 1):
+        raise ValueError(f"{name} must be {allowed}, got values in [{arr.min()}, {arr.max()}]")
+
+
 def _check_erasure_symbols(y: np.ndarray) -> None:
-    """Reject symbols outside {0, 1, ERASED}: the three are the integers
-    -1, 0 and 1, so an integer or bool dtype and one min/max scan of the
-    batch decide it."""
-    if y.dtype.kind not in "biu":
-        raise ValueError(f"y symbols must be 0, 1 or ERASED ({ERASED}) of an integer dtype, got {y.dtype}")
-    if y.size and (y.min() < ERASED or y.max() > 1):
-        raise ValueError(
-            f"y symbols must be 0, 1 or ERASED ({ERASED}), got values in [{y.min()}, {y.max()}]"
-        )
+    _check_values("y symbols", y, ERASED, f"0, 1 or ERASED ({ERASED})")
 
 
 def decode_bec_rows(
@@ -234,12 +241,14 @@ def decode_bec_rows(
     """SC-decode a batch of erasure words.
 
     y is (batch, N) int8 over {0, 1, ERASED}; frozen_values is (N,) or
-    (batch, N) uint8 and is read wherever info_mask is False.  Returns the
-    decoded (batch, N) u array and the per-word count of information-bit
-    decisions that had to be made on an erased message (decided 0).
+    (batch, N) uint8 or bool over {0, 1} and is read wherever info_mask is
+    False.  Returns the decoded (batch, N) u array and the per-word count of
+    information-bit decisions that had to be made on an erased message
+    (decided 0).
     """
     nbatch, N = _check_shapes("y", y, info_mask=info_mask, frozen_values=frozen_values)
     _check_erasure_symbols(y)
+    _check_values("frozen_values", frozen_values, 0, "0 or 1")
     if not nbatch:  # the node rule would still visit the tree for no rows
         return np.zeros((0, N), dtype=np.uint8), np.zeros(0, dtype=np.int64)
     # frozen bits from the start; the walk writes each information bit
@@ -316,17 +325,16 @@ def _erased_leaf_words(y: np.ndarray) -> np.ndarray:
     return words
 
 
-def genie_bec_rows(y: np.ndarray, u_true: np.ndarray) -> np.ndarray:
+def genie_bec_rows(y: np.ndarray) -> np.ndarray:
     """Per-position erasure indicators of genie-aided SC over a batch.
 
     Every decision is replaced by the true bit before propagating, so the
     returned (batch, N) boolean array marks exactly the positions whose
     synthesized bit-channel erased in that trial.  On the BEC whether a
-    message is erased does not depend on any bit value, so u_true, (N,) or
-    (batch, N), only has its shape checked.  No tree walk is made (see
-    ``_erased_leaf_words``).
+    message is erased does not depend on any bit value, so the true bits
+    are not needed.  No tree walk is made (see ``_erased_leaf_words``).
     """
-    nbatch, N = _check_shapes("y", y, u_true=u_true)
+    nbatch, N = _check_shapes("y", y)
     _check_erasure_symbols(y)
     flags = np.unpackbits(_erased_leaf_words(y).view(np.uint8), axis=1, count=N, bitorder="little")
     return flags.take(bit_reversal_permutation(N.bit_length() - 1), axis=1).view(bool)
@@ -335,7 +343,7 @@ def genie_bec_rows(y: np.ndarray, u_true: np.ndarray) -> np.ndarray:
 def undetermined_bec_rows(y: np.ndarray, info_mask: np.ndarray) -> np.ndarray:
     """Per-row count of the information decisions SC makes on an erased
     message: ``decode_bec_rows(y, info_mask, ...)[1]`` for any frozen
-    values, and ``genie_bec_rows(y, ...)[:, info_mask].sum(axis=1)``,
+    values, and ``genie_bec_rows(y)[:, info_mask].sum(axis=1)``,
     without a tree walk or unpacking the flags."""
     nbatch, N = _check_shapes("y", y, info_mask=info_mask)
     _check_erasure_symbols(y)
@@ -353,9 +361,8 @@ def decode_llr_rows(
     frozen_values is as for ``decode_bec_rows``.
     """
     nbatch, N = _check_shapes("llr", llr, info_mask=info_mask, frozen_values=frozen_values)
+    _check_values("frozen_values", frozen_values, 0, "0 or 1")
     msgs = _llr_messages(llr)
-    if not np.isfinite(msgs).all():
-        raise ValueError("LLR values must be finite")
     # msgs views a fresh copy, so clamping it leaves the caller's array alone
     np.clip(msgs, -LLR_CAP, LLR_CAP, out=msgs)
     fv = np.broadcast_to(frozen_values, (nbatch, N))
@@ -376,8 +383,8 @@ def decode_llr_rows(
 
 
 def genie_llr_rows(llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
-    """Per-position hard-decision error indicators of genie-aided SC; llr is
-    used unclamped and unchecked, u_true is (N,) or (batch, N)."""
+    """Per-position hard-decision error indicators of genie-aided SC; llr
+    must be finite and is used unclamped, u_true is (N,) or (batch, N)."""
     nbatch, N = _check_shapes("llr", llr, u_true=u_true)
     u_true = np.broadcast_to(u_true, (nbatch, N))
     flags = np.zeros((nbatch, N), dtype=bool)

@@ -90,7 +90,7 @@ class NestedCodeSpec:
 
     def bob_spec(self) -> PolarCodeSpec:
         """Decoder view at the legitimate receiver: info set A, frozen zeros."""
-        return PolarCodeSpec.zero_frozen(self.params, self.info_set)
+        return PolarCodeSpec(self.params, self.info_set)
 
     def __repr__(self) -> str:
         return (

@@ -70,7 +70,7 @@ def test_criterion_3_degradation_monotonicity():
 
 
 def _sc_block_error_rate(n: int, eps: float, info: np.ndarray, trials: int, seed: int) -> float:
-    spec = PolarCodeSpec.zero_frozen(CodeParams(n), info)
+    spec = PolarCodeSpec(CodeParams(n), info)
     N = 1 << n
     errors = 0
     chunk = max(1, 2_000_000 // N)
@@ -82,7 +82,7 @@ def _sc_block_error_rate(n: int, eps: float, info: np.ndarray, trials: int, seed
         u = np.zeros((size, N), dtype=np.uint8)
         u[:, info] = msgs
         y = bec_sample_rows(transform_rows(u), eps, rng)
-        uhat, _ = decode_bec_rows(y, spec.info_mask, spec.frozen_template)
+        uhat, _ = decode_bec_rows(y, spec.info_mask, np.zeros(N, dtype=np.uint8))
         errors += int(np.any(uhat[:, info] != msgs, axis=1).sum())
         done += size
     return errors / trials

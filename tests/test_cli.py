@@ -107,12 +107,17 @@ def test_out_in_missing_directory_rejected_before_any_computation(tmp_path, caps
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["construct", "wiretap-sweep"])
-def test_failed_write_is_reported_and_leaves_no_file(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, out, taken", [
+    pytest.param("construct", "taken", "taken", id="construct"),
+    pytest.param("wiretap-sweep", "taken", "taken", id="wiretap-sweep"),
+    # the CSV could be renamed into place, but its plot script could not
+    pytest.param("wiretap-sweep", "w.csv", "w_plot.py", id="wiretap-sweep-plot"),
+])
+def test_failed_write_is_reported_and_leaves_no_file(tmp_path, capsys, command, out, taken):
     # renaming a file onto a directory fails after the run
-    target = tmp_path / "taken"
+    target = tmp_path / taken
     target.mkdir()
-    assert main(SMALL_RUNS[command] + ["--out", str(target)]) == 2
+    assert main(SMALL_RUNS[command] + ["--out", str(tmp_path / out)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: out: ") and not captured.out
     assert list(tmp_path.iterdir()) == [target]

@@ -11,7 +11,6 @@ from nestedpolar.gf2 import (
     rank,
     rank_of_ints,
     select_columns,
-    select_rows,
 )
 
 from oracles import F, naive_rank
@@ -22,7 +21,7 @@ def test_bitmatrix_validation():
     assert m.shape == (2, 2)
     with pytest.raises(ValueError):
         BitMatrix([[3]])
-    assert BitMatrix.identity(3) == BitMatrix(np.eye(3, dtype=np.uint8))
+    assert BitMatrix(np.eye(3, dtype=np.uint8)) == BitMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_bitmatrix_rejects_vectors_and_copies_read_only():
@@ -41,8 +40,8 @@ def test_bitmatrix_rejects_vectors_and_copies_read_only():
 
 
 def test_rank_trivial():
-    assert rank(BitMatrix.identity(4)) == 4
-    assert rank(BitMatrix.zeros(3, 5)) == 0
+    assert rank(BitMatrix(np.eye(4, dtype=np.uint8))) == 4
+    assert rank(BitMatrix(np.zeros((3, 5), dtype=np.uint8))) == 0
 
 
 def test_rank_against_independent_elimination():
@@ -56,12 +55,12 @@ def test_rank_equals_transpose_rank():
     rng = np.random.default_rng(5)
     for _ in range(50):
         shape = tuple(rng.integers(1, 12, 2))
-        m = BitMatrix(rng.integers(0, 2, shape, dtype=np.uint8))
-        assert rank(m) == rank(m.transpose())
+        m = rng.integers(0, 2, shape, dtype=np.uint8)
+        assert rank(BitMatrix(m)) == rank(BitMatrix(m.T))
 
 
 def test_null_space_trivial():
-    basis = null_space_basis(BitMatrix.identity(3))
+    basis = null_space_basis(BitMatrix(np.eye(3, dtype=np.uint8)))
     assert basis.shape == (0, 3)
     basis = null_space_basis(BitMatrix([[1, 1]]))
     assert basis == BitMatrix([[1, 1]])
@@ -82,7 +81,7 @@ def test_null_space_postconditions():
 
 
 def test_null_space_zero_rows_gives_identity_rank():
-    h = null_space_basis(BitMatrix.zeros(0, 5))
+    h = null_space_basis(BitMatrix(np.zeros((0, 5), dtype=np.uint8)))
     assert h.rows == 5 and rank(h) == 5
 
 
@@ -94,27 +93,24 @@ def test_rank_nullity():
 
 
 def test_select_trivial():
-    eye = BitMatrix.identity(3)
+    eye = BitMatrix(np.eye(3, dtype=np.uint8))
     got = select_columns(eye, [0, 2])
     assert np.array_equal(got.entries, np.array([[1, 0], [0, 0], [0, 1]]))
-    assert select_rows(BitMatrix(F), [1]) == BitMatrix([[1, 1]])
+    assert select_columns(BitMatrix(F), [1]) == BitMatrix([[0], [1]])
 
 
 def test_select_against_naive_copy():
     rng = np.random.default_rng(3)
     m = rng.integers(0, 2, (8, 8), dtype=np.uint8)
-    rows = [1, 4, 6]
     cols = [0, 2, 3, 7]
-    assert np.array_equal(select_rows(BitMatrix(m), rows).entries,
-                          np.array([[m[i, j] for j in range(8)] for i in rows]))
     assert np.array_equal(select_columns(BitMatrix(m), cols).entries,
                           np.array([[m[i, j] for j in cols] for i in range(8)]))
 
 
 def test_select_errors():
-    m = BitMatrix.identity(4)
+    m = BitMatrix(np.eye(4, dtype=np.uint8))
     with pytest.raises(ValueError):
-        select_rows(m, [0, 4])
+        select_columns(m, [0, 4])
     with pytest.raises(ValueError):
         select_columns(m, [2, 1])
     with pytest.raises(ValueError):
@@ -126,7 +122,7 @@ def test_select_errors():
 
 
 def test_select_empty_index_set():
-    m = BitMatrix.identity(4)
+    m = BitMatrix(np.eye(4, dtype=np.uint8))
     assert select_columns(m, []).shape == (4, 0)
     assert rank(select_columns(m, [])) == 0
 

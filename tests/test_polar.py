@@ -90,44 +90,36 @@ def test_transform_rejects_bad_length():
 
 def test_spec_validation():
     params = CodeParams(2)
-    spec = PolarCodeSpec(params, [1, 3], [0, 0, 1, 0])
-    assert spec.info_len == 2
-    assert np.array_equal(spec.frozen_template, [0, 0, 1, 0])
-    assert not hasattr(spec, "frozen_values")
+    spec = PolarCodeSpec(params, [1, 3])
+    assert spec.N == 4 and spec.info_len == 2
+    assert np.array_equal(spec.info_mask, [False, True, False, True])
+    assert not spec.info_set.flags.writeable and not spec.info_mask.flags.writeable
     with pytest.raises(ValueError):
-        PolarCodeSpec(params, [3, 1], [0, 0, 0, 0])
+        PolarCodeSpec(params, [3, 1])
     with pytest.raises(ValueError):
-        PolarCodeSpec(params, [1, 3], [0, 0, 0])
-    with pytest.raises(ValueError, match="^frozen value at index 2 "):
-        PolarCodeSpec(params, [1, 3], [0, 0, 2, 0])
-    with pytest.raises(ValueError, match="^frozen value at index 0 "):
-        PolarCodeSpec(params, [1, 3], [0.5, 0, 2, 0])
-    assert np.array_equal(PolarCodeSpec(params, [1, 3], [True, 0, 1.0, 0]).frozen_template, [1, 0, 1, 0])
-    # values on the information set are never read
-    assert np.array_equal(PolarCodeSpec(params, [1, 3], [0, 7, 1, 0.5]).frozen_template, [0, 0, 1, 0])
-    with pytest.raises(ValueError):
-        PolarCodeSpec(params, [1, 4], [0, 0, 0, 0])
+        PolarCodeSpec(params, [1, 4])
     with pytest.raises(ValueError, match="^info_set must hold integer"):
-        PolarCodeSpec.zero_frozen(params, [0.7, 2.9])
+        PolarCodeSpec(params, [0.7, 2.9])
     with pytest.raises(ValueError, match="^info_set must hold integer"):
-        PolarCodeSpec(params, np.array([False, True]), [0, 0, 0, 0])
+        PolarCodeSpec(params, np.array([False, True]))
+    # every bit outside the information set is frozen to zero
+    with pytest.raises(TypeError):
+        PolarCodeSpec(params, [1, 3], [0, 0, 1, 0])
 
 
-def codeword(spec, msg):
-    """The codeword of spec carrying the 1-D message msg."""
-    u = spec.frozen_template.copy()
-    u[spec.info_set] = msg
+def codeword(frozen, info, msg):
+    """The codeword carrying the 1-D message msg on info and frozen elsewhere."""
+    u = np.array(frozen, dtype=np.uint8)
+    u[info] = msg
     return transform_rows(u[None, :])[0]
 
 
 def test_encode_all_frozen():
-    spec = PolarCodeSpec.zero_frozen(CodeParams(2), [])
-    assert np.array_equal(codeword(spec, []), [0, 0, 0, 0])
+    assert np.array_equal(codeword(np.zeros(4), [], []), [0, 0, 0, 0])
 
 
 def test_encode_hand_case():
-    spec = PolarCodeSpec(CodeParams(1), [1], [0, 0])
-    assert np.array_equal(codeword(spec, [1]), [1, 1])
+    assert np.array_equal(codeword([0, 0], [1], [1]), [1, 1])
 
 
 def test_encode_matches_explicit_submatrices():
@@ -140,17 +132,16 @@ def test_encode_matches_explicit_submatrices():
         frozen = np.zeros(4, dtype=np.uint8)
         for i in frozen_idx:
             frozen[i] = rng.integers(0, 2)
-        spec = PolarCodeSpec(CodeParams(2), info, frozen)
         msg = rng.integers(0, 2, k, dtype=np.uint8)
         u_frozen = frozen[frozen_idx]
         expected = naive_vec_mat_mul(msg, g[info]) ^ (
             naive_vec_mat_mul(u_frozen, g[frozen_idx]) if frozen_idx.size else 0
         )
-        assert np.array_equal(codeword(spec, msg), expected)
+        assert np.array_equal(codeword(frozen, info, msg), expected)
 
 
 def test_spec_does_not_freeze_caller_arrays():
     info = np.array([0, 1], dtype=np.int64)
-    PolarCodeSpec.zero_frozen(CodeParams(2), info)
+    PolarCodeSpec(CodeParams(2), info)
     info[0] = 1  # caller's array stays writeable
     assert info[0] == 1

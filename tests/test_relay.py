@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 import hashlib
 
@@ -13,7 +12,6 @@ from nestedpolar.relay import (
     calibrate_margin,
     simulate_relay,
 )
-from nestedpolar.polar import PolarCodeSpec
 from nestedpolar.sc import genie_bec_rows
 
 
@@ -236,7 +234,7 @@ def test_error_rich_runs_match_full_sc_walks(monkeypatch, name):
     def checked_decode(y, info_mask, frozen_values):
         u_hat, undet = decode(y, info_mask, frozen_values)
         # the walk's own count of erased decisions is the genie's
-        genie = genie_bec_rows(y, np.zeros(y.shape[1], dtype=np.uint8))
+        genie = genie_bec_rows(y)
         assert np.array_equal(undet, genie[:, info_mask].sum(axis=1))
         walked.append((stages[info_mask.tobytes()], y.shape[0]))
         return u_hat, undet
@@ -251,32 +249,3 @@ def test_error_rich_runs_match_full_sc_walks(monkeypatch, name):
     assert walked == [(stage, int(in_doubt[:, k, stage].sum())) for k in range(blocks) for stage in range(3)]
     assert in_doubt.any(axis=(0, 1)).all()  # rows in doubt in every stage
 
-
-def test_nonzero_frozen_rd_code_walks_only_erased_rows(monkeypatch):
-    # The link encodes an RD code's own frozen values, so nonzero ones put
-    # no extra RD row in doubt: the walked rows are exactly those with an
-    # erased decision, and the report equals that of a run that walks
-    # every row of every stage.
-    design = RelayChannelSpec(0.1, 4 / 9, 0.5)
-    scheme = build_relay_scheme(design, 7, 2, 0.9)
-    rd = scheme.rd_code
-    frozen = np.zeros(rd.N, dtype=np.uint8)
-    frozen[np.flatnonzero(~rd.info_mask)[::2]] = 1
-    scheme = dataclasses.replace(scheme, rd_code=PolarCodeSpec(rd.params, rd.info_set, frozen))
-    rows = []
-    decode = relay.decode_bec_rows
-
-    def recording_decode(y, info_mask, frozen_values):
-        if np.array_equal(info_mask, rd.info_mask):
-            rows.append(y.shape[0])
-        return decode(y, info_mask, frozen_values)
-
-    monkeypatch.setattr(relay, "decode_bec_rows", recording_decode)
-    report = simulate_relay(scheme, design, trials=30, seed=5)
-    assert rows == [int((report.undetermined[:, k, 1] > 0).sum()) for k in range(2)]
-    # counting an erased decision in every row sends every row to the walk
-    monkeypatch.setattr(relay, "undetermined_bec_rows", lambda y, info_mask: np.ones(len(y), dtype=np.int64))
-    walked = simulate_relay(scheme, design, trials=30, seed=5)
-    for field in ("relay_errors", "rd_errors", "dest_errors"):
-        assert np.array_equal(getattr(report, field), getattr(walked, field)), field
-    assert report.rd_errors.any()

@@ -30,18 +30,22 @@ from oracles import (
 
 def random_spec(n, k, rng):
     info = np.sort(rng.choice(1 << n, size=k, replace=False))
-    return PolarCodeSpec.zero_frozen(CodeParams(n), info)
+    return PolarCodeSpec(CodeParams(n), info)
 
 
 def codewords(spec, msgs):
     """Codewords of spec for a (batch, |A|) array of messages."""
-    u = np.broadcast_to(spec.frozen_template, (len(msgs), spec.N)).copy()
+    u = np.zeros((len(msgs), spec.N), dtype=np.uint8)
     u[:, spec.info_set] = msgs
     return transform_rows(u)
 
 
 def bec_decode(spec, y):
-    return decode_bec_rows(y, spec.info_mask, spec.frozen_template)
+    return decode_bec_rows(y, spec.info_mask, np.zeros(spec.N, dtype=np.uint8))
+
+
+def llr_decode(spec, llr):
+    return decode_llr_rows(llr, spec.info_mask, np.zeros(spec.N, dtype=np.uint8))
 
 
 def sample_bec_trials(spec, eps, seed, trials):
@@ -66,7 +70,7 @@ def test_noiseless_round_trip_inverts():
 
 
 def test_all_erased_returns_zero_guesses():
-    spec = PolarCodeSpec.zero_frozen(CodeParams(3), [3, 5, 6, 7])
+    spec = PolarCodeSpec(CodeParams(3), [3, 5, 6, 7])
     y = np.full((1, 8), ERASED, dtype=np.int8)
     u_hat, undet = bec_decode(spec, y)
     assert undet[0] == 4
@@ -76,9 +80,9 @@ def test_all_erased_returns_zero_guesses():
 def test_frozen_positions_always_output_frozen_values():
     rng = np.random.default_rng(8)
     frozen = np.array([1, 0, 1, 1, 0, 0, 0, 0], dtype=np.uint8)
-    spec = PolarCodeSpec(CodeParams(3), [5, 6, 7], frozen)
+    mask = np.arange(8) >= 5
     y = np.array([rng.choice(np.array([0, 1, ERASED], dtype=np.int8), size=8) for _ in range(20)])
-    u_hat, _ = bec_decode(spec, y)
+    u_hat, _ = decode_bec_rows(y, mask, frozen)
     assert np.array_equal(u_hat[:, :5], np.broadcast_to(frozen[:5], (20, 5)))
 
 
@@ -86,7 +90,7 @@ def test_bec_consistency_when_fully_determined():
     # whenever nothing stayed undetermined the re-encoded word must match
     # every unerased received symbol
     info = select_info_set(bec_reliability(4, 0.3), 6)
-    spec = PolarCodeSpec.zero_frozen(CodeParams(4), info)
+    spec = PolarCodeSpec(CodeParams(4), info)
     _, y = sample_bec_trials(spec, 0.3, 50, 200)
     u_hat, undet = bec_decode(spec, y)
     determined = undet == 0
@@ -100,7 +104,7 @@ def test_block_error_rate_within_union_bound():
     n, eps, trials = 3, 0.25, 10_000
     profile = bec_reliability(n, eps)
     info = select_info_set(profile, 4)
-    spec = PolarCodeSpec.zero_frozen(CodeParams(n), info)
+    spec = PolarCodeSpec(CodeParams(n), info)
     bound = profile.z[info].sum()
     msgs, y = sample_bec_trials(spec, eps, 77, trials)
     errors = np.any(bec_decode(spec, y)[0][:, info] != msgs, axis=1).sum()
@@ -109,8 +113,8 @@ def test_block_error_rate_within_union_bound():
 
 
 def test_llr_all_strong_zero_codeword():
-    spec = PolarCodeSpec.zero_frozen(CodeParams(3), [3, 5, 6, 7])
-    u_hat, ties = decode_llr_rows(np.full((1, 8), LLR_CAP), spec.info_mask, spec.frozen_template)
+    spec = PolarCodeSpec(CodeParams(3), [3, 5, 6, 7])
+    u_hat, ties = llr_decode(spec, np.full((1, 8), LLR_CAP))
     assert np.array_equal(u_hat[0, spec.info_set], np.zeros(4))
     assert ties[0] == 0
 
@@ -118,40 +122,30 @@ def test_llr_all_strong_zero_codeword():
 def test_llr_agrees_with_bec_decoder():
     n, N = 6, 64
     info = select_info_set(bec_reliability(n, 0.25), 32)
-    spec = PolarCodeSpec.zero_frozen(CodeParams(n), info)
+    spec = PolarCodeSpec(CodeParams(n), info)
     _, y = sample_bec_trials(spec, 0.25, 42, 1000)
     hard, undet = bec_decode(spec, y)
     y = y[undet == 0]
     llr = np.where(y == ERASED, 0.0, (1.0 - 2.0 * y) * LLR_CAP)
-    soft, _ = decode_llr_rows(llr, spec.info_mask, spec.frozen_template)
+    soft, _ = llr_decode(spec, llr)
     assert np.array_equal(soft[:, info], hard[undet == 0][:, info])
     assert len(y) > 500
 
 
-def test_llr_matches_sequential_ml_reference():
-    rng = np.random.default_rng(13)
-    for trial in range(40):
-        k = int(rng.integers(1, 5))
-        info = np.sort(rng.choice(4, size=k, replace=False))
-        frozen = np.zeros(4, dtype=np.uint8)
-        for i in np.setdiff1d(np.arange(4), info):
-            frozen[i] = rng.integers(0, 2)
-        spec = PolarCodeSpec(CodeParams(2), info, frozen)
-        llrs = np.round(rng.normal(0, 2, 4), 3)  # keep magnitudes moderate
-        got, _ = decode_llr_rows(llrs[None, :], spec.info_mask, spec.frozen_template)
-        expected = sequential_ml_decode(llrs, spec.info_mask, spec.frozen_template)
-        assert np.array_equal(got[0], expected)
-    # whole batches with per-row frozen values; LLRs are rounded to 3
-    # decimals, because exact ties among integer LLRs can fall either way
-    for n in (1, 2, 3):
-        N = 1 << n
-        for _ in range(4):
-            mask = rng.random(N) < rng.random()
-            fv = rng.integers(0, 2, (12, N), dtype=np.uint8)
-            llrs = np.round(rng.normal(0, 2, (12, N)), 3)
-            u_hat, _ = decode_llr_rows(llrs, mask, fv)
-            expected = [sequential_ml_decode(l, mask, f) for l, f in zip(llrs, fv)]
-            assert np.array_equal(u_hat, expected)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 3), nbatch=st.integers(1, 8), data=st.data())
+def test_llr_matches_sequential_ml_reference(n, nbatch, data):
+    # a random information set, frozen values per row, and LLRs rounded to 3
+    # decimals: exact ties, which integer LLRs make often, can fall either
+    # way in the check combine
+    N = 1 << n
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=N, max_size=N), label="mask"))
+    fv = np.array(data.draw(st.lists(st.lists(st.integers(0, 1), min_size=N, max_size=N),
+                                     min_size=nbatch, max_size=nbatch), label="frozen"), dtype=np.uint8)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    llrs = np.round(rng.normal(0, 2, (nbatch, N)), 3)
+    u_hat, _ = decode_llr_rows(llrs, mask, fv)
+    assert np.array_equal(u_hat, [sequential_ml_decode(l, mask, f) for l, f in zip(llrs, fv)])
 
 
 def test_genie_bec_rows_match_recoverability_oracle():
@@ -159,7 +153,7 @@ def test_genie_bec_rows_match_recoverability_oracle():
     u = np.random.default_rng(4).integers(0, 2, patterns.shape, dtype=np.uint8)
     y = np.where(patterns, np.int8(ERASED), transform_rows(u).astype(np.int8))
     expected = np.array([genie_erased_bits(p) for p in patterns])
-    assert np.array_equal(genie_bec_rows(y, u), expected)
+    assert np.array_equal(genie_bec_rows(y), expected)
 
 
 def test_genie_bec_rows_match_recoverability_oracle_random_patterns():
@@ -172,7 +166,7 @@ def test_genie_bec_rows_match_recoverability_oracle_random_patterns():
         u = rng.integers(0, 2, (count, N), dtype=np.uint8)
         y = np.where(erased, np.int8(ERASED), transform_rows(u).astype(np.int8))
         expected = np.array([genie_erased_bits(p) for p in erased])
-        assert np.array_equal(genie_bec_rows(y, u), expected)
+        assert np.array_equal(genie_bec_rows(y), expected)
 
 
 def test_recoverability_oracle_is_the_rank_definition():
@@ -198,9 +192,8 @@ def test_genie_counts_equal_decoder_undetermined_counts():
             fv = rng.integers(0, 2, (nbatch, N) if rng.random() < 0.5 else N, dtype=np.uint8)
             y = rng.integers(0, 2, (nbatch, N)).astype(np.int8)
             y[rng.random((nbatch, N)) < rng.random((nbatch, 1))] = ERASED
-            u = rng.integers(0, 2, (nbatch, N), dtype=np.uint8)
             _, undet = decode_bec_rows(y, mask, fv)
-            assert np.array_equal(genie_bec_rows(y, u)[:, mask].sum(axis=1), undet)
+            assert np.array_equal(genie_bec_rows(y)[:, mask].sum(axis=1), undet)
             counts = undetermined_bec_rows(y, mask)
             assert counts.dtype == np.int64 and np.array_equal(counts, undet)
 
@@ -211,7 +204,7 @@ def test_empty_batches():
     u_hat, undet = decode_bec_rows(y, np.ones(N, dtype=bool), np.zeros(N, dtype=np.uint8))
     assert u_hat.shape == (0, N) and u_hat.dtype == np.uint8
     assert undet.shape == (0,) and undet.dtype == np.int64
-    flags = genie_bec_rows(y, np.zeros(N, dtype=np.uint8))
+    flags = genie_bec_rows(y)
     assert flags.shape == (0, N) and flags.dtype == bool
     counts = undetermined_bec_rows(y, np.ones(N, dtype=bool))
     assert counts.shape == (0,) and counts.dtype == np.int64
@@ -225,7 +218,7 @@ def test_erasure_symbols_checked():
         with pytest.raises(ValueError, match="^y symbols must be 0, 1 or ERASED"):
             decode_bec_rows(y, mask, fv)
         with pytest.raises(ValueError, match="^y symbols must be 0, 1 or ERASED"):
-            genie_bec_rows(y, fv)
+            genie_bec_rows(y)
         with pytest.raises(ValueError, match="^y symbols must be 0, 1 or ERASED"):
             undetermined_bec_rows(y, mask)
     # a bool word is a word of 0s and 1s
@@ -339,8 +332,8 @@ def test_genie_llr_rows_match_sequential_ml_reference():
 
 
 def test_llr_tie_decides_zero():
-    spec = PolarCodeSpec.zero_frozen(CodeParams(2), np.arange(4))
-    u_hat, ties = decode_llr_rows(np.zeros((1, 4)), spec.info_mask, spec.frozen_template)
+    spec = PolarCodeSpec(CodeParams(2), np.arange(4))
+    u_hat, ties = llr_decode(spec, np.zeros((1, 4)))
     assert np.array_equal(u_hat[0], np.zeros(4))
     assert ties[0] == 4
 
@@ -351,23 +344,27 @@ def test_llr_inputs_must_be_finite_and_are_clamped():
         decode_llr_rows(np.array([[np.inf, 1.0, 1.0, 1.0]]), mask, fv)
     with pytest.raises(ValueError, match="finite"):
         decode_llr_rows(np.array([[1.0, 1.0], [np.nan, 1.0]]), mask[:2], fv[:2])
+    # the genie uses LLRs unclamped, but not unchecked
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            genie_llr_rows(np.array([[1.0, 1.0], [1.0, bad]]), fv[:2])
     # Beyond the cap only the sign counts.  Unclamped, unequal magnitudes
     # break the ties the cap makes, and +-1e308 overflows the combines.
     rng = np.random.default_rng(9)
     signs = rng.choice([-1.0, 1.0], size=(32, 8))
     mags = np.concatenate([np.full((2, 8), 1e300), np.full((2, 8), 1e308),
                            10.0 ** rng.uniform(2, 300, (28, 8))])
-    spec = PolarCodeSpec.zero_frozen(CodeParams(3), [3, 5, 6, 7])
+    spec = PolarCodeSpec(CodeParams(3), [3, 5, 6, 7])
     huge = signs * mags
-    got = decode_llr_rows(huge, spec.info_mask, spec.frozen_template)
-    capped = decode_llr_rows(signs * LLR_CAP, spec.info_mask, spec.frozen_template)
+    got = llr_decode(spec, huge)
+    capped = llr_decode(spec, signs * LLR_CAP)
     for g, c in zip(got, capped):
         assert np.array_equal(g, c)
     assert np.array_equal(huge, signs * mags)  # the caller's array is left alone
 
 
 def test_decoders_are_deterministic():
-    spec = PolarCodeSpec.zero_frozen(CodeParams(4), np.arange(0, 16, 2))
+    spec = PolarCodeSpec(CodeParams(4), np.arange(0, 16, 2))
     y = np.resize(np.array([0, 1, ERASED], dtype=np.int8), (1, 16))
     a = bec_decode(spec, y)
     b = bec_decode(spec, y)
@@ -375,8 +372,8 @@ def test_decoders_are_deterministic():
 
 
 def test_word_length_checked():
-    spec = PolarCodeSpec.zero_frozen(CodeParams(3), [7])
-    mask, fv = spec.info_mask, spec.frozen_template
+    spec = PolarCodeSpec(CodeParams(3), [7])
+    mask, fv = spec.info_mask, np.zeros(spec.N, dtype=np.uint8)
     with pytest.raises(ValueError, match=r"^info_mask must have shape \(2,\), got \(8,\)"):
         decode_bec_rows(np.zeros((1, 2), dtype=np.int8), mask, fv)
     with pytest.raises(ValueError, match="^frozen_values must"):
@@ -400,13 +397,20 @@ def test_word_length_checked():
     # cover the words, not run past them
     rng = np.random.default_rng(10)
     u = rng.integers(0, 2, 8, dtype=np.uint8)
-    y = np.where(rng.random((3, 8)) < 0.4, np.int8(ERASED), transform_rows(u[None, :]).astype(np.int8))
-    assert np.array_equal(genie_bec_rows(y, u), genie_bec_rows(y, np.tile(u, (3, 1))))
     llr = rng.normal(0, 2, (3, 8))
     assert np.array_equal(genie_llr_rows(llr, u), genie_llr_rows(llr, np.tile(u, (3, 1))))
     with pytest.raises(ValueError, match="^u_true must"):
-        genie_bec_rows(np.zeros((3, 8), dtype=np.int8), np.zeros((3, 16), dtype=np.uint8))
-    with pytest.raises(ValueError, match="^u_true must"):
         genie_llr_rows(np.zeros((3, 8)), np.zeros((2, 8), dtype=np.uint8))
     with pytest.raises(ValueError, match="^y must"):
-        genie_bec_rows(np.zeros((3, 6), dtype=np.int8), np.zeros((3, 6), dtype=np.uint8))
+        genie_bec_rows(np.zeros((3, 6), dtype=np.int8))
+    # frozen values are 0 or 1, of an integer or bool dtype: a 2 at a
+    # frozen position, in one word or in one row of many, is rejected
+    two = fv.copy()
+    two[0] = 2
+    per_row = np.zeros((2, 8), dtype=np.int8)
+    per_row[1, 3] = -1
+    for decode, words in ((decode_bec_rows, np.zeros((2, 8), dtype=np.int8)), (decode_llr_rows, np.zeros((2, 8)))):
+        for bad in (two, per_row, np.full(8, 0.5)):
+            with pytest.raises(ValueError, match="^frozen_values must be 0 or 1"):
+                decode(words, mask, bad)
+        assert decode(words, mask, np.ones(8, dtype=bool))[0][:, :7].all()

@@ -7,7 +7,7 @@ import pytest
 from nestedpolar import wiretap
 from nestedpolar.channels import RngStream, bec_sample_rows
 from nestedpolar.construction import bec_reliability, select_info_set, select_secure_subset
-from nestedpolar.gf2 import null_space_basis, pack_columns, rank, select_rows
+from nestedpolar.gf2 import BitMatrix, null_space_basis, pack_columns, rank
 from nestedpolar.polar import CodeParams, generator_matrix, transform_rows
 from nestedpolar.sc import ERASED, decode_bec_rows
 from nestedpolar.wiretap import (
@@ -97,9 +97,9 @@ def coset_codewords(code, s, t):
 
 
 def bob_messages(code, y):
-    """Bob's message estimates: SC over A, then restricted to A\\B."""
+    """Bob's message estimates: SC over A with zeros frozen, then restricted to A\\B."""
     bob = code.bob_spec()
-    return decode_bec_rows(y, bob.info_mask, bob.frozen_template)[0][:, code.message_set]
+    return decode_bec_rows(y, bob.info_mask, np.zeros(code.N, dtype=np.uint8))[0][:, code.message_set]
 
 
 def test_alice_encode_zero_and_linearity():
@@ -268,7 +268,7 @@ def test_row_order_keeps_fig1_elimination_short():
     counts = np.zeros(3, dtype=np.int64)
     for h, rows in zip(parity_checks(code), (code.info_set, code.secure_set)):
         returned = pack_columns(h)
-        unreversed = pack_columns(null_space_basis(select_rows(g, rows)))
+        unreversed = pack_columns(null_space_basis(BitMatrix(g.entries[rows])))
         counts += [
             _xor_steps([returned[j] for j in joined], h.rows, highest),
             _xor_steps([unreversed[j] for j in joined], h.rows, lowest),
