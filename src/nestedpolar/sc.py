@@ -26,22 +26,51 @@ domain.
   combines 64 rows, and a value under a set erased bit means nothing.
   The decoder keeps its decisions and the erased bits of its information
   leaves as words and unpacks them once at the end.
-* LLR messages are (position, row) float64.  The decoders pass the
+* LLR messages are (position, row) float64.  The decoder passes the
   transposed view of a row-major bit-reversed copy of the input, not a
   position-major copy: each row's messages then stay contiguous, as the
   combines read them, and no second (batch, N) float array is made.
 
-Two leaf rules run on the LLR domain: a decoder decides information bits
-from their messages and outputs frozen bits as given; a genie records
-whether the bit's decision was wrong and feeds the true bit forward.  The
-erasure domain has only the decoder's leaf rule.  Its genie needs no walk:
-whether a message is erased never depends on a value (the check combine
-erases iff either input is, the variable combine iff both are), so
-`genie_bec_rows` takes each row's erased bits, packed along the row,
-through the n levels of the tree with a few word operations per level,
-for every node and row at once.  `undetermined_bec_rows` counts the
-erased information leaves on the same words: the decoder's undetermined
-counts, without the walk.
+Only the decoders walk the tree.  A decoder decides information bits from
+their messages and outputs frozen bits as given.  A genie feeds every
+bit's true value forward instead, so every bit the walk would feed forward
+is known in advance, and both genies go through the n levels of the tree
+once, every node of a level at once.
+
+The LLR genie `genie_llr_rows` holds the messages position-major and
+bit-reversed, (N, batch) and contiguous, so at depth d
+reshape(2^d, 2, -1) gives the halves a and b of every node of the level.
+Each level sets a <- f(a, b), the left children's messages, and
+b <- g(a, b, xl), the right children's.  The bits x start as
+u F^(x)n in natural order, which are the root's re-encoded bits in slot
+order because bit reversal commutes with F^(x)n; at each level
+x[a] ^= x[b] turns every node's re-encoded bits into its left child's
+xl.  After n levels slot i holds leaf i's message and x holds u, and a
+flag is a hard decision (m < 0) that differs from u.
+
+BSC LLRs take two values, +-ln((1-p)/p), so near the root the messages
+take few distinct values (6, 19, 74, 341 and 2743 after levels 0-4 of one
+3906-row chunk at n=10; below that nearly all are distinct).  While the
+input holds at most two float64 bit patterns, the messages are int32 codes
+into a table of K values.  At each level f runs once per distinct (a, b)
+pair that occurs and g once per distinct (a, b, xl) triple, found by a
+bincount over the 2 K^2 triple indices, and the results, merged by bit
+pattern so that +0.0 and -0.0 stay apart, are the next level's table.
+This is exact: f and g are elementwise ufuncs, which give the same bits
+for the same float64 inputs, so every message is bit for bit the one a
+tree walk computes (the walk is kept as the tests' reference).  Codes are
+kept while 2 K^2 is at most an eighth of the N * batch messages (levels
+0-4 at n=10); the remaining levels run in float64 on blocks of rows
+whose messages take 2 MB, so that the combines' temporaries stay in
+cache.
+
+The erasure genie needs no true bits at all: whether a message is erased
+never depends on a value (the check combine erases iff either input is,
+the variable combine iff both are), so `genie_bec_rows` takes each row's
+erased bits, packed along the row, through the n levels of the tree with
+a few word operations per level, for every node and row at once.
+`undetermined_bec_rows` counts the erased information leaves on the same
+words: the decoder's undetermined counts, without the walk.
 
 The erasure genie's flags also tell which rows a full SC walk could decode
 to anything but the sent bits.  A row whose frozen values are the sent
@@ -382,17 +411,88 @@ def decode_llr_rows(
     return uhat, ties
 
 
+def _genie_code_level(codes: np.ndarray, x: np.ndarray, table: np.ndarray, d: int) -> np.ndarray:
+    """Level d of the LLR genie on messages held as int32 codes into table,
+    in place; returns the table the new codes index.  Each combine runs once
+    per distinct input that occurs, found by a bincount over the (a, b, xl)
+    triples, and the results are merged by bit pattern."""
+    K = table.size
+    c = codes.reshape(1 << d, 2, -1)
+    xs = x.reshape(1 << d, 2, -1)
+    xl = xs[:, 0]
+    xl ^= xs[:, 1]
+    a, b = c[:, 0], c[:, 1]
+    t = a * K
+    t += b
+    t <<= 1
+    t |= xl
+    seen = np.flatnonzero(np.bincount(t.ravel(), minlength=2 * K * K))
+    pair = seen >> 1
+    pairs, pair_of = np.unique(pair, return_inverse=True)
+    checks = _llr_check(table[pairs // K], table[pairs % K])
+    var = _llr_var(table[pair // K], table[pair % K], seen & 1)
+    values, new = np.unique(np.concatenate([checks, var]).view(np.int64), return_inverse=True)
+    lut = np.empty((2, 2 * K * K), dtype=np.int32)
+    lut[0, seen] = new[pair_of]  # the checks' codes come first
+    lut[1, seen] = new[pairs.size :]
+    b[...] = lut[1][t]
+    a[...] = lut[0][t]
+    return values.view(np.float64)
+
+
+def _genie_float_level(m: np.ndarray, x: np.ndarray, d: int) -> None:
+    """Level d of the LLR genie on (N, rows) float64 messages, in place."""
+    v = m.reshape(1 << d, 2, -1)
+    xs = x.reshape(1 << d, 2, -1)
+    xl = xs[:, 0]
+    xl ^= xs[:, 1]
+    a, b = v[:, 0], v[:, 1]
+    checks = _llr_check(a, b)
+    b[...] = _llr_var(a, b, xl)
+    a[...] = checks
+
+
+# Cells (positions x rows) of one block of the LLR genie's float levels:
+# 2 MB of float64, so that the combines' temporaries stay in cache.
+_GENIE_BLOCK_CELLS = 1 << 18
+
+
 def genie_llr_rows(llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
     """Per-position hard-decision error indicators of genie-aided SC; llr
-    must be finite and is used unclamped, u_true is (N,) or (batch, N)."""
+    must be finite and is used unclamped, u_true is (N,) or (batch, N) over
+    {0, 1}.  One pass over the levels of the SC tree, with no walk (see the
+    module docstring)."""
     nbatch, N = _check_shapes("llr", llr, u_true=u_true)
-    u_true = np.broadcast_to(u_true, (nbatch, N))
-    flags = np.zeros((nbatch, N), dtype=bool)
-
-    def leaf(i: int, m: np.ndarray) -> np.ndarray:
-        flags[:, i] = (m < 0).astype(np.uint8) != u_true[:, i]
-        return u_true[:, i]
-
-    _sc_walk(_llr_messages(llr), _llr_check, _llr_var, leaf)
+    _check_values("u_true", u_true, 0, "0 or 1")
+    if not nbatch:
+        return np.zeros((0, N), dtype=bool)
+    llr = np.asarray(llr, dtype=np.float64)
+    if not np.isfinite([llr.min(), llr.max()]).all():
+        raise ValueError("LLR values must be finite")
+    n = N.bit_length() - 1
+    rev = bit_reversal_permutation(n)
+    # the true bits re-encoded, position-major; level d turns the bits of
+    # the level-d nodes into those of their children
+    x = np.array(np.broadcast_to(u_true, (nbatch, N)).T, dtype=np.uint8, order="C")
+    butterfly_rows(x.T)
+    bits = llr.view(np.int64)
+    lo, hi = bits.min(), bits.max()
+    d, codes = 0, None
+    if lo == hi or np.count_nonzero(bits == lo) + np.count_nonzero(bits == hi) == bits.size:
+        table = np.unique([lo, hi]).view(np.float64)
+        codes = np.ascontiguousarray((bits != lo)[:, rev].T, dtype=np.int32)
+        # while the triple index is small next to the batch, and fits int32
+        while d < n and 2 * table.size**2 <= min(N * nbatch // 8, 1 << 31):
+            table = _genie_code_level(codes, x, table, d)
+            d += 1
+    flags = np.empty((nbatch, N), dtype=bool)
+    rows = max(1, _GENIE_BLOCK_CELLS // N)
+    for r0 in range(0, nbatch, rows):
+        r1 = min(r0 + rows, nbatch)
+        m = table[codes[:, r0:r1]] if codes is not None else llr[r0:r1].take(rev, axis=1).T.copy()
+        xb = x[:, r0:r1].copy()
+        for e in range(d, n):
+            _genie_float_level(m, xb, e)
+        # after the last level xb holds the true bits themselves
+        flags[r0:r1] = ((m < 0) != xb).T
     return flags
-

@@ -186,3 +186,34 @@ def bec_sc_reference(y, info_mask, frozen_values):
             if i + 1 < N:
                 m = messages.send(u)
     return u_hat, undetermined
+
+
+def genie_llr_walk(llr, u_true) -> np.ndarray:
+    """Genie-aided SC over a batch of LLR words by a walk of the SC tree.
+
+    The recursion the level-wise ``genie_llr_rows`` replaced, with the same
+    combines (check logaddexp(0, a+b) - logaddexp(a, b), variable
+    b + a (1 - 2 xl)) in the same float order, so the two agree bit for
+    bit.  Messages are (position, row) with positions bit-reversed, so a
+    node's halves are m[:h] and m[h:]; each leaf flags a hard decision
+    that differs from its true bit and feeds the true bit forward.
+    u_true is (N,) or (batch, N).
+    """
+    llr = np.asarray(llr, dtype=np.float64)
+    nbatch, N = llr.shape
+    n = N.bit_length() - 1
+    u = np.broadcast_to(np.asarray(u_true, dtype=np.uint8), (nbatch, N))
+    flags = np.zeros((nbatch, N), dtype=bool)
+
+    def rec(m, lo):
+        if m.shape[0] == 1:
+            flags[:, lo] = (m[0] < 0) != u[:, lo]
+            return u[:, lo][None]
+        h = m.shape[0] // 2
+        a, b = m[:h], m[h:]
+        xl = rec(np.logaddexp(0.0, a + b) - np.logaddexp(a, b), lo)
+        xr = rec(b + a * (1.0 - 2.0 * xl), lo + h)
+        return np.concatenate([xl ^ xr, xr])
+
+    rec(llr[:, [bitrev(i, n) for i in range(N)]].T, 0)
+    return flags

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nestedpolar import sc
-from nestedpolar.channels import RngStream, bec_sample_rows
+from nestedpolar.channels import RngStream, bec_sample_rows, bsc_llr_magnitude, bsc_sample_rows
 from nestedpolar.construction import bec_reliability, select_info_set
 from nestedpolar.polar import CodeParams, PolarCodeSpec, transform_rows
 from nestedpolar.sc import (
@@ -22,6 +22,7 @@ from oracles import (
     bec_sc_reference,
     bitrev,
     genie_erased_bits,
+    genie_llr_walk,
     naive_rank,
     reference_generator,
     sequential_ml_decode,
@@ -331,6 +332,53 @@ def test_genie_llr_rows_match_sequential_ml_reference():
     assert np.array_equal(genie_llr_rows(llr, u), ml != u)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 8),
+    nbatch=st.integers(0, 600),
+    p=st.sampled_from([0.0, 0.5, None]),
+    per_row=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_genie_llr_rows_match_tree_walk(n, nbatch, p, per_row, seed):
+    # BSC LLRs take two values +-L (+-0.0 at p = 1/2), so the genie's top
+    # levels run on codes into a table of distinct values; how many levels
+    # depends on N and the batch size.  Its flags must equal the walk's bit
+    # for bit, and so must those of continuous LLRs, which take the float
+    # levels from the root.
+    rng = np.random.default_rng(seed)
+    N = 1 << n
+    crossover = rng.uniform(0.0, 0.5) if p is None else p
+    u = rng.integers(0, 2, (nbatch, N) if per_row else N, dtype=np.uint8)
+    llr = bsc_sample_rows(transform_rows(np.broadcast_to(u, (nbatch, N))), crossover, rng)
+    assert set(np.abs(llr).ravel()) <= {bsc_llr_magnitude(crossover)}
+    assert np.array_equal(genie_llr_rows(llr, u), genie_llr_walk(llr, u))
+    llr = rng.normal(0.0, 2.0, (nbatch, N))
+    assert np.array_equal(genie_llr_rows(llr, u), genie_llr_walk(llr, u))
+
+
+def test_genie_llr_rows_edge_cases():
+    # an empty batch has no LLR to scan
+    flags = genie_llr_rows(np.zeros((0, 8)), np.zeros(8, dtype=np.uint8))
+    assert flags.shape == (0, 8) and flags.dtype == bool
+    # N = 1: the leaf is the channel, and -0.0 decides 0
+    llr = np.array([[-1.0], [2.0], [0.0], [-0.0]])
+    assert genie_llr_rows(llr, np.array([[1], [1], [0], [1]])).ravel().tolist() == [False, True, False, True]
+    assert genie_llr_rows(llr[:2], np.array([0])).ravel().tolist() == [True, False]
+    # a non-finite LLR is rejected on the two-valued path too
+    for bad in (np.full((3, 4), np.inf), np.array([[-np.inf, np.inf]] * 2), np.full((2, 2), np.nan)):
+        with pytest.raises(ValueError, match="^LLR values must be finite"):
+            genie_llr_rows(bad, np.zeros(bad.shape[1], dtype=np.uint8))
+    # the caller's array is left alone, whatever its layout
+    rng = np.random.default_rng(12)
+    u = rng.integers(0, 2, (300, 64), dtype=np.uint8)
+    for llr in (bsc_sample_rows(transform_rows(u), 0.11, rng), rng.normal(0, 2, (300, 64))):
+        for arr in (llr, np.asfortranarray(llr)):
+            before = arr.copy()
+            assert np.array_equal(genie_llr_rows(arr, u), genie_llr_walk(before, u))
+            assert np.array_equal(arr, before) and np.array_equal(np.signbit(arr), np.signbit(before))
+
+
 def test_llr_tie_decides_zero():
     spec = PolarCodeSpec(CodeParams(2), np.arange(4))
     u_hat, ties = llr_decode(spec, np.zeros((1, 4)))
@@ -401,6 +449,11 @@ def test_word_length_checked():
     assert np.array_equal(genie_llr_rows(llr, u), genie_llr_rows(llr, np.tile(u, (3, 1))))
     with pytest.raises(ValueError, match="^u_true must"):
         genie_llr_rows(np.zeros((3, 8)), np.zeros((2, 8), dtype=np.uint8))
+    # true bits are 0 or 1, of an integer or bool dtype
+    for bad in (np.array([2, 0, 0, 0]), np.array([[0, 1, 0, 0], [0, 0, -1, 0]]), np.zeros(4)):
+        with pytest.raises(ValueError, match="^u_true must be 0 or 1"):
+            genie_llr_rows(np.ones((2, 4)), bad)
+    assert not genie_llr_rows(np.ones((2, 4)), np.zeros(4, dtype=bool)).any()
     with pytest.raises(ValueError, match="^y must"):
         genie_bec_rows(np.zeros((3, 6), dtype=np.int8))
     # frozen values are 0 or 1, of an integer or bool dtype: a 2 at a
