@@ -13,8 +13,6 @@ __version__ = "0.2.0"
 from .gf2 import (
     BitMatrix,
     null_space_basis,
-    rank,
-    select_columns,
 )
 from .polar import (
     CodeParams,
@@ -24,7 +22,6 @@ from .polar import (
     transform_rows,
 )
 from .construction import (
-    BEC,
     BSC,
     ReliabilityProfile,
     bec_reliability,
@@ -62,10 +59,10 @@ from .relay import (
 
 __all__ = [
     "__version__",
-    "BitMatrix", "null_space_basis", "rank", "select_columns",
+    "BitMatrix", "null_space_basis",
     "CodeParams", "PolarCodeSpec", "bit_reversal_permutation",
     "generator_matrix", "transform_rows",
-    "BEC", "BSC", "ReliabilityProfile",
+    "BSC", "ReliabilityProfile",
     "bec_reliability", "mc_reliability", "select_info_set", "select_secure_subset",
     "ERASED", "decode_bec_rows", "decode_llr_rows", "genie_bec_rows", "genie_llr_rows",
     "undetermined_bec_rows",

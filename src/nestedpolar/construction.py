@@ -1,8 +1,8 @@
 """Bit-channel reliability and information/secure set selection.
 
 For the BEC the per-index parameters come from the exact polarization
-recursion z -> (2z - z^2, z^2); for other symmetric channels they are
-genie-aided Monte-Carlo estimates of each bit-channel's error indicator.
+recursion z -> (2z - z^2, z^2); for the BSC they are genie-aided
+Monte-Carlo estimates of each bit-channel's error indicator.
 Selection is size-based: the k most reliable indices, ties broken toward
 the smaller index, which is the finite-length stand-in for the asymptotic
 threshold sets.
@@ -13,13 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import RngStream, bec_sample_rows, bsc_sample_rows
+from .channels import RngStream, bsc_sample_rows
 from .gf2 import _check_index_set
 from .polar import CodeParams, transform_rows
-from .sc import genie_bec_rows, genie_llr_rows
+from .sc import genie_llr_rows
 
 __all__ = [
-    "BEC",
     "BSC",
     "ReliabilityProfile",
     "bec_reliability",
@@ -27,17 +26,6 @@ __all__ = [
     "select_info_set",
     "select_secure_subset",
 ]
-
-
-@dataclass(frozen=True)
-class BEC:
-    """Binary erasure channel."""
-
-    erasure_prob: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.erasure_prob <= 1.0:
-            raise ValueError(f"erasure probability must be in [0, 1], got {self.erasure_prob}")
 
 
 @dataclass(frozen=True)
@@ -89,6 +77,7 @@ def bec_reliability(n: int, erasure_prob: float) -> ReliabilityProfile:
     stage preserves the mean exactly and values are clamped to [0, 1] to
     absorb rounding.
     """
+    params = CodeParams(n)
     if not 0.0 <= erasure_prob <= 1.0:
         raise ValueError(f"erasure probability must be in [0, 1], got {erasure_prob}")
     z = np.array([erasure_prob], dtype=np.float64)
@@ -98,17 +87,16 @@ def bec_reliability(n: int, erasure_prob: float) -> ReliabilityProfile:
         nxt[1::2] = z * z
         np.clip(nxt, 0.0, 1.0, out=nxt)
         z = nxt
-    return ReliabilityProfile(CodeParams(n), z, exact=True)
+    return ReliabilityProfile(params, z, exact=True)
 
 
-def mc_reliability(channel: BEC | BSC, n: int, trials: int, seed: int) -> ReliabilityProfile:
-    """Genie-aided SC Monte-Carlo estimate of each bit-channel's error rate.
+def mc_reliability(channel: BSC, n: int, trials: int, seed: int) -> ReliabilityProfile:
+    """Genie-aided SC Monte-Carlo estimate of each BSC bit-channel's error rate.
 
     Random inputs are encoded, passed through the channel, and decoded
-    with every past decision replaced by the true bit.  For the BEC the
-    per-index indicator is "message erased" (the exact event behind the
-    Bhattacharyya parameter); for the BSC it is a hard-decision error.
-    Deterministic given (channel, n, trials, seed).
+    with every past decision replaced by the true bit; the per-index
+    indicator is a hard-decision error.  Deterministic given (channel, n,
+    trials, seed).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -123,10 +111,7 @@ def mc_reliability(channel: BEC | BSC, n: int, trials: int, seed: int) -> Reliab
         rng = RngStream(seed, chunk_index).generator()
         u = rng.integers(0, 2, size=(size, N), dtype=np.uint8)
         x = transform_rows(u)
-        if isinstance(channel, BEC):
-            flags = genie_bec_rows(bec_sample_rows(x, channel.erasure_prob, rng))
-        else:
-            flags = genie_llr_rows(bsc_sample_rows(x, channel.crossover_prob, rng), u)
+        flags = genie_llr_rows(bsc_sample_rows(x, channel.crossover_prob, rng), u)
         counts += flags.sum(axis=0)
         done += size
         chunk_index += 1

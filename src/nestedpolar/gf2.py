@@ -1,8 +1,8 @@
-"""Dense GF(2) linear algebra: rank, null spaces, submatrix selection.
+"""Dense GF(2) linear algebra: bit matrices, packing and online rank.
 
 Matrices are immutable bit containers backed by numpy uint8 arrays, and
 words are rows of plain uint8 arrays throughout the package.  The
-elimination kernels pack rows (or columns) into Python integers, one bit
+elimination kernels pack columns (or rows) into Python integers, one bit
 per position, so every row update is a single word-parallel XOR on
 machine words.  That is what keeps 1024-column rank computations
 affordable inside Monte-Carlo loops.  Rank elimination
@@ -15,18 +15,14 @@ throughout the package.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 __all__ = [
     "BitMatrix",
     "IncrementalRank",
-    "rank",
-    "rank_of_ints",
     "null_space_basis",
-    "select_columns",
-    "pack_rows",
     "pack_columns",
 ]
 
@@ -89,11 +85,6 @@ def _unpack_int(x: int, n: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n, bitorder="little")
 
 
-def pack_rows(m: BitMatrix) -> list[int]:
-    """Rows of ``m`` as integers, bit j of each integer being column j."""
-    return _pack_2d(m.entries)
-
-
 def pack_columns(m: BitMatrix) -> list[int]:
     """Columns of ``m`` as integers, bit i of each integer being row i."""
     return _pack_2d(np.ascontiguousarray(m.entries.T))
@@ -140,19 +131,6 @@ class IncrementalRank:
         return False
 
 
-def rank_of_ints(vectors: Iterable[int], width: int) -> int:
-    """GF(2) rank of a family of packed vectors, each below ``2**width``."""
-    acc = IncrementalRank(width)
-    for v in vectors:
-        acc.add(v)
-    return acc.rank
-
-
-def rank(m: BitMatrix) -> int:
-    """Rank of ``m`` over GF(2) via Gaussian elimination on packed rows."""
-    return rank_of_ints(pack_rows(m), m.cols)
-
-
 def _rref_pivot_rows(row_ints: Sequence[int]) -> dict[int, int]:
     """Reduced row echelon form; returns {pivot column: fully reduced row}."""
     pivots: dict[int, int] = {}
@@ -183,7 +161,7 @@ def null_space_basis(m: BitMatrix) -> BitMatrix:
     basis-independent.
     """
     ncols = m.cols
-    pivots = _rref_pivot_rows(pack_rows(m))
+    pivots = _rref_pivot_rows(_pack_2d(m.entries))
     pivot_cols = set(pivots)
     basis: list[int] = []
     for f in range(ncols):
@@ -201,10 +179,10 @@ def null_space_basis(m: BitMatrix) -> BitMatrix:
 
 
 # ---------------------------------------------------------------------------
-# selection
+# index sets
 
 
-def _check_index_set(idx, limit: int, name: str = "index set") -> np.ndarray:
+def _check_index_set(idx, limit: int, name: str) -> np.ndarray:
     """A fresh int64 copy of ``idx``, checked to hold integers (bool is not
     one; an empty input of any dtype is the empty set), to be 1-D, strictly
     increasing and inside [0, limit); errors start with ``name``."""
@@ -220,9 +198,3 @@ def _check_index_set(idx, limit: int, name: str = "index set") -> np.ndarray:
         if arr[0] < 0 or arr[-1] >= limit:
             raise ValueError(f"{name} indices must lie in [0, {limit})")
     return arr
-
-
-def select_columns(m: BitMatrix, idx) -> BitMatrix:
-    """Submatrix of the columns listed in ``idx`` (strictly increasing)."""
-    arr = _check_index_set(idx, m.cols)
-    return BitMatrix(m.entries[:, arr])

@@ -65,10 +65,11 @@ def bit_reversal_permutation(n: int) -> np.ndarray:
 
 def generator_matrix(n: int) -> BitMatrix:
     """G = R F^(x)n: the n-th Kronecker power of F with bit-reversed rows."""
+    rev = bit_reversal_permutation(n)  # checks n before the 4^n-cell product
     m = np.array([[1]], dtype=np.uint8)
     for _ in range(n):
         m = np.kron(F, m)
-    return BitMatrix(m[bit_reversal_permutation(n)])
+    return BitMatrix(m[rev])
 
 
 def butterfly_rows(x: np.ndarray) -> np.ndarray:

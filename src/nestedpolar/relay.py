@@ -248,8 +248,6 @@ def simulate_relay(
         information decision; every other row takes u_sent (module docstring)."""
         undet = undetermined_bec_rows(y, info_mask)
         doubt = undet > 0
-        if doubt.all():  # every row is walked: skip the copies of y, frozen and u_sent
-            return decode_bec_rows(y, info_mask, frozen)[0], undet
         u_hat = u_sent.copy()
         u_hat[doubt], _ = decode_bec_rows(y[doubt], info_mask, np.broadcast_to(frozen, u_sent.shape)[doubt])
         return u_hat, undet

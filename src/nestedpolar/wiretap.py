@@ -27,8 +27,6 @@ from .gf2 import (
     _check_index_set,
     null_space_basis,  # noqa: F401  (unused; the benchmark tracer still resolves this name)
     pack_columns,
-    rank,
-    select_columns,
 )
 from .polar import (
     CodeParams,
@@ -202,9 +200,19 @@ def equivocation_rank(h: BitMatrix, h_s: BitMatrix, erased) -> int:
     rank of the subcode checks restricted to the erased columns minus
     rank of the overall-code checks restricted to the same columns;
     non-negative because the overall code's dual lies inside the
-    subcode's dual.
+    subcode's dual.  Each rank is an ``IncrementalRank`` over the packed
+    erased columns, the engine the sweep uses.
     """
-    return rank(select_columns(h_s, erased)) - rank(select_columns(h, erased))
+    idx = _check_index_set(erased, h.cols, "erased").tolist()
+
+    def erased_rank(m: BitMatrix) -> int:
+        cols = pack_columns(m)
+        acc = IncrementalRank(m.rows)
+        for j in idx:
+            acc.add(cols[j])
+        return acc.rank
+
+    return erased_rank(h_s) - erased_rank(h)
 
 
 def equivocation_bruteforce(code: NestedCodeSpec, erased) -> float:

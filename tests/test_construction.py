@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from nestedpolar.channels import RngStream, bec_sample_rows
 from nestedpolar.construction import (
-    BEC,
     BSC,
     ReliabilityProfile,
     bec_reliability,
@@ -10,7 +12,8 @@ from nestedpolar.construction import (
     select_info_set,
     select_secure_subset,
 )
-from nestedpolar.polar import CodeParams
+from nestedpolar.polar import CodeParams, transform_rows
+from nestedpolar.sc import genie_bec_rows
 
 from oracles import exhaustive_bec_bitchannel_z
 
@@ -31,6 +34,20 @@ def test_bec_reliability_matches_exhaustive_enumeration():
 def test_bec_reliability_validates():
     with pytest.raises(ValueError):
         bec_reliability(3, 1.5)
+    with pytest.raises(ValueError, match="^n must be in"):
+        bec_reliability(-1, 0.5)
+
+
+def test_bec_reliability_checks_n_before_the_recursion():
+    # n = 22 would build 2^22 values (tens of MB) before the check
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^n must be in"):
+            bec_reliability(22, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_mean_preservation():
@@ -108,20 +125,23 @@ def test_selection_reads_stable_order_under_heavy_ties():
 
 def test_channel_spec_validation():
     with pytest.raises(ValueError):
-        BEC(-0.1)
+        BSC(-0.1)
     with pytest.raises(ValueError):
         BSC(0.6)
 
 
 def test_mc_reliability_bec_tracks_exact_recursion():
-    exact = bec_reliability(4, 0.5).z
-    est = mc_reliability(BEC(0.5), 4, trials=100_000, seed=1)
-    assert not est.exact
-    assert np.all(np.abs(est.z - exact) < 0.02)
+    # The genie erasure frequency is the Monte-Carlo estimate of the exact
+    # BEC recursion's z, one erased-message indicator per bit-channel.
+    rng = RngStream(1, 0).generator()
+    u = rng.integers(0, 2, size=(100_000, 16), dtype=np.uint8)
+    freq = genie_bec_rows(bec_sample_rows(transform_rows(u), 0.5, rng)).mean(axis=0)
+    assert np.all(np.abs(freq - bec_reliability(4, 0.5).z) < 0.02)
 
 
 def test_mc_reliability_noiseless_bsc():
     est = mc_reliability(BSC(0.0), 5, trials=500, seed=0)
+    assert not est.exact
     assert est.z.sum() == 0.0
 
 

@@ -2,18 +2,10 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from nestedpolar.gf2 import (
-    BitMatrix,
-    IncrementalRank,
-    null_space_basis,
-    pack_columns,
-    pack_rows,
-    rank,
-    rank_of_ints,
-    select_columns,
-)
+from nestedpolar.gf2 import BitMatrix, IncrementalRank, null_space_basis, pack_columns
+from nestedpolar.wiretap import equivocation_rank
 
-from oracles import F, naive_rank
+from oracles import naive_rank
 
 
 def test_bitmatrix_validation():
@@ -39,26 +31,6 @@ def test_bitmatrix_rejects_vectors_and_copies_read_only():
     assert m.entries[0, 0] == 1
 
 
-def test_rank_trivial():
-    assert rank(BitMatrix(np.eye(4, dtype=np.uint8))) == 4
-    assert rank(BitMatrix(np.zeros((3, 5), dtype=np.uint8))) == 0
-
-
-def test_rank_against_independent_elimination():
-    rng = np.random.default_rng(123)
-    for _ in range(100):
-        m = rng.integers(0, 2, (8, 8), dtype=np.uint8)
-        assert rank(BitMatrix(m)) == naive_rank(m)
-
-
-def test_rank_equals_transpose_rank():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        shape = tuple(rng.integers(1, 12, 2))
-        m = rng.integers(0, 2, shape, dtype=np.uint8)
-        assert rank(BitMatrix(m)) == rank(BitMatrix(m.T))
-
-
 def test_null_space_trivial():
     basis = null_space_basis(BitMatrix(np.eye(3, dtype=np.uint8)))
     assert basis.shape == (0, 3)
@@ -73,8 +45,8 @@ def test_null_space_postconditions():
         arr = rng.integers(0, 2, shape, dtype=np.uint8)
         m = BitMatrix(arr)
         h = null_space_basis(m)
-        assert h.shape[0] == m.cols - rank(m)
-        assert rank(h) == h.rows
+        assert h.shape[0] == m.cols - naive_rank(arr)
+        assert naive_rank(h.entries) == h.rows
         if h.rows:
             prod = (arr.astype(np.int64) @ h.entries.T.astype(np.int64)) % 2
             assert not prod.any()
@@ -82,58 +54,47 @@ def test_null_space_postconditions():
 
 def test_null_space_zero_rows_gives_identity_rank():
     h = null_space_basis(BitMatrix(np.zeros((0, 5), dtype=np.uint8)))
-    assert h.rows == 5 and rank(h) == 5
+    assert h.rows == 5 and naive_rank(h.entries) == 5
 
 
 def test_rank_nullity():
     rng = np.random.default_rng(11)
     for _ in range(30):
-        m = BitMatrix(rng.integers(0, 2, (7, 11), dtype=np.uint8))
-        assert rank(null_space_basis(m)) + rank(m) == m.cols
+        arr = rng.integers(0, 2, (7, 11), dtype=np.uint8)
+        assert naive_rank(null_space_basis(BitMatrix(arr)).entries) + naive_rank(arr) == arr.shape[1]
 
 
-def test_select_trivial():
-    eye = BitMatrix(np.eye(3, dtype=np.uint8))
-    got = select_columns(eye, [0, 2])
-    assert np.array_equal(got.entries, np.array([[1, 0], [0, 0], [0, 1]]))
-    assert select_columns(BitMatrix(F), [1]) == BitMatrix([[0], [1]])
-
-
-def test_select_against_naive_copy():
-    rng = np.random.default_rng(3)
-    m = rng.integers(0, 2, (8, 8), dtype=np.uint8)
-    cols = [0, 2, 3, 7]
-    assert np.array_equal(select_columns(BitMatrix(m), cols).entries,
-                          np.array([[m[i, j] for j in cols] for i in range(8)]))
+# equivocation_rank selects the erased columns of H and H_s, and checks the
+# erased set as an index set.
+_H = BitMatrix(np.eye(4, dtype=np.uint8)[2:])
+_H_S = BitMatrix(np.eye(4, dtype=np.uint8)[1:])
 
 
 def test_select_errors():
-    m = BitMatrix(np.eye(4, dtype=np.uint8))
-    with pytest.raises(ValueError):
-        select_columns(m, [0, 4])
-    with pytest.raises(ValueError):
-        select_columns(m, [2, 1])
-    with pytest.raises(ValueError):
-        select_columns(m, [1, 1])
+    with pytest.raises(ValueError, match="^erased indices must lie in"):
+        equivocation_rank(_H, _H_S, [0, 4])
+    with pytest.raises(ValueError, match="^erased indices must lie in"):
+        equivocation_rank(_H, _H_S, [-1, 2])
+    with pytest.raises(ValueError, match="^erased must be strictly increasing"):
+        equivocation_rank(_H, _H_S, [2, 1])
+    with pytest.raises(ValueError, match="^erased must be strictly increasing"):
+        equivocation_rank(_H, _H_S, [1, 1])
     # non-integer indices are rejected, not truncated or read as 0/1
     for idx in ([0.7, 2.9], [0.0, 1.0], [False, True]):
-        with pytest.raises(ValueError, match="^index set must hold integer"):
-            select_columns(m, idx)
+        with pytest.raises(ValueError, match="^erased must hold integer"):
+            equivocation_rank(_H, _H_S, idx)
 
 
 def test_select_empty_index_set():
-    m = BitMatrix(np.eye(4, dtype=np.uint8))
-    assert select_columns(m, []).shape == (4, 0)
-    assert rank(select_columns(m, [])) == 0
+    assert equivocation_rank(_H, _H_S, []) == 0
+    assert equivocation_rank(_H, _H_S, np.array([], dtype=np.float64)) == 0
+    assert equivocation_rank(_H, _H_S, [1]) == 1
+    assert equivocation_rank(_H, _H_S, [0, 1, 2, 3]) == 1
 
 
 def test_packing_round_trip():
     rng = np.random.default_rng(17)
-    m = BitMatrix(rng.integers(0, 2, (5, 70), dtype=np.uint8))
-    rows = pack_rows(m)
-    for i, r in enumerate(rows):
-        bits = [(r >> j) & 1 for j in range(m.cols)]
-        assert np.array_equal(bits, m.entries[i])
+    m = BitMatrix(rng.integers(0, 2, (70, 5), dtype=np.uint8))
     cols = pack_columns(m)
     for j, c in enumerate(cols):
         bits = [(c >> i) & 1 for i in range(m.rows)]
@@ -145,7 +106,7 @@ def test_incremental_rank_matches_batch():
     for _ in range(20):
         m = rng.integers(0, 2, (10, 10), dtype=np.uint8)
         acc = IncrementalRank(10)
-        for v in pack_rows(BitMatrix(m)):
+        for v in pack_columns(BitMatrix(m.T)):
             acc.add(v)
         assert acc.rank == naive_rank(m)
 
@@ -202,7 +163,9 @@ def test_incremental_rank_skips_reduction_at_full_rank():
 
 
 def test_incremental_rank_width():
-    assert rank_of_ints([0, 0], 0) == 0
-    assert rank_of_ints([0b10, 0b01, 0b11], 2) == 2
+    acc = IncrementalRank(0)
+    assert not acc.add(0) and not acc.add(0) and acc.rank == 0
+    acc = IncrementalRank(2)
+    assert [acc.add(v) for v in (0b10, 0b01, 0b11)] == [True, True, False] and acc.rank == 2
     with pytest.raises(ValueError, match="width"):
         IncrementalRank(-1)

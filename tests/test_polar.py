@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nestedpolar.gf2 import BitMatrix, rank
+from nestedpolar.gf2 import BitMatrix
 from nestedpolar.polar import (
     CodeParams,
     PolarCodeSpec,
@@ -11,7 +11,7 @@ from nestedpolar.polar import (
     transform_rows,
 )
 
-from oracles import F, kron_power, naive_vec_mat_mul, reference_generator
+from oracles import F, kron_power, naive_rank, naive_vec_mat_mul, reference_generator
 
 
 def test_code_params_guard():
@@ -21,6 +21,10 @@ def test_code_params_guard():
         CodeParams(21)
     with pytest.raises(ValueError):
         CodeParams(-1)
+    # n is checked before the 4^n-cell Kronecker product is built
+    for n in (-1, 21):
+        with pytest.raises(ValueError, match="^n must be in"):
+            generator_matrix(n)
 
 
 def test_bit_reversal_small():
@@ -48,7 +52,7 @@ def test_generator_matrix_matches_reference():
 
 def test_generator_matrix_full_rank():
     for n in range(0, 11):
-        assert rank(generator_matrix(n)) == 1 << n
+        assert naive_rank(generator_matrix(n).entries) == 1 << n
 
 
 def test_transform_zero_and_hand_case():
