@@ -7,6 +7,12 @@ experiment byte-reproducible.  Erasures are drawn by thresholding uniforms
 (erase iff draw < eps), so runs that differ only in an erasure probability
 are coupled monotonically when they share a stream.  Each sampler maps an
 array of words, one per row, to its channel outputs in the same shape.
+
+The erasure pattern does not depend on the input: one uniform is drawn per
+position whatever the symbol there.  ERASED is all ones in int8, so on twin
+generators ``bec_sample_rows(x, p, rng)`` equals the sampler's output on the
+all-zero word ORed with x, and for a pattern e over {ERASED, 0} the cascade
+of ``e | x`` is the cascade of e ORed with x.
 """
 from __future__ import annotations
 
@@ -37,6 +43,10 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
+        for name in ("master_seed", "stream_id"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
         if self.stream_id < 0:
@@ -48,14 +58,19 @@ class RngStream:
 
 
 def bec_sample_rows(x: np.ndarray, erasure_prob: float, rng: np.random.Generator) -> np.ndarray:
-    """Erase each position of an array of 0/1 symbols or three-valued words
-    independently (erased stays erased); returns int8.  ``cascade_rows`` is
-    this sampler.  One uniform is drawn per position, erased or not, so the
-    stream layout is independent of the input pattern."""
+    """Erase each position of an integer or bool array of 0/1 symbols or
+    three-valued words independently (erased stays erased); returns int8.
+    ``cascade_rows`` is this sampler.  One uniform is drawn per position,
+    erased or not, so the pattern does not depend on the input."""
     if not 0.0 <= erasure_prob <= 1.0:
         raise ValueError(f"erasure probability must be in [0, 1], got {erasure_prob}")
-    draws = rng.random(x.shape)
-    return np.where(draws < erasure_prob, np.int8(ERASED), x.astype(np.int8))
+    if x.dtype.kind not in "biu":
+        raise ValueError(f"x must be an integer or bool array, got dtype {x.dtype}")
+    # ERASED is all ones, so the erased mask times ERASED ORed with x erases
+    # without a branch on the unpredictable mask
+    y = (rng.random(x.shape) < erasure_prob).view(np.int8)
+    np.multiply(y, np.int8(ERASED), out=y)
+    return np.bitwise_or(y, x, out=y, dtype=np.int8, casting="unsafe")
 
 
 cascade_rows = bec_sample_rows

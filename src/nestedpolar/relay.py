@@ -14,13 +14,14 @@ propagate into the forwarded coset; there is no genie at the relay or the
 destination.
 
 The relay rule: a stage SC-walks a row if and only if the row has an
-information decision made on an erased message (``undetermined_bec_rows``);
-every other row takes the sent bits.  The SR and RD links send and decode
-zeros outside their information sets, and a row whose frozen values are
-the sent ones with no erased information decision decodes to the sent
-bits, so every outcome is what SC decoding gives.  The SD stage freezes
-the coset the destination received; a row whose coset arrived wrong is a
-destination error whatever B decodes to.
+information decision made on an erased message (``undetermined_bec_rows``,
+which reads only erasures); every other row takes the sent bits, so words
+are encoded and received only for the rows in doubt.  The SR and RD links
+send and decode zeros outside their information sets, and a row whose
+frozen values are the sent ones with no erased information decision decodes
+to the sent bits, so every outcome is what SC decoding gives.  The SD stage
+freezes the coset the destination received; a row whose coset arrived wrong
+is a destination error whatever B decodes to.
 
 Finite-length sizing is driven by the computable union bound: each
 stage's summed bit-channel parameters are pushed under a target by
@@ -217,14 +218,14 @@ def simulate_relay(
     Uses blocks+1 slots: the source is active in blocks 1..blocks, the
     relay forwards block k's coset during block k+1, and the destination
     resolves block k once that arrives.  The SR and RD stages are one link
-    step each: encode the bits on a code's information set, erase each
-    word, SC-decode it with that code.  SD outputs are the SR outputs
-    further erased, preserving physical degradedness.  The rows each stage
-    SC-walks follow the rule in the module docstring; the undetermined
-    counts come from ``undetermined_bec_rows``, which counts the erased
-    decisions the walk would make.  Deterministic given the seed: each
-    (trial, block, role) draws from its own substream, so erasure-rate
-    changes couple monotonically.
+    step each: put the bits on a code's information set, erase each word,
+    SC-decode it with that code.  A word's erasure pattern is the sampler
+    on the all-zero word, ORed with the word to receive it; the SD pattern
+    is the SR pattern further erased, preserving physical degradedness.
+    The rows each stage SC-walks, and the undetermined counts
+    (``undetermined_bec_rows``), follow the module docstring's rule.
+    Deterministic given the seed: each (trial, block, role) draws from its
+    own substream, so erasure-rate changes couple monotonically.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -235,6 +236,7 @@ def simulate_relay(
     source_spec = code.bob_spec()
     sd_mask = np.zeros(N, dtype=bool)
     sd_mask[code.secure_set] = True
+    zero_word = np.zeros(N, dtype=np.int8)
 
     def per_trial(block: int, role: int, draw) -> np.ndarray:
         """Stack draw(t, rng) over the trials, rng from the (t, block, role) substream."""
@@ -243,40 +245,38 @@ def simulate_relay(
             for t in range(trials)
         ])
 
-    def sc_decode(y, info_mask, frozen, u_sent):
-        """SC-decode y against frozen, walking only the rows with an erased
-        information decision; every other row takes u_sent (module docstring)."""
-        undet = undetermined_bec_rows(y, info_mask)
+    def sc_decode(e, info_mask, frozen, u_sent):
+        """SC-decode u_sent's codewords erased by the patterns e against frozen;
+        only rows in doubt are encoded and walked (module docstring)."""
+        undet = undetermined_bec_rows(e, info_mask)
         doubt = undet > 0
+        y = e[doubt] | transform_rows(u_sent[doubt]).view(np.int8)
         u_hat = u_sent.copy()
-        u_hat[doubt], _ = decode_bec_rows(y[doubt], info_mask, np.broadcast_to(frozen, u_sent.shape)[doubt])
+        u_hat[doubt], _ = decode_bec_rows(y, info_mask, np.broadcast_to(frozen, u_sent.shape)[doubt])
         return u_hat, undet
 
     def link(link_spec: PolarCodeSpec, bits, erasure_prob: float, block: int, role: int):
-        """Encode bits on link_spec's information set and zeros elsewhere,
-        erase each word from its own substream and SC-decode it with
-        link_spec; returns the sent u, the received words, the decoded
+        """Send bits on link_spec's information set and zeros elsewhere, draw
+        each word's erasure pattern from its own substream and SC-decode it
+        with link_spec; returns the sent u, the patterns, the decoded
         information bits and the undetermined counts."""
         u = np.zeros((trials, N), dtype=np.uint8)
         u[:, link_spec.info_set] = bits
-        x = transform_rows(u)
-        y = per_trial(block, role, lambda t, rng: bec_sample_rows(x[t], erasure_prob, rng))
-        u_hat, undet = sc_decode(y, link_spec.info_mask, np.zeros(N, dtype=np.uint8), u)
-        return u, y, u_hat[:, link_spec.info_set], undet
+        e = per_trial(block, role, lambda t, rng: bec_sample_rows(zero_word, erasure_prob, rng))
+        u_hat, undet = sc_decode(e, link_spec.info_mask, zero_word, u)
+        return u, e, u_hat[:, link_spec.info_set], undet
 
-    relay_err = np.zeros((trials, blocks), dtype=bool)
-    rd_err = np.zeros((trials, blocks), dtype=bool)
-    dest_err = np.zeros((trials, blocks), dtype=bool)
+    relay_err, rd_err, dest_err = np.zeros((3, trials, blocks), dtype=bool)
     undet = np.zeros((trials, blocks, 3), dtype=np.int64)
 
     for k in range(blocks):
         msgs = per_trial(k, _ROLE_MESSAGE, lambda t, rng: rng.integers(0, 2, a_set.size, dtype=np.uint8))
 
         # relay decodes the whole information set from its SR output
-        u_sr, y_sr, relay_bits, undet[:, k, 0] = link(source_spec, msgs, spec.e_sr, k, _ROLE_SR)
+        u_sr, e_sr, relay_bits, undet[:, k, 0] = link(source_spec, msgs, spec.e_sr, k, _ROLE_SR)
         relay_err[:, k] = np.any(relay_bits != msgs, axis=1)
         # the destination stores its SD copy: the SR output, further erased
-        y_sd = per_trial(k, _ROLE_DEG, lambda t, rng: cascade_rows(y_sr[t], spec.e_deg, rng))
+        e_sd = per_trial(k, _ROLE_DEG, lambda t, rng: cascade_rows(e_sr[t], spec.e_deg, rng))
 
         # relay re-encodes A\B (its own, possibly wrong, estimate) over RD
         _, _, coset_dest, undet[:, k, 1] = link(
@@ -287,7 +287,7 @@ def simulate_relay(
         # destination freezes the received coset and decodes B from stored SD
         frozen = np.zeros((trials, N), dtype=np.uint8)
         frozen[:, code.message_set] = coset_dest
-        u_dest, undet[:, k, 2] = sc_decode(y_sd, sd_mask, frozen, u_sr)
+        u_dest, undet[:, k, 2] = sc_decode(e_sd, sd_mask, frozen, u_sr)
         b = code.secure_set
         dest_err[:, k] = rd_err[:, k] | np.any(u_dest[:, b] != u_sr[:, b], axis=1)
 

@@ -217,3 +217,11 @@ def genie_llr_walk(llr, u_true) -> np.ndarray:
 
     rec(llr[:, [bitrev(i, n) for i in range(N)]].T, 0)
     return flags
+
+
+def bec_sample_float_rule(x, erasure_prob: float, rng) -> np.ndarray:
+    """The erasure sampler's defining rule: one uniform per position, erase
+    (-1) iff the draw is below the erasure probability, else keep x's
+    symbol as int8."""
+    x = np.asarray(x)
+    return np.where(rng.random(x.shape) < erasure_prob, np.int8(-1), x.astype(np.int8))

@@ -1,3 +1,4 @@
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -8,6 +9,8 @@ from nestedpolar.channels import (
     cascade_rows,
 )
 from nestedpolar.sc import ERASED
+
+from oracles import bec_sample_float_rule
 
 
 def test_rng_stream_reproducible():
@@ -25,6 +28,26 @@ def test_rng_stream_validation():
         RngStream(0, -2)
 
 
+@pytest.mark.parametrize("args, field", [
+    ((1.5,), "master_seed"),
+    ((np.float64(2.0),), "master_seed"),
+    ((True,), "master_seed"),
+    ((np.bool_(True),), "master_seed"),
+    (("3",), "master_seed"),
+    ((3, 2.0), "stream_id"),
+    ((3, False), "stream_id"),
+    ((3, None), "stream_id"),
+])
+def test_rng_stream_rejects_non_integer_addresses(args, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        RngStream(*args)
+
+
+def test_rng_stream_accepts_numpy_integers():
+    a = RngStream(np.uint64(1234), np.int32(5)).generator().random(8)
+    assert np.array_equal(a, RngStream(1234, 5).generator().random(8))
+
+
 def test_bec_extremes():
     x = np.array([[1, 0, 1, 1]], dtype=np.uint8)
     rng = RngStream(0).generator()
@@ -32,6 +55,47 @@ def test_bec_extremes():
     assert np.all(bec_sample_rows(x, 1.0, rng) == ERASED)
     with pytest.raises(ValueError):
         bec_sample_rows(x, 1.01, rng)
+
+
+def test_bec_rejects_non_integer_words():
+    rng = RngStream(0).generator()
+    with pytest.raises(ValueError, match="^x must be an integer or bool array"):
+        bec_sample_rows(np.array([0.7, 0.0, 1.0]), 0.5, rng)
+
+
+EDGE_PROBS = [0.0, 1.0, 5e-324, float(np.nextafter(1.0, 0.0)), 0.1, 4 / 9, 0.5]
+
+
+@st.composite
+def sampler_inputs(draw):
+    """(x, erasure probability, seed): x is uint8 0/1, bool, or three-valued
+    int8, of shape (N,), (batch, N) or (0, N)."""
+    n = draw(st.integers(0, 6))
+    shape = draw(st.sampled_from([(1 << n,), (draw(st.integers(1, 5)), 1 << n), (0, 1 << n)]))
+    kind = draw(st.sampled_from(["uint8", "bool", "int8"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    low = -1 if kind == "int8" else 0
+    x = np.random.default_rng(seed).integers(low, 2, shape).astype(kind)
+    p = draw(st.sampled_from(EDGE_PROBS) | st.floats(0.0, 1.0))
+    return x, p, seed
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sampler_inputs())
+def test_bec_sampler_equals_float_draw_rule(case):
+    x, p, seed = case
+    y = bec_sample_rows(x, p, np.random.default_rng(seed))
+    assert y.dtype == np.int8 and y.shape == x.shape
+    assert np.array_equal(y, bec_sample_float_rule(x, p, np.random.default_rng(seed)))
+    # the pattern does not depend on the word: bec(x) == bec(0) | x
+    x8 = x.astype(np.int8)
+    pattern = bec_sample_rows(np.zeros_like(x), p, np.random.default_rng(seed))
+    assert np.array_equal(y, pattern | x8)
+    # and a cascade commutes with ORing in the word
+    e = bec_sample_rows(np.zeros_like(x), 0.5, np.random.default_rng(seed + 1))
+    assert set(np.unique(e).tolist()) <= {ERASED, 0}
+    after = cascade_rows(e | x8, p, np.random.default_rng(seed))
+    assert np.array_equal(after, cascade_rows(e, p, np.random.default_rng(seed)) | x8)
 
 
 def test_bec_never_flips():

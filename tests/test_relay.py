@@ -249,3 +249,22 @@ def test_error_rich_runs_match_full_sc_walks(monkeypatch, name):
     assert walked == [(stage, int(in_doubt[:, k, stage].sum())) for k in range(blocks) for stage in range(3)]
     assert in_doubt.any(axis=(0, 1)).all()  # rows in doubt in every stage
 
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_RICH))
+def test_error_rich_runs_encode_only_rows_in_doubt(monkeypatch, name):
+    design, run, n, blocks, margin, trials, seed = ERROR_RICH[name]
+    scheme = build_relay_scheme(design, n, blocks, margin)
+    encoded = []  # rows per transform call: SR, RD, SD stage of each block
+    transform = relay.transform_rows
+
+    def counted(rows):
+        encoded.append(rows.shape[0])
+        return transform(rows)
+
+    monkeypatch.setattr(relay, "transform_rows", counted)
+    report = simulate_relay(scheme, run or design, trials, seed)
+    in_doubt = report.undetermined > 0
+    assert encoded == [int(in_doubt[:, k, stage].sum()) for k in range(blocks) for stage in range(3)]
+    # some rows are not in doubt, so a full-batch encode fails the line above
+    assert sum(encoded) < 3 * blocks * trials
