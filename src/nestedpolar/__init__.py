@@ -1,11 +1,11 @@
 """Nested polar codes for erasure wiretap and relay channels.
 
-A channel-coding library and batch simulator: polar construction and
-successive cancellation decoding on erasure (and symmetric) channels,
-coset-structured nested codes for secrecy, exact eavesdropper
-equivocation through GF(2) rank computations, and a block-Markov
-decode-and-forward relay pipeline.  Encoders, samplers and decoders take
-batches, one word per row of an array.
+A channel-coding library and batch simulator: polar construction on
+erasure and symmetric channels, successive cancellation decoding on
+erasure channels, coset-structured nested codes for secrecy, exact
+eavesdropper equivocation through GF(2) rank computations, and a
+block-Markov decode-and-forward relay pipeline.  Encoders, samplers and
+decoders take batches, one word per row of an array.
 """
 
 __version__ = "0.2.0"
@@ -32,8 +32,6 @@ from .construction import (
 from .sc import (
     ERASED,
     decode_bec_rows,
-    decode_llr_rows,
-    genie_bec_rows,
     genie_llr_rows,
     undetermined_bec_rows,
 )
@@ -64,8 +62,7 @@ __all__ = [
     "generator_matrix", "transform_rows",
     "BSC", "ReliabilityProfile",
     "bec_reliability", "mc_reliability", "select_info_set", "select_secure_subset",
-    "ERASED", "decode_bec_rows", "decode_llr_rows", "genie_bec_rows", "genie_llr_rows",
-    "undetermined_bec_rows",
+    "ERASED", "decode_bec_rows", "genie_llr_rows", "undetermined_bec_rows",
     "RngStream", "bec_sample_rows", "bsc_sample_rows",
     "EquivocationReport", "NestedCodeSpec", "WiretapConfig",
     "build_wiretap_code", "equivocation_bruteforce", "equivocation_rank", "parity_checks",

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .sc import ERASED, LLR_CAP
+from .sc import ERASED
 
 __all__ = [
     "GENERATOR_NAME",
@@ -33,6 +33,10 @@ __all__ = [
 
 # Recorded in experiment CSV headers for reproducibility.
 GENERATOR_NAME = "numpy-PCG64"
+
+# bsc_llr_magnitude clamps to this, so the BSC sampler emits no larger LLR
+# magnitude, even at crossover 0, and the genie's combines stay well-scaled.
+LLR_CAP = 40.0
 
 
 @dataclass(frozen=True)
@@ -84,9 +88,13 @@ def bsc_llr_magnitude(crossover_prob: float) -> float:
 
 
 def bsc_sample_rows(x: np.ndarray, crossover_prob: float, rng: np.random.Generator) -> np.ndarray:
-    """Flip each position of a (batch, N) uint8 array independently; returns
-    the (batch, N) float64 LLRs."""
+    """Flip each position of a (batch, N) integer or bool array of 0/1
+    symbols independently; returns the (batch, N) float64 LLRs."""
     if not 0.0 <= crossover_prob <= 0.5:
         raise ValueError(f"crossover probability must be in [0, 1/2], got {crossover_prob}")
+    if x.dtype.kind not in "biu":
+        raise ValueError(f"x must be 0 or 1 of an integer or bool dtype, got {x.dtype}")
+    if x.size and (x.min() < 0 or x.max() > 1):
+        raise ValueError(f"x must be 0 or 1, got values in [{x.min()}, {x.max()}]")
     flips = rng.random(x.shape) < crossover_prob
     return (1.0 - 2.0 * (x ^ flips)) * bsc_llr_magnitude(crossover_prob)

@@ -102,7 +102,7 @@ class PolarCodeSpec:
     ``PolarCodeSpec(params, info_set)``: ``info_set`` is strictly
     increasing inside [0, N), and every bit outside it is frozen to zero.
     On the symmetric channels modelled here the SC error probability does
-    not depend on the frozen values (Arikan 2009).  The decoders still take
+    not depend on the frozen values (Arikan 2009).  The decoder still takes
     frozen values as an array, because coset decoding fixes some frozen
     bits to message bits from another stage.
     """

@@ -245,26 +245,33 @@ def simulate_relay(
             for t in range(trials)
         ])
 
-    def sc_decode(e, info_mask, frozen, u_sent):
-        """SC-decode u_sent's codewords erased by the patterns e against frozen;
-        only rows in doubt are encoded and walked (module docstring)."""
+    def sc_decode(e, info_mask, sent_set, bits, coset=None):
+        """SC-decode with info_mask the words that carry bits on sent_set and
+        zeros elsewhere, erased by the patterns e.  The decoder freezes the
+        sent bits, or on A\\B the coset's bits if given.  Only the rows in
+        doubt are encoded and walked (module docstring); returns their
+        indices, their decoded u and every row's undetermined count."""
         undet = undetermined_bec_rows(e, info_mask)
-        doubt = undet > 0
-        y = e[doubt] | transform_rows(u_sent[doubt]).view(np.int8)
-        u_hat = u_sent.copy()
-        u_hat[doubt], _ = decode_bec_rows(y, info_mask, np.broadcast_to(frozen, u_sent.shape)[doubt])
-        return u_hat, undet
+        doubt = np.flatnonzero(undet)
+        u = np.zeros((doubt.size, N), dtype=np.uint8)
+        u[:, sent_set] = bits[doubt]
+        y = e[doubt] | transform_rows(u).view(np.int8)
+        if coset is not None:
+            u[:, code.message_set] = coset[doubt]
+        # the decoder reads u only outside info_mask, as the frozen values
+        u_hat, _ = decode_bec_rows(y, info_mask, u)
+        return doubt, u_hat, undet
 
     def link(link_spec: PolarCodeSpec, bits, erasure_prob: float, block: int, role: int):
         """Send bits on link_spec's information set and zeros elsewhere, draw
         each word's erasure pattern from its own substream and SC-decode it
-        with link_spec; returns the sent u, the patterns, the decoded
-        information bits and the undetermined counts."""
-        u = np.zeros((trials, N), dtype=np.uint8)
-        u[:, link_spec.info_set] = bits
+        with link_spec; returns the patterns, the decoded information bits
+        and the undetermined counts."""
         e = per_trial(block, role, lambda t, rng: bec_sample_rows(zero_word, erasure_prob, rng))
-        u_hat, undet = sc_decode(e, link_spec.info_mask, zero_word, u)
-        return u, e, u_hat[:, link_spec.info_set], undet
+        doubt, u_hat, undet = sc_decode(e, link_spec.info_mask, link_spec.info_set, bits)
+        decoded = bits.copy()
+        decoded[doubt] = u_hat[:, link_spec.info_set]
+        return e, decoded, undet
 
     relay_err, rd_err, dest_err = np.zeros((3, trials, blocks), dtype=bool)
     undet = np.zeros((trials, blocks, 3), dtype=np.int64)
@@ -273,23 +280,22 @@ def simulate_relay(
         msgs = per_trial(k, _ROLE_MESSAGE, lambda t, rng: rng.integers(0, 2, a_set.size, dtype=np.uint8))
 
         # relay decodes the whole information set from its SR output
-        u_sr, e_sr, relay_bits, undet[:, k, 0] = link(source_spec, msgs, spec.e_sr, k, _ROLE_SR)
+        e_sr, relay_bits, undet[:, k, 0] = link(source_spec, msgs, spec.e_sr, k, _ROLE_SR)
         relay_err[:, k] = np.any(relay_bits != msgs, axis=1)
         # the destination stores its SD copy: the SR output, further erased
         e_sd = per_trial(k, _ROLE_DEG, lambda t, rng: cascade_rows(e_sr[t], spec.e_deg, rng))
 
         # relay re-encodes A\B (its own, possibly wrong, estimate) over RD
-        _, _, coset_dest, undet[:, k, 1] = link(
+        _, coset_dest, undet[:, k, 1] = link(
             scheme.rd_code, relay_bits[:, msg_pos], spec.e_rd, k + 1, _ROLE_RD
         )
         rd_err[:, k] = np.any(coset_dest != msgs[:, msg_pos], axis=1)
 
-        # destination freezes the received coset and decodes B from stored SD
-        frozen = np.zeros((trials, N), dtype=np.uint8)
-        frozen[:, code.message_set] = coset_dest
-        u_dest, undet[:, k, 2] = sc_decode(e_sd, sd_mask, frozen, u_sr)
-        b = code.secure_set
-        dest_err[:, k] = rd_err[:, k] | np.any(u_dest[:, b] != u_sr[:, b], axis=1)
+        # destination freezes the received coset and decodes B from stored
+        # SD; only a row in doubt can decode B wrongly
+        doubt, u_dest, undet[:, k, 2] = sc_decode(e_sd, sd_mask, a_set, msgs, coset_dest)
+        dest_err[:, k] = rd_err[:, k]
+        dest_err[doubt, k] |= np.any(u_dest[:, code.secure_set] != msgs[doubt][:, ~msg_pos], axis=1)
 
     return RelayRunReport(
         relay_errors=relay_err,

@@ -1,47 +1,53 @@
-"""Successive cancellation decoding.
+"""Successive cancellation decoding: one decoder and two genies.
 
-Every decoder here is one walk of the SC tree.  At each node a check-node
-combine f gives the left child's messages, a variable-node combine g gives
-the right child's once the left subtree's bits are known, and at each bit
-a leaf rule turns the bit's messages into the bit fed forward.  Two
-message domains supply f and g:
-
-* three-valued (0 / 1 / erased) messages for the binary erasure channel,
-  where the walk is exact erasure propagation, and
-* log-likelihood ratios for general symmetric channels, with the
-  check-node combine computed in the log domain as
-  logaddexp(0, a+b) - logaddexp(a, b), which equals the hyperbolic-tangent
-  rule without overflow.
+`decode_bec_rows` SC-decodes words received over the binary erasure
+channel, where SC decoding is exact erasure propagation on three-valued
+(0 / 1 / erased) messages.  It walks the SC tree once: at each node a
+check-node combine f gives the left child's messages, a variable-node
+combine g gives the right child's once the left subtree's re-encoded bits
+xl are known, and at each leaf an information bit is decided from its
+message (0 when it is erased) and a frozen bit takes its frozen value.
 
 The walk holds a batch's messages position-major: axis 0 is the code
 position, in bit-reversed order so that a node's two halves are the
-contiguous slices msgs[:h] and msgs[h:], and the other axes belong to the
-domain.
+contiguous slices msgs[:h] and msgs[h:].  The messages are bit-sliced:
+each position holds two planes of uint64 words, erased and value, with
+bit r of word w for row 64 w + r (rows past the batch are zero padding,
+never erased).  The check combine is e = ea | eb, v = va ^ vb, and the
+variable combine is e = ea & eb, v = vb ^ (eb & (vb ^ va ^ xl)), so one
+word operation combines 64 rows, and a value under a set erased bit
+means nothing.  The decoder keeps its decisions and the erased bits of
+its information leaves as words and unpacks them once at the end.
 
-* Erasure messages are bit-sliced: each position holds two planes of
-  uint64 words, erased and value, with bit r of word w for row 64 w + r
-  (rows past the batch are zero padding, never erased).  The check
-  combine is e = ea | eb, v = va ^ vb, and the variable combine is
-  e = ea & eb, v = vb ^ (eb & (vb ^ va ^ xl)), so one word operation
-  combines 64 rows, and a value under a set erased bit means nothing.
-  The decoder keeps its decisions and the erased bits of its information
-  leaves as words and unpacks them once at the end.
-* LLR messages are (position, row) float64.  The decoder passes the
-  transposed view of a row-major bit-reversed copy of the input, not a
-  position-major copy: each row's messages then stay contiguous, as the
-  combines read them, and no second (batch, N) float array is made.
+The decoder has a node rule, as in simplified SC (Alamdar-Yazdi &
+Kschischang 2011), that stops at two kinds of subtree of 2^m bits; both
+shortcuts return exactly what the full walk would:
 
-Only the decoders walk the tree.  A decoder decides information bits from
-their messages and outputs frozen bits as given.  A genie feeds every
-bit's true value forward instead, so every bit the walk would feed forward
-is known in advance, and both genies go through the n levels of the tree
-once, every node of a level at once.
+* rate-0 (all bits frozen): u is the frozen values and the re-encoded
+  bits are u F^(x)m, because a frozen leaf never reads its message;
+* rate-1 (all bits information) with no erased message in any row: u is
+  msgs F^(x)m and the re-encoded bits are msgs (F^(x)m is an involution),
+  because below such a node f and g see no erasure, so no decision is
+  undetermined and every decision agrees with the messages.
 
-The LLR genie `genie_llr_rows` holds the messages position-major and
-bit-reversed, (N, batch) and contiguous, so at depth d
-reshape(2^d, 2, -1) gives the halves a and b of every node of the level.
-Each level sets a <- f(a, b), the left children's messages, and
-b <- g(a, b, xl), the right children's.  The bits x start as
+Both run the butterfly on the words, all rows at once.  Every other node
+descends as usual, a rate-1 node with an erasure among its rows included;
+its children try the rule again.
+
+A genie feeds every bit's true value forward instead of its decision, so
+every bit the walk would feed forward is known in advance, and a genie
+goes through the n levels of the tree once, every node of a level at once.
+
+The LLR genie `genie_llr_rows` gives the bit-channel errors of SC on a
+general symmetric channel, in log-likelihood ratios: positive means bit 0
+is more likely, and a tie (LLR exactly zero) decides 0, matching a
+likelihood-ratio-at-least-one rule.  The check-node combine is computed
+in the log domain as logaddexp(0, a+b) - logaddexp(a, b), which equals
+the hyperbolic-tangent rule without overflow.  The genie holds the
+messages position-major and bit-reversed, (N, batch) and contiguous, so
+at depth d reshape(2^d, 2, -1) gives the halves a and b of every node of
+the level.  Each level sets a <- f(a, b), the left children's messages,
+and b <- g(a, b, xl), the right children's.  The bits x start as
 u F^(x)n in natural order, which are the root's re-encoded bits in slot
 order because bit reversal commutes with F^(x)n; at each level
 x[a] ^= x[b] turns every node's re-encoded bits into its left child's
@@ -66,44 +72,25 @@ cache.
 
 The erasure genie needs no true bits at all: whether a message is erased
 never depends on a value (the check combine erases iff either input is,
-the variable combine iff both are), so `genie_bec_rows` takes each row's
-erased bits, packed along the row, through the n levels of the tree with
-a few word operations per level, for every node and row at once.
-`undetermined_bec_rows` counts the erased information leaves on the same
+the variable combine iff both are), so `_erased_leaf_words` takes each
+row's erased bits, packed along the row, through the n levels of the tree
+with a few word operations per level, for every node and row at once.
+`undetermined_bec_rows` counts the erased information leaves on those
 words: the decoder's undetermined counts, without the walk.
 
-The erasure genie's flags also tell which rows a full SC walk could decode
-to anything but the sent bits.  A row whose frozen values are the sent
-ones and none of whose information leaves has an erased message decodes
-to the sent bits: by induction over the decoding order every unerased
-message carries the sent value.  The relay simulation SC-walks only the
-rows with an erased information decision, by the rule stated in the
-`relay` module docstring.
+Those counts also tell which rows a full SC walk could decode to anything
+but the sent bits.  A row whose frozen values are the sent ones and none
+of whose information leaves has an erased message decodes to the sent
+bits: by induction over the decoding order every unerased message carries
+the sent value.  The relay simulation SC-walks only the rows with an
+erased information decision, by the rule stated in the `relay` module
+docstring.
 
-The erasure decoder also gives the walk a node rule, as in simplified SC
-(Alamdar-Yazdi & Kschischang 2011), that stops at two kinds of subtree of
-2^m bits; both shortcuts return exactly what the full walk would:
-
-* rate-0 (all bits frozen): u is the frozen values and the re-encoded
-  bits are u F^(x)m, because a frozen leaf never reads its message;
-* rate-1 (all bits information) with no erased message in any row: u is
-  msgs F^(x)m and the re-encoded bits are msgs (F^(x)m is an involution),
-  because below such a node f and g see no erasure, so no decision is
-  undetermined and every decision agrees with the messages.
-
-Both run the butterfly on the words, all rows at once.  Every other node
-descends as usual, a rate-1 node with an erasure among its rows included;
-its children try the rule again.
-
-LLR sign convention: positive means bit 0 is more likely; a tie (LLR
-exactly zero) decides 0, matching a likelihood-ratio-at-least-one rule.
-Decoding order is the natural index order of u.
-
-The entry points (`decode_bec_rows`, `decode_llr_rows`, `genie_bec_rows`,
-`genie_llr_rows`, `undetermined_bec_rows`) take a (batch, N) array of
-received words, one per row, after checking the shapes of their
-arguments, that erasure words hold only 0, 1 or ERASED and frozen values
-only 0 or 1, both of an integer or bool dtype, and that LLRs are finite.
+Decoding order is the natural index order of u.  The entry points take a
+(batch, N) array of received words, one per row, after checking the
+shapes of their arguments, that erasure words hold only 0, 1 or ERASED
+and information masks, frozen values and true bits only 0 or 1, all of an
+integer or bool dtype, and that LLRs are finite.
 """
 from __future__ import annotations
 
@@ -113,57 +100,13 @@ from .polar import bit_reversal_permutation, butterfly_rows
 
 __all__ = [
     "ERASED",
-    "LLR_CAP",
     "decode_bec_rows",
-    "decode_llr_rows",
-    "genie_bec_rows",
     "genie_llr_rows",
     "undetermined_bec_rows",
 ]
 
 # Sentinel for an erased symbol in three-valued words.
 ERASED = -1
-
-# decode_llr_rows clamps input LLR magnitudes to this, and the BSC sampler
-# emits none larger; keeps combines well-scaled.
-LLR_CAP = 40.0
-
-
-# ---------------------------------------------------------------------------
-# the SC tree walk
-
-
-def _sc_walk(msgs: np.ndarray, f, g, leaf, node=None) -> None:
-    """Walk the SC tree once over the channel messages of a batch.
-
-    msgs holds one message per code position on axis 0, in bit-reversed
-    order, so the two halves of a node are msgs[:h] and msgs[h:]; the
-    other axes are the message domain's.  At each node, f(a, b) gives the
-    left child's messages from the halves a, b; once the left subtree
-    returns its re-encoded bits xl, g(a, b, xl) gives the right child's.
-    leaf(i, m) receives the messages msgs[0] of bit i and returns the bits
-    to feed forward for it.  If given, node(lo, msgs) is asked first at
-    each internal node covering bits lo, lo+1, ...; an array it returns is
-    taken as the subtree's re-encoded bits and the walk does not descend,
-    None lets it descend.
-    """
-
-    def rec(msgs: np.ndarray, lo: int) -> np.ndarray:
-        L = msgs.shape[0]
-        if L == 1:
-            return leaf(lo, msgs[0])[None]
-        if node is not None:
-            x = node(lo, msgs)
-            if x is not None:
-                return x
-        h = L // 2
-        a = msgs[:h]
-        b = msgs[h:]
-        xl = rec(f(a, b), lo)
-        xr = rec(g(a, b, xl), lo + h)
-        return np.concatenate([xl ^ xr, xr])
-
-    rec(msgs, 0)
 
 
 # Erasure messages are (L, 2, W) uint64 arrays: plane 0 holds the erased
@@ -218,18 +161,6 @@ def _llr_var(a: np.ndarray, b: np.ndarray, xl: np.ndarray) -> np.ndarray:
     return b + a * (1.0 - 2.0 * xl)
 
 
-def _llr_messages(llr: np.ndarray) -> np.ndarray:
-    """The bit-reversed (N, batch) messages of a (batch, N) LLR array: a
-    transposed view of a row-major copy, so each row's messages stay
-    contiguous as the combines read them.  Rejects a non-finite LLR; min and
-    max propagate NaN, so two scans decide it without a (batch, N) temporary."""
-    N = llr.shape[1]
-    msgs = np.asarray(llr, dtype=np.float64).take(bit_reversal_permutation(N.bit_length() - 1), axis=1).T
-    if msgs.size and not np.isfinite([msgs.min(), msgs.max()]).all():
-        raise ValueError("LLR values must be finite")
-    return msgs
-
-
 # ---------------------------------------------------------------------------
 # batch entry points
 
@@ -269,14 +200,15 @@ def decode_bec_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """SC-decode a batch of erasure words.
 
-    y is (batch, N) int8 over {0, 1, ERASED}; frozen_values is (N,) or
-    (batch, N) uint8 or bool over {0, 1} and is read wherever info_mask is
-    False.  Returns the decoded (batch, N) u array and the per-word count of
-    information-bit decisions that had to be made on an erased message
-    (decided 0).
+    y is (batch, N) int8 over {0, 1, ERASED}; info_mask is (N,) over {0, 1};
+    frozen_values is (N,) or (batch, N) uint8 or bool over {0, 1} and is
+    read wherever info_mask is 0.  Returns the decoded (batch, N) u array
+    and the per-word count of information-bit decisions that had to be made
+    on an erased message (decided 0).
     """
     nbatch, N = _check_shapes("y", y, info_mask=info_mask, frozen_values=frozen_values)
     _check_erasure_symbols(y)
+    _check_values("info_mask", info_mask, 0, "0 or 1")
     _check_values("frozen_values", frozen_values, 0, "0 or 1")
     if not nbatch:  # the node rule would still visit the tree for no rows
         return np.zeros((0, N), dtype=np.uint8), np.zeros(0, dtype=np.int64)
@@ -287,16 +219,18 @@ def decode_bec_rows(
     erased = [np.zeros_like(u[0])]
     n_info = np.concatenate([[0], np.cumsum(info_mask)]).tolist()  # info bits before each index
 
-    def leaf(i: int, m: np.ndarray) -> np.ndarray:
-        if info_mask[i]:
-            u[i] = m[1] & ~m[0]
-            erased.append(m[0])
-        return u[i]
-
-    def node(lo: int, msgs: np.ndarray) -> np.ndarray | None:
+    def walk(msgs: np.ndarray, lo: int) -> np.ndarray:
+        """Decode the subtree over bits lo, lo+1, ... from its messages msgs;
+        returns its re-encoded bits."""
         L = msgs.shape[0]
+        if L == 1:
+            if info_mask[lo]:
+                u[lo] = msgs[0, 1] & ~msgs[0, 0]
+                erased.append(msgs[0, 0])
+            return u[lo : lo + 1]
+        # the node rule; butterfly_rows on the (W, L) transpose re-encodes
+        # every row's bits
         k = n_info[lo + L] - n_info[lo]
-        # butterfly_rows on the (W, L) transpose re-encodes every row's bits
         if k == 0:
             x = u[lo : lo + L].copy()
             butterfly_rows(x.T)
@@ -305,9 +239,14 @@ def decode_bec_rows(
             u[lo : lo + L] = msgs[:, 1]
             butterfly_rows(u[lo : lo + L].T)
             return msgs[:, 1]
-        return None
+        h = L // 2
+        a = msgs[:h]
+        b = msgs[h:]
+        xl = walk(_bec_check(a, b), lo)
+        xr = walk(_bec_var(a, b, xl), lo + h)
+        return np.concatenate([xl ^ xr, xr])
 
-    _sc_walk(_bec_messages(y), _bec_check, _bec_var, leaf, node)
+    walk(_bec_messages(y), 0)
     return _unpack(u, nbatch), _unpack(np.stack(erased), nbatch).sum(axis=1, dtype=np.int64)
 
 
@@ -354,61 +293,17 @@ def _erased_leaf_words(y: np.ndarray) -> np.ndarray:
     return words
 
 
-def genie_bec_rows(y: np.ndarray) -> np.ndarray:
-    """Per-position erasure indicators of genie-aided SC over a batch.
-
-    Every decision is replaced by the true bit before propagating, so the
-    returned (batch, N) boolean array marks exactly the positions whose
-    synthesized bit-channel erased in that trial.  On the BEC whether a
-    message is erased does not depend on any bit value, so the true bits
-    are not needed.  No tree walk is made (see ``_erased_leaf_words``).
-    """
-    nbatch, N = _check_shapes("y", y)
-    _check_erasure_symbols(y)
-    flags = np.unpackbits(_erased_leaf_words(y).view(np.uint8), axis=1, count=N, bitorder="little")
-    return flags.take(bit_reversal_permutation(N.bit_length() - 1), axis=1).view(bool)
-
-
 def undetermined_bec_rows(y: np.ndarray, info_mask: np.ndarray) -> np.ndarray:
     """Per-row count of the information decisions SC makes on an erased
     message: ``decode_bec_rows(y, info_mask, ...)[1]`` for any frozen
-    values, and ``genie_bec_rows(y)[:, info_mask].sum(axis=1)``,
-    without a tree walk or unpacking the flags."""
+    values, without a tree walk or unpacking the flags.  With a one-hot
+    info_mask it says, per row, whether that one bit-channel erased."""
     nbatch, N = _check_shapes("y", y, info_mask=info_mask)
     _check_erasure_symbols(y)
+    _check_values("info_mask", info_mask, 0, "0 or 1")
     mask = _pack(np.asarray(info_mask, dtype=bool)[None, bit_reversal_permutation(N.bit_length() - 1)])
     info_erased = _erased_leaf_words(y) & mask
     return _BYTE_WEIGHTS[info_erased.view(np.uint8)].sum(axis=1, dtype=np.int64)
-
-
-def decode_llr_rows(
-    llr: np.ndarray, info_mask: np.ndarray, frozen_values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """SC-decode a batch of LLR words; returns (u array, zero-LLR tie counts).
-
-    llr is (batch, N) and must be finite; magnitudes are clamped to LLR_CAP.
-    frozen_values is as for ``decode_bec_rows``.
-    """
-    nbatch, N = _check_shapes("llr", llr, info_mask=info_mask, frozen_values=frozen_values)
-    _check_values("frozen_values", frozen_values, 0, "0 or 1")
-    msgs = _llr_messages(llr)
-    # msgs views a fresh copy, so clamping it leaves the caller's array alone
-    np.clip(msgs, -LLR_CAP, LLR_CAP, out=msgs)
-    fv = np.broadcast_to(frozen_values, (nbatch, N))
-    uhat = np.zeros((nbatch, N), dtype=np.uint8)
-    ties = np.zeros(nbatch, dtype=np.int64)
-
-    def leaf(i: int, m: np.ndarray) -> np.ndarray:
-        if info_mask[i]:
-            u = (m < 0).astype(np.uint8)
-            ties[m == 0] += 1
-        else:
-            u = fv[:, i]
-        uhat[:, i] = u
-        return u
-
-    _sc_walk(msgs, _llr_check, _llr_var, leaf)
-    return uhat, ties
 
 
 def _genie_code_level(codes: np.ndarray, x: np.ndarray, table: np.ndarray, d: int) -> np.ndarray:

@@ -147,6 +147,18 @@ def test_bsc_extremes():
         bsc_sample_rows(x, 0.51, rng)
 
 
+def test_bsc_rejects_non_bit_symbols():
+    rng = RngStream(14).generator()
+    for bad in (np.array([[0, 1, 2, 3]]), np.array([[0, -1, 0, 1]], dtype=np.int8),
+                np.array([[0.0, 1.0, 0.0, 1.0]])):
+        with pytest.raises(ValueError, match="^x must be 0 or 1"):
+            bsc_sample_rows(bad, 0.11, rng)
+    # bool symbols are bits, and give the LLRs of their uint8 twins
+    x = np.array([[False, True, True, False]])
+    assert np.array_equal(bsc_sample_rows(x, 0.11, RngStream(15).generator()),
+                          bsc_sample_rows(x.view(np.uint8), 0.11, RngStream(15).generator()))
+
+
 def test_bsc_flip_fraction():
     p = 0.11
     rng = RngStream(17).generator()

@@ -2,6 +2,7 @@ import ast
 import importlib
 from pathlib import Path
 import pkgutil
+import re
 
 import pytest
 
@@ -72,3 +73,48 @@ def test_unused_import_guard_flags_and_exempts():
         "    return np.asarray(x)\n"
     )
     assert _unused_imports(source) == ["Iterable (line 2)"]
+
+
+def _stale_row_names(text: str, *namespaces) -> list[str]:
+    """Names ending in ``_rows`` inside backticks in text that none of the
+    namespaces defines."""
+    names = {
+        name
+        for _, span in re.findall(r"(`+)([^`]+)\1", text)
+        for name in re.findall(r"\b[A-Za-z_]\w*_rows\b", span)
+    }
+    return sorted(name for name in names if not any(hasattr(ns, name) for ns in namespaces))
+
+
+def _docstrings(source: str) -> str:
+    tree = ast.parse(source)
+    nodes = [tree] + [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    return "\n".join(doc for doc in map(ast.get_docstring, nodes) if doc)
+
+
+@pytest.mark.parametrize("path", sorted(Path(nestedpolar.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_docstrings_name_only_live_row_functions(path):
+    module = importlib.import_module(
+        "nestedpolar" if path.stem == "__init__" else f"nestedpolar.{path.stem}"
+    )
+    stale = _stale_row_names(_docstrings(path.read_text()), nestedpolar, module)
+    assert not stale, f"{path.name} docstrings name functions that do not exist: {stale}"
+
+
+def test_readme_names_only_live_row_functions():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    stale = _stale_row_names(readme.read_text(), nestedpolar)
+    assert not stale, f"README.md names functions that do not exist: {stale}"
+
+
+def test_stale_row_name_guard_flags_and_exempts():
+    text = (
+        "``old_bec_rows(y)[:, mask]`` is gone, `decode_bec_rows` is not,\n"
+        "``sc.butterfly_rows`` lives in a module, and plain_rows is not quoted."
+    )
+    assert _stale_row_names(text, nestedpolar) == ["butterfly_rows", "old_bec_rows"]
+    assert _stale_row_names(text, nestedpolar, importlib.import_module("nestedpolar.polar")) == ["old_bec_rows"]

@@ -5,15 +5,12 @@ import numpy as np
 import pytest
 
 from nestedpolar import sc
-from nestedpolar.channels import RngStream, bec_sample_rows, bsc_llr_magnitude, bsc_sample_rows
+from nestedpolar.channels import LLR_CAP, RngStream, bec_sample_rows, bsc_llr_magnitude, bsc_sample_rows
 from nestedpolar.construction import bec_reliability, select_info_set
 from nestedpolar.polar import CodeParams, PolarCodeSpec, transform_rows
 from nestedpolar.sc import (
     ERASED,
-    LLR_CAP,
     decode_bec_rows,
-    decode_llr_rows,
-    genie_bec_rows,
     genie_llr_rows,
     undetermined_bec_rows,
 )
@@ -45,8 +42,11 @@ def bec_decode(spec, y):
     return decode_bec_rows(y, spec.info_mask, np.zeros(spec.N, dtype=np.uint8))
 
 
-def llr_decode(spec, llr):
-    return decode_llr_rows(llr, spec.info_mask, np.zeros(spec.N, dtype=np.uint8))
+def erased_leaves(y):
+    """(batch, N) bool: whether SC's message at each bit of each row is
+    erased, from ``undetermined_bec_rows`` with one information bit at a time."""
+    N = y.shape[1]
+    return np.stack([undetermined_bec_rows(y, np.arange(N) == i) for i in range(N)], axis=1) > 0
 
 
 def sample_bec_trials(spec, eps, seed, trials):
@@ -113,51 +113,15 @@ def test_block_error_rate_within_union_bound():
     assert errors / trials <= bound + 3 * sigma
 
 
-def test_llr_all_strong_zero_codeword():
-    spec = PolarCodeSpec(CodeParams(3), [3, 5, 6, 7])
-    u_hat, ties = llr_decode(spec, np.full((1, 8), LLR_CAP))
-    assert np.array_equal(u_hat[0, spec.info_set], np.zeros(4))
-    assert ties[0] == 0
-
-
-def test_llr_agrees_with_bec_decoder():
-    n, N = 6, 64
-    info = select_info_set(bec_reliability(n, 0.25), 32)
-    spec = PolarCodeSpec(CodeParams(n), info)
-    _, y = sample_bec_trials(spec, 0.25, 42, 1000)
-    hard, undet = bec_decode(spec, y)
-    y = y[undet == 0]
-    llr = np.where(y == ERASED, 0.0, (1.0 - 2.0 * y) * LLR_CAP)
-    soft, _ = llr_decode(spec, llr)
-    assert np.array_equal(soft[:, info], hard[undet == 0][:, info])
-    assert len(y) > 500
-
-
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(0, 3), nbatch=st.integers(1, 8), data=st.data())
-def test_llr_matches_sequential_ml_reference(n, nbatch, data):
-    # a random information set, frozen values per row, and LLRs rounded to 3
-    # decimals: exact ties, which integer LLRs make often, can fall either
-    # way in the check combine
-    N = 1 << n
-    mask = np.array(data.draw(st.lists(st.booleans(), min_size=N, max_size=N), label="mask"))
-    fv = np.array(data.draw(st.lists(st.lists(st.integers(0, 1), min_size=N, max_size=N),
-                                     min_size=nbatch, max_size=nbatch), label="frozen"), dtype=np.uint8)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    llrs = np.round(rng.normal(0, 2, (nbatch, N)), 3)
-    u_hat, _ = decode_llr_rows(llrs, mask, fv)
-    assert np.array_equal(u_hat, [sequential_ml_decode(l, mask, f) for l, f in zip(llrs, fv)])
-
-
-def test_genie_bec_rows_match_recoverability_oracle():
+def test_undetermined_bec_rows_match_recoverability_oracle():
     patterns = np.array(list(itertools.product([False, True], repeat=8)))
     u = np.random.default_rng(4).integers(0, 2, patterns.shape, dtype=np.uint8)
     y = np.where(patterns, np.int8(ERASED), transform_rows(u).astype(np.int8))
     expected = np.array([genie_erased_bits(p) for p in patterns])
-    assert np.array_equal(genie_bec_rows(y), expected)
+    assert np.array_equal(erased_leaves(y), expected)
 
 
-def test_genie_bec_rows_match_recoverability_oracle_random_patterns():
+def test_undetermined_bec_rows_match_recoverability_oracle_random_patterns():
     rng = np.random.default_rng(5)
     # batches of 63 to 129 rows straddle the 64-row words of the erasure planes
     for n, count in ((1, 4), (2, 6), (3, 6), (4, 8), (5, 8), (6, 4),
@@ -167,7 +131,7 @@ def test_genie_bec_rows_match_recoverability_oracle_random_patterns():
         u = rng.integers(0, 2, (count, N), dtype=np.uint8)
         y = np.where(erased, np.int8(ERASED), transform_rows(u).astype(np.int8))
         expected = np.array([genie_erased_bits(p) for p in erased])
-        assert np.array_equal(genie_bec_rows(y), expected)
+        assert np.array_equal(erased_leaves(y), expected)
 
 
 def test_recoverability_oracle_is_the_rank_definition():
@@ -194,7 +158,7 @@ def test_genie_counts_equal_decoder_undetermined_counts():
             y = rng.integers(0, 2, (nbatch, N)).astype(np.int8)
             y[rng.random((nbatch, N)) < rng.random((nbatch, 1))] = ERASED
             _, undet = decode_bec_rows(y, mask, fv)
-            assert np.array_equal(genie_bec_rows(y)[:, mask].sum(axis=1), undet)
+            assert np.array_equal(erased_leaves(y)[:, mask].sum(axis=1), undet)
             counts = undetermined_bec_rows(y, mask)
             assert counts.dtype == np.int64 and np.array_equal(counts, undet)
 
@@ -205,8 +169,6 @@ def test_empty_batches():
     u_hat, undet = decode_bec_rows(y, np.ones(N, dtype=bool), np.zeros(N, dtype=np.uint8))
     assert u_hat.shape == (0, N) and u_hat.dtype == np.uint8
     assert undet.shape == (0,) and undet.dtype == np.int64
-    flags = genie_bec_rows(y)
-    assert flags.shape == (0, N) and flags.dtype == bool
     counts = undetermined_bec_rows(y, np.ones(N, dtype=bool))
     assert counts.shape == (0,) and counts.dtype == np.int64
 
@@ -218,8 +180,6 @@ def test_erasure_symbols_checked():
               np.array([[0, 0.5, 0, -1.0]])):
         with pytest.raises(ValueError, match="^y symbols must be 0, 1 or ERASED"):
             decode_bec_rows(y, mask, fv)
-        with pytest.raises(ValueError, match="^y symbols must be 0, 1 or ERASED"):
-            genie_bec_rows(y)
         with pytest.raises(ValueError, match="^y symbols must be 0, 1 or ERASED"):
             undetermined_bec_rows(y, mask)
     # a bool word is a word of 0s and 1s
@@ -289,18 +249,15 @@ def test_decode_bec_rows_one_erasure_in_a_rate1_subtree(n, nbatch, data):
 
 
 def count_check_nodes(monkeypatch, y, mask):
-    # count the check combines of whatever the erasure decoder hands the walk
-    walk = sc._sc_walk
+    # count the check combines the erasure decoder's walk makes
+    check = sc._bec_check
     calls = []
 
-    def counting_walk(msgs, f, g, leaf, node=None):
-        def counting(a, b):
-            calls.append(a.shape[0])
-            return f(a, b)
+    def counting(a, b):
+        calls.append(a.shape[0])
+        return check(a, b)
 
-        return walk(msgs, counting, g, leaf, node)
-
-    monkeypatch.setattr(sc, "_sc_walk", counting_walk)
+    monkeypatch.setattr(sc, "_bec_check", counting)
     decode_bec_rows(y, mask, np.zeros(mask.size, dtype=np.uint8))
     return len(calls)
 
@@ -379,36 +336,18 @@ def test_genie_llr_rows_edge_cases():
             assert np.array_equal(arr, before) and np.array_equal(np.signbit(arr), np.signbit(before))
 
 
-def test_llr_tie_decides_zero():
-    spec = PolarCodeSpec(CodeParams(2), np.arange(4))
-    u_hat, ties = llr_decode(spec, np.zeros((1, 4)))
-    assert np.array_equal(u_hat[0], np.zeros(4))
-    assert ties[0] == 4
-
-
 def test_llr_inputs_must_be_finite_and_are_clamped():
-    mask, fv = np.ones(4, dtype=bool), np.zeros(4, dtype=np.uint8)
-    with pytest.raises(ValueError, match="finite"):
-        decode_llr_rows(np.array([[np.inf, 1.0, 1.0, 1.0]]), mask, fv)
-    with pytest.raises(ValueError, match="finite"):
-        decode_llr_rows(np.array([[1.0, 1.0], [np.nan, 1.0]]), mask[:2], fv[:2])
     # the genie uses LLRs unclamped, but not unchecked
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
-            genie_llr_rows(np.array([[1.0, 1.0], [1.0, bad]]), fv[:2])
-    # Beyond the cap only the sign counts.  Unclamped, unequal magnitudes
-    # break the ties the cap makes, and +-1e308 overflows the combines.
-    rng = np.random.default_rng(9)
-    signs = rng.choice([-1.0, 1.0], size=(32, 8))
-    mags = np.concatenate([np.full((2, 8), 1e300), np.full((2, 8), 1e308),
-                           10.0 ** rng.uniform(2, 300, (28, 8))])
-    spec = PolarCodeSpec(CodeParams(3), [3, 5, 6, 7])
-    huge = signs * mags
-    got = llr_decode(spec, huge)
-    capped = llr_decode(spec, signs * LLR_CAP)
-    for g, c in zip(got, capped):
-        assert np.array_equal(g, c)
-    assert np.array_equal(huge, signs * mags)  # the caller's array is left alone
+            genie_llr_rows(np.array([[1.0, 1.0], [1.0, bad]]), np.zeros(2, dtype=np.uint8))
+    # the BSC sampler clamps its LLR magnitude to the cap, even at crossover 0
+    x = np.array([[0, 1, 0, 1]], dtype=np.uint8)
+    for p in (0.0, 1e-300, 1e-20):
+        llr = bsc_sample_rows(x, p, RngStream(13).generator())
+        assert bsc_llr_magnitude(p) == LLR_CAP
+        assert np.array_equal(llr, np.where(x == 0, LLR_CAP, -LLR_CAP))
+    assert bsc_llr_magnitude(0.11) < LLR_CAP
 
 
 def test_decoders_are_deterministic():
@@ -427,7 +366,7 @@ def test_word_length_checked():
     with pytest.raises(ValueError, match="^frozen_values must"):
         decode_bec_rows(np.zeros((1, 2), dtype=np.int8), mask[:2], fv)
     with pytest.raises(ValueError, match="^llr must"):
-        decode_llr_rows(np.zeros(8), mask, fv)
+        genie_llr_rows(np.zeros(8), fv)
     # a non-power-of-two length, and an information mask of the wrong length
     with pytest.raises(ValueError, match="^y must .* power of two"):
         decode_bec_rows(np.zeros((1, 6), dtype=np.int8), np.ones(6, dtype=bool), np.zeros(6, dtype=np.uint8))
@@ -437,10 +376,6 @@ def test_word_length_checked():
         undetermined_bec_rows(np.zeros((2, 8), dtype=np.int8), np.ones((2, 8), dtype=bool))
     with pytest.raises(ValueError, match="^y must .* power of two"):
         undetermined_bec_rows(np.zeros(8, dtype=np.int8), mask)
-    with pytest.raises(ValueError, match="^info_mask must"):
-        decode_llr_rows(np.zeros((3, 8)), np.ones((3, 8), dtype=bool), fv)
-    with pytest.raises(ValueError, match="^frozen_values must"):
-        decode_llr_rows(np.zeros((2, 8)), mask, np.zeros((3, 8), dtype=np.uint8))
     # one word of true bits serves every row; the genie's true bits must
     # cover the words, not run past them
     rng = np.random.default_rng(10)
@@ -455,15 +390,34 @@ def test_word_length_checked():
             genie_llr_rows(np.ones((2, 4)), bad)
     assert not genie_llr_rows(np.ones((2, 4)), np.zeros(4, dtype=bool)).any()
     with pytest.raises(ValueError, match="^y must"):
-        genie_bec_rows(np.zeros((3, 6), dtype=np.int8))
+        undetermined_bec_rows(np.zeros((3, 6), dtype=np.int8), np.ones(6, dtype=bool))
     # frozen values are 0 or 1, of an integer or bool dtype: a 2 at a
     # frozen position, in one word or in one row of many, is rejected
     two = fv.copy()
     two[0] = 2
     per_row = np.zeros((2, 8), dtype=np.int8)
     per_row[1, 3] = -1
-    for decode, words in ((decode_bec_rows, np.zeros((2, 8), dtype=np.int8)), (decode_llr_rows, np.zeros((2, 8)))):
-        for bad in (two, per_row, np.full(8, 0.5)):
-            with pytest.raises(ValueError, match="^frozen_values must be 0 or 1"):
-                decode(words, mask, bad)
-        assert decode(words, mask, np.ones(8, dtype=bool))[0][:, :7].all()
+    words = np.zeros((2, 8), dtype=np.int8)
+    for bad in (two, per_row, np.full(8, 0.5)):
+        with pytest.raises(ValueError, match="^frozen_values must be 0 or 1"):
+            decode_bec_rows(words, mask, bad)
+    assert decode_bec_rows(words, mask, np.ones(8, dtype=bool))[0][:, :7].all()
+
+
+def test_info_mask_values_checked():
+    # The node rule counts information bits by summing the mask and the
+    # leaves test its truth, so a 2 would let the rate-1 shortcut fire on a
+    # half-frozen node; a float mask is rejected by its dtype.
+    y = np.array([[0, 0, 0, 0], [1, 0, 1, 0]], dtype=np.int8)
+    fv = np.array([1, 1, 0, 0], dtype=np.uint8)
+    for bad in (np.array([0, 0, 2, 2]), np.array([0.0, 0.0, 1.0, 1.0])):
+        with pytest.raises(ValueError, match="^info_mask must be 0 or 1"):
+            decode_bec_rows(y, bad, fv)
+        with pytest.raises(ValueError, match="^info_mask must be 0 or 1"):
+            undetermined_bec_rows(y, bad)
+    # an integer mask of 0s and 1s reads as the bool mask does
+    mask = np.array([0, 0, 1, 1])
+    assert_matches_bec_reference(y, mask, fv)
+    for got, want in zip(decode_bec_rows(y, mask, fv), decode_bec_rows(y, mask.astype(bool), fv)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(undetermined_bec_rows(y, mask), undetermined_bec_rows(y, mask.astype(bool)))
