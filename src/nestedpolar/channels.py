@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 
+from .gf2 import _check_integer
 from .sc import ERASED
 
 __all__ = [
@@ -48,13 +49,9 @@ class RngStream:
 
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if not 0 <= self.master_seed < 2**64:
+            _check_integer(getattr(self, name), name, 0)
+        if self.master_seed >= 2**64:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
-        if self.stream_id < 0:
-            raise ValueError("stream_id must be non-negative")
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence([self.master_seed, self.stream_id])
@@ -89,12 +86,14 @@ def bsc_llr_magnitude(crossover_prob: float) -> float:
 
 def bsc_sample_rows(x: np.ndarray, crossover_prob: float, rng: np.random.Generator) -> np.ndarray:
     """Flip each position of a (batch, N) integer or bool array of 0/1
-    symbols independently; returns the (batch, N) float64 LLRs."""
+    symbols independently, iff its uniform draw is below the crossover
+    probability; returns the (batch, N) uint8 received bits, each of LLR
+    magnitude ``bsc_llr_magnitude(crossover_prob)``."""
     if not 0.0 <= crossover_prob <= 0.5:
         raise ValueError(f"crossover probability must be in [0, 1/2], got {crossover_prob}")
     if x.dtype.kind not in "biu":
         raise ValueError(f"x must be 0 or 1 of an integer or bool dtype, got {x.dtype}")
     if x.size and (x.min() < 0 or x.max() > 1):
         raise ValueError(f"x must be 0 or 1, got values in [{x.min()}, {x.max()}]")
-    flips = rng.random(x.shape) < crossover_prob
-    return (1.0 - 2.0 * (x ^ flips)) * bsc_llr_magnitude(crossover_prob)
+    y = (rng.random(x.shape) < crossover_prob).view(np.uint8)
+    return np.bitwise_xor(y, x, out=y, dtype=np.uint8, casting="unsafe")

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import RngStream, bsc_sample_rows
-from .gf2 import _check_index_set
+from .channels import RngStream, bsc_llr_magnitude, bsc_sample_rows
+from .gf2 import _check_index_set, _check_integer
 from .polar import CodeParams, transform_rows
 from .sc import genie_llr_rows
 
@@ -98,12 +98,12 @@ def mc_reliability(channel: BSC, n: int, trials: int, seed: int) -> ReliabilityP
     indicator is a hard-decision error.  Deterministic given (channel, n,
     trials, seed).
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    _check_integer(trials, "trials", 1)
     params = CodeParams(n)
     N = params.N
     counts = np.zeros(N, dtype=np.int64)
     chunk = max(1, 4_000_000 // N)
+    magnitude = bsc_llr_magnitude(channel.crossover_prob)
     done = 0
     chunk_index = 0
     while done < trials:
@@ -111,7 +111,7 @@ def mc_reliability(channel: BSC, n: int, trials: int, seed: int) -> ReliabilityP
         rng = RngStream(seed, chunk_index).generator()
         u = rng.integers(0, 2, size=(size, N), dtype=np.uint8)
         x = transform_rows(u)
-        flags = genie_llr_rows(bsc_sample_rows(x, channel.crossover_prob, rng), u)
+        flags = genie_llr_rows(bsc_sample_rows(x, channel.crossover_prob, rng), magnitude, u)
         counts += flags.sum(axis=0)
         done += size
         chunk_index += 1

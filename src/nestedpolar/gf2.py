@@ -182,6 +182,16 @@ def null_space_basis(m: BitMatrix) -> BitMatrix:
 # index sets
 
 
+def _check_integer(value, name: str, low: int | None = None) -> None:
+    """Reject a size, count or seed that is not an integer (bool is not
+    one; numpy integers are), or is below ``low`` if given; the ValueError
+    starts with ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
 def _check_index_set(idx, limit: int, name: str) -> np.ndarray:
     """A fresh int64 copy of ``idx``, checked to hold integers (bool is not
     one; an empty input of any dtype is the empty set), to be 1-D, strictly

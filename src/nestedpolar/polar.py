@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2 import BitMatrix, _check_index_set
+from .gf2 import BitMatrix, _check_index_set, _check_integer
 
 __all__ = [
     "MAX_LOG2_BLOCK",
@@ -38,6 +38,7 @@ class CodeParams:
     n: int
 
     def __post_init__(self):
+        _check_integer(self.n, "n")
         if not 0 <= self.n <= MAX_LOG2_BLOCK:
             raise ValueError(f"n must be in [0, {MAX_LOG2_BLOCK}], got {self.n}")
 

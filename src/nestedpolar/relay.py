@@ -20,8 +20,8 @@ are encoded and received only for the rows in doubt.  The SR and RD links
 send and decode zeros outside their information sets, and a row whose
 frozen values are the sent ones with no erased information decision decodes
 to the sent bits, so every outcome is what SC decoding gives.  The SD stage
-freezes the coset the destination received; a row whose coset arrived wrong
-is a destination error whatever B decodes to.
+freezes the sent coset: a row whose coset arrived wrong is a destination
+error whatever B decodes to, and every other row received the sent coset.
 
 Finite-length sizing is driven by the computable union bound: each
 stage's summed bit-channel parameters are pushed under a target by
@@ -36,6 +36,7 @@ import numpy as np
 
 from .channels import RngStream, bec_sample_rows, cascade_rows
 from .construction import bec_reliability, select_info_set
+from .gf2 import _check_integer
 from .polar import CodeParams, PolarCodeSpec, transform_rows
 from .sc import decode_bec_rows, undetermined_bec_rows
 from .wiretap import NestedCodeSpec
@@ -93,8 +94,7 @@ class RelayScheme:
     stage_bounds: tuple[float, float, float]  # sum z over (A on SR, B on SD, rd info on RD)
 
     def __post_init__(self):
-        if self.blocks < 1:
-            raise ValueError("blocks must be positive")
+        _check_integer(self.blocks, "blocks", 1)
         if self.rd_code.info_len != self.source_code.message_len:
             raise ValueError("relay code must carry exactly |A\\B| bits")
 
@@ -227,8 +227,7 @@ def simulate_relay(
     Deterministic given the seed: each (trial, block, role) draws from its
     own substream, so erasure-rate changes couple monotonically.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    _check_integer(trials, "trials", 1)
     code = scheme.source_code
     N, blocks = code.N, scheme.blocks
     a_set = code.info_set
@@ -245,22 +244,20 @@ def simulate_relay(
             for t in range(trials)
         ])
 
-    def sc_decode(e, info_mask, sent_set, bits, coset=None):
+    def sc_decode(e, info_mask, sent_set, bits):
         """SC-decode with info_mask the words that carry bits on sent_set and
-        zeros elsewhere, erased by the patterns e.  The decoder freezes the
-        sent bits, or on A\\B the coset's bits if given.  Only the rows in
-        doubt are encoded and walked (module docstring); returns their
-        indices, their decoded u and every row's undetermined count."""
+        zeros elsewhere, erased by the patterns e; the decoder freezes the
+        sent bits.  Only the rows in doubt are encoded and walked (module
+        docstring); returns their indices, their decoded bits on sent_set
+        and every row's undetermined count."""
         undet = undetermined_bec_rows(e, info_mask)
         doubt = np.flatnonzero(undet)
         u = np.zeros((doubt.size, N), dtype=np.uint8)
         u[:, sent_set] = bits[doubt]
         y = e[doubt] | transform_rows(u).view(np.int8)
-        if coset is not None:
-            u[:, code.message_set] = coset[doubt]
         # the decoder reads u only outside info_mask, as the frozen values
         u_hat, _ = decode_bec_rows(y, info_mask, u)
-        return doubt, u_hat, undet
+        return doubt, u_hat[:, sent_set], undet
 
     def link(link_spec: PolarCodeSpec, bits, erasure_prob: float, block: int, role: int):
         """Send bits on link_spec's information set and zeros elsewhere, draw
@@ -268,9 +265,9 @@ def simulate_relay(
         with link_spec; returns the patterns, the decoded information bits
         and the undetermined counts."""
         e = per_trial(block, role, lambda t, rng: bec_sample_rows(zero_word, erasure_prob, rng))
-        doubt, u_hat, undet = sc_decode(e, link_spec.info_mask, link_spec.info_set, bits)
+        doubt, decoded_rows, undet = sc_decode(e, link_spec.info_mask, link_spec.info_set, bits)
         decoded = bits.copy()
-        decoded[doubt] = u_hat[:, link_spec.info_set]
+        decoded[doubt] = decoded_rows
         return e, decoded, undet
 
     relay_err, rd_err, dest_err = np.zeros((3, trials, blocks), dtype=bool)
@@ -291,11 +288,12 @@ def simulate_relay(
         )
         rd_err[:, k] = np.any(coset_dest != msgs[:, msg_pos], axis=1)
 
-        # destination freezes the received coset and decodes B from stored
-        # SD; only a row in doubt can decode B wrongly
-        doubt, u_dest, undet[:, k, 2] = sc_decode(e_sd, sd_mask, a_set, msgs, coset_dest)
+        # destination decodes B from stored SD with the sent coset frozen: a
+        # row whose coset arrived wrong is already a destination error, and
+        # only a row in doubt can decode B wrongly
+        doubt, dest_bits, undet[:, k, 2] = sc_decode(e_sd, sd_mask, a_set, msgs)
         dest_err[:, k] = rd_err[:, k]
-        dest_err[doubt, k] |= np.any(u_dest[:, code.secure_set] != msgs[doubt][:, ~msg_pos], axis=1)
+        dest_err[doubt, k] |= np.any(dest_bits != msgs[doubt], axis=1)
 
     return RelayRunReport(
         relay_errors=relay_err,

@@ -38,8 +38,8 @@ A genie feeds every bit's true value forward instead of its decision, so
 every bit the walk would feed forward is known in advance, and a genie
 goes through the n levels of the tree once, every node of a level at once.
 
-The LLR genie `genie_llr_rows` gives the bit-channel errors of SC on a
-general symmetric channel, in log-likelihood ratios: positive means bit 0
+The LLR genie `genie_llr_rows` gives the bit-channel errors of SC on the
+binary symmetric channel, in log-likelihood ratios: positive means bit 0
 is more likely, and a tie (LLR exactly zero) decides 0, matching a
 likelihood-ratio-at-least-one rule.  The check-node combine is computed
 in the log domain as logaddexp(0, a+b) - logaddexp(a, b), which equals
@@ -54,14 +54,16 @@ x[a] ^= x[b] turns every node's re-encoded bits into its left child's
 xl.  After n levels slot i holds leaf i's message and x holds u, and a
 flag is a hard decision (m < 0) that differs from u.
 
-BSC LLRs take two values, +-ln((1-p)/p), so near the root the messages
-take few distinct values (6, 19, 74, 341 and 2743 after levels 0-4 of one
-3906-row chunk at n=10; below that nearly all are distinct).  While the
-input holds at most two float64 bit patterns, the messages are int32 codes
-into a table of K values.  At each level f runs once per distinct (a, b)
-pair that occurs and g once per distinct (a, b, xl) triple, found by a
-bincount over the 2 K^2 triple indices, and the results, merged by bit
-pattern so that +0.0 and -0.0 stay apart, are the next level's table.
+The genie reads BSC outputs: received bit 0 is the LLR L = ln((1-p)/p),
+given by the caller, and bit 1 is -L, so near the root the messages take
+few distinct values (6, 19, 74, 341 and 2743 after levels 0-4 of one
+3906-row chunk at n=10; below that nearly all are distinct).  They are
+int32 codes into a table of K values, from the received bits themselves
+(bit-reversed, position-major) into [L, -L].  At each level f runs once
+per distinct (a, b) pair that occurs and g once per distinct (a, b, xl)
+triple, found by a bincount over the 2 K^2 triple indices, and the
+results, merged by bit pattern so that +0.0 and -0.0 stay apart, are the
+next level's table.
 This is exact: f and g are elementwise ufuncs, which give the same bits
 for the same float64 inputs, so every message is bit for bit the one a
 tree walk computes (the walk is kept as the tests' reference).  Codes are
@@ -90,7 +92,7 @@ Decoding order is the natural index order of u.  The entry points take a
 (batch, N) array of received words, one per row, after checking the
 shapes of their arguments, that erasure words hold only 0, 1 or ERASED
 and information masks, frozen values and true bits only 0 or 1, all of an
-integer or bool dtype, and that LLRs are finite.
+integer or bool dtype, and that the LLR magnitude is finite and at least 0.
 """
 from __future__ import annotations
 
@@ -352,39 +354,36 @@ def _genie_float_level(m: np.ndarray, x: np.ndarray, d: int) -> None:
 _GENIE_BLOCK_CELLS = 1 << 18
 
 
-def genie_llr_rows(llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
-    """Per-position hard-decision error indicators of genie-aided SC; llr
-    must be finite and is used unclamped, u_true is (N,) or (batch, N) over
-    {0, 1}.  One pass over the levels of the SC tree, with no walk (see the
-    module docstring)."""
-    nbatch, N = _check_shapes("llr", llr, u_true=u_true)
+def genie_llr_rows(y: np.ndarray, magnitude: float, u_true: np.ndarray) -> np.ndarray:
+    """Per-position hard-decision error indicators of genie-aided SC on the
+    (batch, N) BSC output bits y, read as the LLRs +magnitude (0) and
+    -magnitude (1), magnitude finite, at least 0 and used unclamped; u_true
+    is (N,) or (batch, N) over {0, 1}.  One pass over the levels of the SC
+    tree, with no walk (see the module docstring)."""
+    nbatch, N = _check_shapes("y", y, u_true=u_true)
+    _check_values("y", y, 0, "0 or 1")
     _check_values("u_true", u_true, 0, "0 or 1")
+    if not (np.isfinite(magnitude) and magnitude >= 0):
+        raise ValueError(f"magnitude must be finite and at least 0, got {magnitude}")
     if not nbatch:
         return np.zeros((0, N), dtype=bool)
-    llr = np.asarray(llr, dtype=np.float64)
-    if not np.isfinite([llr.min(), llr.max()]).all():
-        raise ValueError("LLR values must be finite")
     n = N.bit_length() - 1
-    rev = bit_reversal_permutation(n)
     # the true bits re-encoded, position-major; level d turns the bits of
     # the level-d nodes into those of their children
     x = np.array(np.broadcast_to(u_true, (nbatch, N)).T, dtype=np.uint8, order="C")
     butterfly_rows(x.T)
-    bits = llr.view(np.int64)
-    lo, hi = bits.min(), bits.max()
-    d, codes = 0, None
-    if lo == hi or np.count_nonzero(bits == lo) + np.count_nonzero(bits == hi) == bits.size:
-        table = np.unique([lo, hi]).view(np.float64)
-        codes = np.ascontiguousarray((bits != lo)[:, rev].T, dtype=np.int32)
-        # while the triple index is small next to the batch, and fits int32
-        while d < n and 2 * table.size**2 <= min(N * nbatch // 8, 1 << 31):
-            table = _genie_code_level(codes, x, table, d)
-            d += 1
+    table = np.array([magnitude, -magnitude], dtype=np.float64)
+    codes = np.ascontiguousarray(np.asarray(y)[:, bit_reversal_permutation(n)].T, dtype=np.int32)
+    d = 0
+    # while the triple index is small next to the batch, and fits int32
+    while d < n and 2 * table.size**2 <= min(N * nbatch // 8, 1 << 31):
+        table = _genie_code_level(codes, x, table, d)
+        d += 1
     flags = np.empty((nbatch, N), dtype=bool)
     rows = max(1, _GENIE_BLOCK_CELLS // N)
     for r0 in range(0, nbatch, rows):
         r1 = min(r0 + rows, nbatch)
-        m = table[codes[:, r0:r1]] if codes is not None else llr[r0:r1].take(rev, axis=1).T.copy()
+        m = table[codes[:, r0:r1]]
         xb = x[:, r0:r1].copy()
         for e in range(d, n):
             _genie_float_level(m, xb, e)

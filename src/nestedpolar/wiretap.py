@@ -25,6 +25,7 @@ from .gf2 import (
     BitMatrix,
     IncrementalRank,
     _check_index_set,
+    _check_integer,
     null_space_basis,  # noqa: F401  (unused; the benchmark tracer still resolves this name)
     pack_columns,
 )
@@ -113,8 +114,7 @@ class WiretapConfig:
             raise ValueError(f"need 0 <= e_m <= e_w <= 1, got e_m={self.e_m}, e_w={self.e_w}")
         if not 0.0 <= self.rate < 1.0:
             raise ValueError(f"rate must be in [0, 1), got {self.rate}")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
+        _check_integer(self.trials, "trials", 1)
         N = CodeParams(self.n).N
         b, k = self.sizes
         if b < 0 or k > N:

@@ -5,6 +5,7 @@ import pytest
 from nestedpolar.channels import (
     RngStream,
     bec_sample_rows,
+    bsc_llr_magnitude,
     bsc_sample_rows,
     cascade_rows,
 )
@@ -139,10 +140,12 @@ def test_bsc_extremes():
     x = np.array([[0, 1, 0, 1]], dtype=np.uint8)
     rng = RngStream(13).generator()
     clean = bsc_sample_rows(x, 0.0, rng)
-    assert clean.dtype == np.float64
-    assert np.all(np.sign(clean) == np.where(x == 0, 1, -1))
+    assert clean.dtype == np.uint8
+    assert np.array_equal(clean, x)
+    # at crossover 1/2 the received bits carry no information
     flat = bsc_sample_rows(x, 0.5, rng)
-    assert np.all(flat == 0.0)
+    assert flat.dtype == np.uint8 and set(flat.ravel()) <= {0, 1}
+    assert bsc_llr_magnitude(0.5) == 0.0
     with pytest.raises(ValueError):
         bsc_sample_rows(x, 0.51, rng)
 
@@ -153,7 +156,7 @@ def test_bsc_rejects_non_bit_symbols():
                 np.array([[0.0, 1.0, 0.0, 1.0]])):
         with pytest.raises(ValueError, match="^x must be 0 or 1"):
             bsc_sample_rows(bad, 0.11, rng)
-    # bool symbols are bits, and give the LLRs of their uint8 twins
+    # bool symbols are bits, and give the received bits of their uint8 twins
     x = np.array([[False, True, True, False]])
     assert np.array_equal(bsc_sample_rows(x, 0.11, RngStream(15).generator()),
                           bsc_sample_rows(x.view(np.uint8), 0.11, RngStream(15).generator()))
@@ -166,7 +169,7 @@ def test_bsc_flip_fraction():
     flips = 0
     for _ in range(500):
         y = bsc_sample_rows(x, p, rng)
-        flips += (y < 0).sum()
+        flips += (y != x).sum()
     assert abs(flips / (1024 * 500) - p) < 0.01
 
 

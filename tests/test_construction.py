@@ -50,6 +50,19 @@ def test_bec_reliability_checks_n_before_the_recursion():
     assert peak < 1 << 20
 
 
+def test_bsc_construction_builds_no_float_llr_batch():
+    # one 3906-row chunk at n=10: the genie reads the received bits, so
+    # besides the uniform draws no (batch, N) float64 array is built from them
+    mc_reliability(BSC(0.11), 10, 3906, 2)  # warm-up: imports and caches
+    tracemalloc.start()
+    try:
+        mc_reliability(BSC(0.11), 10, 3906, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 70 << 20
+
+
 def test_mean_preservation():
     for n in range(1, 13):
         for eps in (0.1, 0.25, 0.5):
@@ -128,6 +141,13 @@ def test_channel_spec_validation():
         BSC(-0.1)
     with pytest.raises(ValueError):
         BSC(0.6)
+    # the Monte-Carlo sizes are integers, numpy's included
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="^trials must be an integer"):
+            mc_reliability(BSC(0.11), 3, bad, 0)
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            mc_reliability(BSC(0.11), bad, 2, 0)
+    assert mc_reliability(BSC(0.11), np.int64(3), np.int32(2), 0).z.shape == (8,)
 
 
 def test_mc_reliability_bec_tracks_exact_recursion():

@@ -21,6 +21,11 @@ def test_code_params_guard():
         CodeParams(21)
     with pytest.raises(ValueError):
         CodeParams(-1)
+    # n is an integer: not a bool, not a float, whatever its value
+    for bad in (1.5, 3.0, np.float64(3.0), True, np.bool_(True)):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            CodeParams(bad)
+    assert CodeParams(np.int64(3)).N == 8
     # n is checked before the 4^n-cell Kronecker product is built
     for n in (-1, 21):
         with pytest.raises(ValueError, match="^n must be in"):

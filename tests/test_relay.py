@@ -71,6 +71,17 @@ def test_build_margin_validated():
     spec = RelayChannelSpec(0.1, 4 / 9, 0.5)
     with pytest.raises(ValueError):
         build_relay_scheme(spec, 6, 3, 0.0)
+    # sizes and counts are integers, numpy's included
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="^blocks must be an integer"):
+            build_relay_scheme(spec, 6, bad, 0.5)
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            build_relay_scheme(spec, bad, 2, 0.5)
+    scheme = build_relay_scheme(spec, np.int64(6), np.int32(2), 0.5)
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="^trials must be an integer"):
+            simulate_relay(scheme, spec, bad, 0)
+    assert simulate_relay(scheme, spec, np.int64(2), 0).dest_errors.shape == (2, 2)
 
 
 def test_calibrate_margin_meets_target():

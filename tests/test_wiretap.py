@@ -55,6 +55,12 @@ def test_config_validation():
         WiretapConfig(e_m=0.5, e_w=0.25, rate=0.1, n=3, trials=1, seed=0)
     with pytest.raises(ValueError):
         WiretapConfig(e_m=0.1, e_w=0.2, rate=1.0, n=3, trials=1, seed=0)
+    for bad in (True, 2.5, 2.0):
+        with pytest.raises(ValueError, match="^trials must be an integer"):
+            WiretapConfig(e_m=0.1, e_w=0.2, rate=0.1, n=3, trials=bad, seed=0)
+    with pytest.raises(ValueError, match="^n must be an integer"):
+        WiretapConfig(e_m=0.1, e_w=0.2, rate=0.1, n=3.0, trials=1, seed=0)
+    assert WiretapConfig(e_m=0.1, e_w=0.2, rate=0.1, n=np.int64(3), trials=np.int32(2), seed=0).sizes == (6, 7)
 
 
 def test_build_degenerate_zero_rate():
