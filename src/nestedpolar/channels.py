@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .gf2 import _check_integer
+from .gf2 import _check_integer, _check_seed
 from .sc import ERASED
 
 __all__ = [
@@ -34,6 +34,10 @@ __all__ = [
 
 # Recorded in experiment CSV headers for reproducibility.
 GENERATOR_NAME = "numpy-PCG64"
+
+# Cells of one block of BSC uniform draws: 2 MB of float64, so that a
+# chunk of many rows never holds a float64 draw per position at once.
+_SAMPLE_BLOCK_CELLS = 1 << 18
 
 # bsc_llr_magnitude clamps to this, so the BSC sampler emits no larger LLR
 # magnitude, even at crossover 0, and the genie's combines stay well-scaled.
@@ -48,10 +52,8 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        for name in ("master_seed", "stream_id"):
-            _check_integer(getattr(self, name), name, 0)
-        if self.master_seed >= 2**64:
-            raise ValueError("master_seed must be a 64-bit unsigned integer")
+        _check_seed(self.master_seed, "master_seed")
+        _check_integer(self.stream_id, "stream_id", 0)
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence([self.master_seed, self.stream_id])
@@ -88,12 +90,18 @@ def bsc_sample_rows(x: np.ndarray, crossover_prob: float, rng: np.random.Generat
     """Flip each position of a (batch, N) integer or bool array of 0/1
     symbols independently, iff its uniform draw is below the crossover
     probability; returns the (batch, N) uint8 received bits, each of LLR
-    magnitude ``bsc_llr_magnitude(crossover_prob)``."""
+    magnitude ``bsc_llr_magnitude(crossover_prob)``.  The uniforms are
+    drawn a block of rows at a time; the generator fills each block in
+    stream order, so the draws are those of one whole-array draw."""
     if not 0.0 <= crossover_prob <= 0.5:
         raise ValueError(f"crossover probability must be in [0, 1/2], got {crossover_prob}")
     if x.dtype.kind not in "biu":
         raise ValueError(f"x must be 0 or 1 of an integer or bool dtype, got {x.dtype}")
     if x.size and (x.min() < 0 or x.max() > 1):
         raise ValueError(f"x must be 0 or 1, got values in [{x.min()}, {x.max()}]")
-    y = (rng.random(x.shape) < crossover_prob).view(np.uint8)
-    return np.bitwise_xor(y, x, out=y, dtype=np.uint8, casting="unsafe")
+    y = np.empty(x.shape, dtype=np.uint8)
+    rows = max(1, _SAMPLE_BLOCK_CELLS * len(x) // max(1, x.size))
+    for r in range(0, len(x), rows):
+        flips = rng.random(x[r : r + rows].shape) < crossover_prob
+        np.bitwise_xor(flips, x[r : r + rows], out=y[r : r + rows], dtype=np.uint8, casting="unsafe")
+    return y

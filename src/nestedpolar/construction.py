@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import RngStream, bsc_llr_magnitude, bsc_sample_rows
-from .gf2 import _check_index_set, _check_integer
+from .gf2 import _check_index_set, _check_integer, _check_seed
 from .polar import CodeParams, transform_rows
 from .sc import genie_llr_rows
 
@@ -97,8 +97,16 @@ def mc_reliability(channel: BSC, n: int, trials: int, seed: int) -> ReliabilityP
     with every past decision replaced by the true bit; the per-index
     indicator is a hard-decision error.  Deterministic given (channel, n,
     trials, seed).
+
+    The codewords go in chunks of about 4M positions (3906 rows at n=10),
+    one PRNG substream each.  A chunk holds its inputs u and received bits
+    y (a byte per position each), and the genie its int32 codes and true
+    bits (five bytes per position); the codewords are freed once sampled,
+    and the flips and the genie's passes go in blocks of 2^18 positions,
+    so one n=10 chunk peaks at about 36 MB.
     """
     _check_integer(trials, "trials", 1)
+    _check_seed(seed)
     params = CodeParams(n)
     N = params.N
     counts = np.zeros(N, dtype=np.int64)
@@ -110,8 +118,9 @@ def mc_reliability(channel: BSC, n: int, trials: int, seed: int) -> ReliabilityP
         size = min(chunk, trials - done)
         rng = RngStream(seed, chunk_index).generator()
         u = rng.integers(0, 2, size=(size, N), dtype=np.uint8)
-        x = transform_rows(u)
-        flags = genie_llr_rows(bsc_sample_rows(x, channel.crossover_prob, rng), magnitude, u)
+        # the codewords are freed once sampled; the genie needs only u and y
+        y = bsc_sample_rows(transform_rows(u), channel.crossover_prob, rng)
+        flags = genie_llr_rows(y, magnitude, u)
         counts += flags.sum(axis=0)
         done += size
         chunk_index += 1

@@ -192,6 +192,14 @@ def _check_integer(value, name: str, low: int | None = None) -> None:
         raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
+def _check_seed(value, name: str = "seed") -> None:
+    """Reject a PRNG seed that is not an integer in [0, 2**64); the
+    ValueError starts with ``name``."""
+    _check_integer(value, name, 0)
+    if value >= 2**64:
+        raise ValueError(f"{name} must be below 2**64, got {value}")
+
+
 def _check_index_set(idx, limit: int, name: str) -> np.ndarray:
     """A fresh int64 copy of ``idx``, checked to hold integers (bool is not
     one; an empty input of any dtype is the empty set), to be 1-D, strictly

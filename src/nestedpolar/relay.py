@@ -36,7 +36,7 @@ import numpy as np
 
 from .channels import RngStream, bec_sample_rows, cascade_rows
 from .construction import bec_reliability, select_info_set
-from .gf2 import _check_integer
+from .gf2 import _check_integer, _check_seed
 from .polar import CodeParams, PolarCodeSpec, transform_rows
 from .sc import decode_bec_rows, undetermined_bec_rows
 from .wiretap import NestedCodeSpec
@@ -228,6 +228,7 @@ def simulate_relay(
     own substream, so erasure-rate changes couple monotonically.
     """
     _check_integer(trials, "trials", 1)
+    _check_seed(seed)
     code = scheme.source_code
     N, blocks = code.N, scheme.blocks
     a_set = code.info_set

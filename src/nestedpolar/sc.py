@@ -61,9 +61,13 @@ few distinct values (6, 19, 74, 341 and 2743 after levels 0-4 of one
 int32 codes into a table of K values, from the received bits themselves
 (bit-reversed, position-major) into [L, -L].  At each level f runs once
 per distinct (a, b) pair that occurs and g once per distinct (a, b, xl)
-triple, found by a bincount over the 2 K^2 triple indices, and the
-results, merged by bit pattern so that +0.0 and -0.0 stay apart, are the
-next level's table.
+triple, found by marking the triple indices that occur in a table of
+2 K^2 flags, and the results, merged by bit pattern so that +0.0 and -0.0
+stay apart, are the next level's table.  Both passes over the triples,
+the marking and the lookup of the new codes, take 2^18 messages at a time
+and compute their triple indices afresh, so a level builds no temporary
+beyond one block and its tables on top of the batch's own arrays (the
+codes, the bits x and the caller's y and u).
 This is exact: f and g are elementwise ufuncs, which give the same bits
 for the same float64 inputs, so every message is bit for bit the one a
 tree walk computes (the walk is kept as the tests' reference).  Codes are
@@ -308,22 +312,50 @@ def undetermined_bec_rows(y: np.ndarray, info_mask: np.ndarray) -> np.ndarray:
     return _BYTE_WEIGHTS[info_erased.view(np.uint8)].sum(axis=1, dtype=np.int64)
 
 
+# Cells of one block of the LLR genie: of the triple indices of a code
+# level, or (positions x rows) of the float levels, 2 MB of float64, so
+# that the combines' temporaries stay in cache.
+_GENIE_BLOCK_CELLS = 1 << 18
+
+
+def _tiles(shape: tuple[int, int], cells: int):
+    """Index pairs that tile a 2-D array of ``shape`` in row-major order,
+    each of at most ``cells`` cells (one when ``cells`` is below 1): whole
+    rows while they fit, else slices of one row."""
+    nrows, ncols = shape
+    width = max(1, min(ncols, cells))
+    step = max(1, cells // max(1, ncols))
+    for r in range(0, nrows, step):
+        for c in range(0, ncols, width):
+            yield np.s_[r : r + step, c : c + width]
+
+
 def _genie_code_level(codes: np.ndarray, x: np.ndarray, table: np.ndarray, d: int) -> np.ndarray:
     """Level d of the LLR genie on messages held as int32 codes into table,
     in place; returns the table the new codes index.  Each combine runs once
-    per distinct input that occurs, found by a bincount over the (a, b, xl)
-    triples, and the results are merged by bit pattern."""
+    per distinct input that occurs, found by marking the (a, b, xl) triples
+    that occur, and the results are merged by bit pattern.  The passes over
+    the triple indices go a block at a time, so no index copy or gather
+    result larger than a block is built."""
     K = table.size
     c = codes.reshape(1 << d, 2, -1)
     xs = x.reshape(1 << d, 2, -1)
     xl = xs[:, 0]
     xl ^= xs[:, 1]
     a, b = c[:, 0], c[:, 1]
-    t = a * K
-    t += b
-    t <<= 1
-    t |= xl
-    seen = np.flatnonzero(np.bincount(t.ravel(), minlength=2 * K * K))
+    tiles = list(_tiles(a.shape, _GENIE_BLOCK_CELLS))
+
+    def triples(tile) -> np.ndarray:
+        t = a[tile] * K
+        t += b[tile]
+        t <<= 1
+        t |= xl[tile]
+        return t
+
+    hit = np.zeros(2 * K * K, dtype=bool)
+    for tile in tiles:
+        hit[triples(tile)] = True
+    seen = np.flatnonzero(hit)
     pair = seen >> 1
     pairs, pair_of = np.unique(pair, return_inverse=True)
     checks = _llr_check(table[pairs // K], table[pairs % K])
@@ -332,8 +364,12 @@ def _genie_code_level(codes: np.ndarray, x: np.ndarray, table: np.ndarray, d: in
     lut = np.empty((2, 2 * K * K), dtype=np.int32)
     lut[0, seen] = new[pair_of]  # the checks' codes come first
     lut[1, seen] = new[pairs.size :]
-    b[...] = lut[1][t]
-    a[...] = lut[0][t]
+    # every index is below 2 K^2; mode "clip" writes straight into the
+    # strided out, where "raise" would buffer it
+    for tile in tiles:
+        t = triples(tile)
+        np.take(lut[0], t, out=a[tile], mode="clip")
+        np.take(lut[1], t, out=b[tile], mode="clip")
     return values.view(np.float64)
 
 
@@ -347,11 +383,6 @@ def _genie_float_level(m: np.ndarray, x: np.ndarray, d: int) -> None:
     checks = _llr_check(a, b)
     b[...] = _llr_var(a, b, xl)
     a[...] = checks
-
-
-# Cells (positions x rows) of one block of the LLR genie's float levels:
-# 2 MB of float64, so that the combines' temporaries stay in cache.
-_GENIE_BLOCK_CELLS = 1 << 18
 
 
 def genie_llr_rows(y: np.ndarray, magnitude: float, u_true: np.ndarray) -> np.ndarray:

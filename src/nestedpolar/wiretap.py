@@ -26,6 +26,7 @@ from .gf2 import (
     IncrementalRank,
     _check_index_set,
     _check_integer,
+    _check_seed,
     null_space_basis,  # noqa: F401  (unused; the benchmark tracer still resolves this name)
     pack_columns,
 )
@@ -115,6 +116,7 @@ class WiretapConfig:
         if not 0.0 <= self.rate < 1.0:
             raise ValueError(f"rate must be in [0, 1), got {self.rate}")
         _check_integer(self.trials, "trials", 1)
+        _check_seed(self.seed)
         N = CodeParams(self.n).N
         b, k = self.sizes
         if b < 0 or k > N:

@@ -225,3 +225,11 @@ def bec_sample_float_rule(x, erasure_prob: float, rng) -> np.ndarray:
     symbol as int8."""
     x = np.asarray(x)
     return np.where(rng.random(x.shape) < erasure_prob, np.int8(-1), x.astype(np.int8))
+
+
+def bsc_sample_float_rule(x, crossover_prob: float, rng) -> np.ndarray:
+    """The BSC sampler's defining rule: one whole-array uniform draw, flip
+    each 0/1 symbol of x iff its draw is below the crossover probability;
+    uint8."""
+    x = np.asarray(x).astype(np.uint8)
+    return np.where(rng.random(x.shape) < crossover_prob, 1 - x, x).astype(np.uint8)

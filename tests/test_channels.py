@@ -1,7 +1,10 @@
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from nestedpolar import channels
 from nestedpolar.channels import (
     RngStream,
     bec_sample_rows,
@@ -11,7 +14,7 @@ from nestedpolar.channels import (
 )
 from nestedpolar.sc import ERASED
 
-from oracles import bec_sample_float_rule
+from oracles import bec_sample_float_rule, bsc_sample_float_rule
 
 
 def test_rng_stream_reproducible():
@@ -160,6 +163,40 @@ def test_bsc_rejects_non_bit_symbols():
     x = np.array([[False, True, True, False]])
     assert np.array_equal(bsc_sample_rows(x, 0.11, RngStream(15).generator()),
                           bsc_sample_rows(x.view(np.uint8), 0.11, RngStream(15).generator()))
+
+
+@st.composite
+def bsc_sampler_inputs(draw):
+    """(x, crossover probability, seed, block cells): x holds 0/1 symbols of
+    an integer or bool dtype, of shape (batch, N) with batch one block of
+    rows, one row either side of it, or several blocks and a part; the
+    block is the sampler's own or a few cells."""
+    n = draw(st.integers(0, 6))
+    N = 1 << n
+    cells = draw(st.sampled_from([channels._SAMPLE_BLOCK_CELLS, 1, 2, 5, 64, 100]))
+    rows = max(1, cells // N)
+    batch = draw(st.sampled_from([rows - 1, rows, rows + 1, 3 * rows + 1]))
+    kind = draw(st.sampled_from(["uint8", "bool", "int8", "int64"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    x = np.random.default_rng(seed).integers(0, 2, (batch, N)).astype(kind)
+    p = draw(st.sampled_from([0.0, 5e-324, 0.1, 4 / 9, 0.5]) | st.floats(0.0, 0.5))
+    return x, p, seed, cells
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(bsc_sampler_inputs())
+def test_bsc_sampler_equals_float_draw_rule(case):
+    # the flips are drawn a block of rows at a time; on a twin generator
+    # they must be those of one whole-array draw, at every block boundary
+    x, p, seed, cells = case
+    with mock.patch.object(channels, "_SAMPLE_BLOCK_CELLS", cells):
+        rng = np.random.default_rng(seed)
+        y = bsc_sample_rows(x, p, rng)
+    twin = np.random.default_rng(seed)
+    assert y.dtype == np.uint8 and y.shape == x.shape
+    assert np.array_equal(y, bsc_sample_float_rule(x, p, twin))
+    # and both generators end at the same point of the stream
+    assert rng.random() == twin.random()
 
 
 def test_bsc_flip_fraction():

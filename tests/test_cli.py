@@ -306,9 +306,9 @@ def test_reruns_are_byte_identical(tmp_path):
     # Each output's SHA-256 without its "# generated:" line, recorded with
     # numpy 2.4.6.  The relay hash covers the "# stats: undetermined_*" line,
     # so it moves with any change to decoding or to the RNG streams, even on
-    # a run without errors.  "e" is one Monte-Carlo chunk of the BSC genie.
-    # Each hash also covers the "# nestedpolar <version>" header line, so a
-    # version bump moves all five.
+    # a run without errors.  "e" is one Monte-Carlo chunk of the BSC genie,
+    # "f" two (62500 codewords and 7500 at n=6).  Each hash also covers the
+    # "# nestedpolar <version>" header line, so a version bump moves all six.
     for name, (args, digest) in {
         "a": (["construct", "--set", "n=4", "--set", "erasure_prob=0.3"],
               "a67be849c324f49e76fcd33ae1f802f1e328ec3d3f2f733406bb0ff4601d867a"),
@@ -322,6 +322,8 @@ def test_reruns_are_byte_identical(tmp_path):
               "ccfb5d7b82b12dbf7bfa1ab219b4ddf3798d49a67d4023f7dc169bf231e93873"),
         "e": (["construct", "--set", "channel=bsc", "--set", "n=6", "--trials", "2000"],
               "1fbf8b1186d6c04560b03bc0a2e1b149ee67ead1da31724725fc82d284ab428a"),
+        "f": (["construct", "--set", "channel=bsc", "--set", "n=6", "--trials", "70000"],
+              "5f2d023fee1a2c8e4757003de25cb6d606d97b7fc897de1b7298a525f331b388"),
     }.items():
         first = tmp_path / f"{name}1.csv"
         second = tmp_path / f"{name}2.csv"

@@ -51,8 +51,10 @@ def test_bec_reliability_checks_n_before_the_recursion():
 
 
 def test_bsc_construction_builds_no_float_llr_batch():
-    # one 3906-row chunk at n=10: the genie reads the received bits, so
-    # besides the uniform draws no (batch, N) float64 array is built from them
+    # one 3906-row chunk at n=10 (35.8 MB): no (batch, N) float64 array is
+    # built, and the flips and the genie's passes over its codes go a block
+    # at a time; the chunk's own arrays (u, y, the true bits and the int32
+    # codes) take 26.7 MB
     mc_reliability(BSC(0.11), 10, 3906, 2)  # warm-up: imports and caches
     tracemalloc.start()
     try:
@@ -60,7 +62,7 @@ def test_bsc_construction_builds_no_float_llr_batch():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 70 << 20
+    assert peak < 40 << 20
 
 
 def test_mean_preservation():
@@ -147,6 +149,10 @@ def test_channel_spec_validation():
             mc_reliability(BSC(0.11), 3, bad, 0)
         with pytest.raises(ValueError, match="^n must be an integer"):
             mc_reliability(BSC(0.11), bad, 2, 0)
+    # so is the seed, a 64-bit unsigned integer, checked before any draw
+    for bad in (1.5, True, -1, 2**64):
+        with pytest.raises(ValueError, match="^seed must be"):
+            mc_reliability(BSC(0.11), 3, 2, bad)
     assert mc_reliability(BSC(0.11), np.int64(3), np.int32(2), 0).z.shape == (8,)
 
 

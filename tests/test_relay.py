@@ -81,6 +81,9 @@ def test_build_margin_validated():
     for bad in (2.5, 2.0, True):
         with pytest.raises(ValueError, match="^trials must be an integer"):
             simulate_relay(scheme, spec, bad, 0)
+    for bad in (1.5, True, -1, 2**64):
+        with pytest.raises(ValueError, match="^seed must be"):
+            simulate_relay(scheme, spec, 2, bad)
     assert simulate_relay(scheme, spec, np.int64(2), 0).dest_errors.shape == (2, 2)
 
 

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -329,6 +330,40 @@ def test_genie_llr_rows_match_tree_walk(n, nbatch, p, per_row, seed):
     y = bsc_sample_rows(transform_rows(np.broadcast_to(u, (nbatch, N))), crossover, rng)
     L = bsc_llr_magnitude(crossover)
     assert np.array_equal(genie_llr_rows(y, L, u), genie_llr_walk(np.where(y, -L, L), u))
+
+
+def test_genie_tiles_cover_every_cell_once():
+    for shape in [(1, 1), (1, 10), (4, 3), (8, 5), (3, 64)]:
+        cells = np.arange(shape[0] * shape[1]).reshape(shape)
+        for block in (0, 1, 2, 3, 5, 15, 64, 1000):
+            tiles = [cells[tile] for tile in sc._tiles(shape, block)]
+            assert np.array_equal(np.concatenate([t.ravel() for t in tiles]), cells.ravel())
+            assert max(t.size for t in tiles) <= max(1, block)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(0, 7),
+    nbatch=st.integers(1, 80),
+    cells=st.integers(1, 2048),
+    p=st.sampled_from([0.0, 0.5, None]),
+    per_row=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_genie_llr_rows_in_small_blocks(n, nbatch, cells, p, per_row, seed):
+    # blocks of a few cells cut the triple passes of every code level, and
+    # the float levels' rows, with uneven last blocks; the flags must equal
+    # those of the default blocks and the walk's
+    rng = np.random.default_rng(seed)
+    N = 1 << n
+    crossover = rng.uniform(0.0, 0.5) if p is None else p
+    u = rng.integers(0, 2, (nbatch, N) if per_row else N, dtype=np.uint8)
+    y = bsc_sample_rows(transform_rows(np.broadcast_to(u, (nbatch, N))), crossover, rng)
+    L = bsc_llr_magnitude(crossover)
+    expected = genie_llr_rows(y, L, u)
+    assert np.array_equal(expected, genie_llr_walk(np.where(y, -L, L), u))
+    with mock.patch.object(sc, "_GENIE_BLOCK_CELLS", cells):
+        assert np.array_equal(genie_llr_rows(y, L, u), expected)
 
 
 def test_genie_llr_rows_edge_cases():

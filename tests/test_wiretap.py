@@ -60,6 +60,11 @@ def test_config_validation():
             WiretapConfig(e_m=0.1, e_w=0.2, rate=0.1, n=3, trials=bad, seed=0)
     with pytest.raises(ValueError, match="^n must be an integer"):
         WiretapConfig(e_m=0.1, e_w=0.2, rate=0.1, n=3.0, trials=1, seed=0)
+    # the seed is a 64-bit unsigned integer, checked before the design step
+    for bad in (1.5, True, -1, 2**64):
+        with pytest.raises(ValueError, match="^seed must be"):
+            WiretapConfig(e_m=0.1, e_w=0.2, rate=0.1, n=3, trials=1, seed=bad)
+    assert WiretapConfig(e_m=0.1, e_w=0.2, rate=0.1, n=3, trials=1, seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
     assert WiretapConfig(e_m=0.1, e_w=0.2, rate=0.1, n=np.int64(3), trials=np.int32(2), seed=0).sizes == (6, 7)
 
 
