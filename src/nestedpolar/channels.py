@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .gf2 import _check_integer, _check_seed
+from .gf2 import _check_integer, _check_probability, _check_seed
 from .sc import ERASED
 
 __all__ = [
@@ -65,8 +65,7 @@ def bec_sample_rows(x: np.ndarray, erasure_prob: float, rng: np.random.Generator
     three-valued words independently (erased stays erased); returns int8.
     ``cascade_rows`` is this sampler.  One uniform is drawn per position,
     erased or not, so the pattern does not depend on the input."""
-    if not 0.0 <= erasure_prob <= 1.0:
-        raise ValueError(f"erasure probability must be in [0, 1], got {erasure_prob}")
+    _check_probability(erasure_prob, "erasure_prob")
     if x.dtype.kind not in "biu":
         raise ValueError(f"x must be an integer or bool array, got dtype {x.dtype}")
     # ERASED is all ones, so the erased mask times ERASED ORed with x erases
@@ -81,6 +80,7 @@ cascade_rows = bec_sample_rows
 
 def bsc_llr_magnitude(crossover_prob: float) -> float:
     """Per-symbol LLR magnitude ln((1-p)/p), clamped to the decoder cap."""
+    _check_probability(crossover_prob, "crossover probability", 0.5)
     if crossover_prob == 0.0:
         return LLR_CAP
     return min(math.log((1.0 - crossover_prob) / crossover_prob), LLR_CAP)
@@ -93,8 +93,7 @@ def bsc_sample_rows(x: np.ndarray, crossover_prob: float, rng: np.random.Generat
     magnitude ``bsc_llr_magnitude(crossover_prob)``.  The uniforms are
     drawn a block of rows at a time; the generator fills each block in
     stream order, so the draws are those of one whole-array draw."""
-    if not 0.0 <= crossover_prob <= 0.5:
-        raise ValueError(f"crossover probability must be in [0, 1/2], got {crossover_prob}")
+    _check_probability(crossover_prob, "crossover probability", 0.5)
     if x.dtype.kind not in "biu":
         raise ValueError(f"x must be 0 or 1 of an integer or bool dtype, got {x.dtype}")
     if x.size and (x.min() < 0 or x.max() > 1):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import RngStream, bsc_llr_magnitude, bsc_sample_rows
-from .gf2 import _check_index_set, _check_integer, _check_seed
+from .gf2 import _check_index_set, _check_integer, _check_probability, _check_seed
 from .polar import CodeParams, transform_rows
 from .sc import genie_llr_rows
 
@@ -35,8 +35,7 @@ class BSC:
     crossover_prob: float
 
     def __post_init__(self):
-        if not 0.0 <= self.crossover_prob <= 0.5:
-            raise ValueError(f"crossover probability must be in [0, 1/2], got {self.crossover_prob}")
+        _check_probability(self.crossover_prob, "crossover probability", 0.5)
 
 
 @dataclass(frozen=True)
@@ -78,8 +77,7 @@ def bec_reliability(n: int, erasure_prob: float) -> ReliabilityProfile:
     absorb rounding.
     """
     params = CodeParams(n)
-    if not 0.0 <= erasure_prob <= 1.0:
-        raise ValueError(f"erasure probability must be in [0, 1], got {erasure_prob}")
+    _check_probability(erasure_prob, "erasure_prob")
     z = np.array([erasure_prob], dtype=np.float64)
     for _ in range(n):
         nxt = np.empty(2 * z.size, dtype=np.float64)
@@ -88,6 +86,17 @@ def bec_reliability(n: int, erasure_prob: float) -> ReliabilityProfile:
         np.clip(nxt, 0.0, 1.0, out=nxt)
         z = nxt
     return ReliabilityProfile(params, z, exact=True)
+
+
+# Positions of one codeword chunk, one PRNG substream each.
+_CHUNK_POSITIONS = 4_000_000
+
+
+def _genie_batch_rows(chunk: int) -> int:
+    """Rows of one genie batch of a ``chunk``-row chunk: half of it, rounded
+    up, which at n=10 (3906-row chunks) still runs the genie's levels 0-4
+    on codes."""
+    return -(-chunk // 2)
 
 
 def mc_reliability(channel: BSC, n: int, trials: int, seed: int) -> ReliabilityProfile:
@@ -99,18 +108,23 @@ def mc_reliability(channel: BSC, n: int, trials: int, seed: int) -> ReliabilityP
     trials, seed).
 
     The codewords go in chunks of about 4M positions (3906 rows at n=10),
-    one PRNG substream each.  A chunk holds its inputs u and received bits
-    y (a byte per position each), and the genie its int32 codes and true
-    bits (five bytes per position); the codewords are freed once sampled,
-    and the flips and the genie's passes go in blocks of 2^18 positions,
-    so one n=10 chunk peaks at about 36 MB.
+    one PRNG substream each.  A chunk draws its inputs u (a byte per
+    position) at once, then encodes, samples and runs the genie on batches
+    of half a chunk.  A batch holds its codewords until they are sampled,
+    its received bits y, and the genie's true bits and flags (a byte per
+    position each) and uint16 codes (two bytes).  The flips and the
+    genie's passes go in blocks of 2^18 positions, so one n=10 chunk peaks
+    at about 19 MB.  Each row's flags depend on that row alone, and the
+    batches draw their flips in stream order, so the batching changes no
+    output.
     """
     _check_integer(trials, "trials", 1)
     _check_seed(seed)
     params = CodeParams(n)
     N = params.N
     counts = np.zeros(N, dtype=np.int64)
-    chunk = max(1, 4_000_000 // N)
+    chunk = max(1, _CHUNK_POSITIONS // N)
+    batch = _genie_batch_rows(chunk)
     magnitude = bsc_llr_magnitude(channel.crossover_prob)
     done = 0
     chunk_index = 0
@@ -118,10 +132,10 @@ def mc_reliability(channel: BSC, n: int, trials: int, seed: int) -> ReliabilityP
         size = min(chunk, trials - done)
         rng = RngStream(seed, chunk_index).generator()
         u = rng.integers(0, 2, size=(size, N), dtype=np.uint8)
-        # the codewords are freed once sampled; the genie needs only u and y
-        y = bsc_sample_rows(transform_rows(u), channel.crossover_prob, rng)
-        flags = genie_llr_rows(y, magnitude, u)
-        counts += flags.sum(axis=0)
+        for r in range(0, size, batch):
+            ub = u[r : r + batch]
+            y = bsc_sample_rows(transform_rows(ub), channel.crossover_prob, rng)
+            counts += genie_llr_rows(y, magnitude, ub).sum(axis=0)
         done += size
         chunk_index += 1
     return ReliabilityProfile(params, counts / trials, exact=False)

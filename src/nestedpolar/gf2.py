@@ -192,6 +192,22 @@ def _check_integer(value, name: str, low: int | None = None) -> None:
         raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
+def _check_real(value, name: str) -> None:
+    """Reject a probability or LLR magnitude that is not a real number
+    (bool is not one; numpy integers and floats are); the ValueError starts
+    with ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def _check_probability(value, name: str, high: float = 1.0) -> None:
+    """Reject a probability that is not a real number in [0, high]; the
+    ValueError starts with ``name``."""
+    _check_real(value, name)
+    if not 0.0 <= value <= high:
+        raise ValueError(f"{name} must be in [0, {high:g}], got {value}")
+
+
 def _check_seed(value, name: str = "seed") -> None:
     """Reject a PRNG seed that is not an integer in [0, 2**64); the
     ValueError starts with ``name``."""

@@ -36,7 +36,7 @@ import numpy as np
 
 from .channels import RngStream, bec_sample_rows, cascade_rows
 from .construction import bec_reliability, select_info_set
-from .gf2 import _check_integer, _check_seed
+from .gf2 import _check_integer, _check_probability, _check_real, _check_seed
 from .polar import CodeParams, PolarCodeSpec, transform_rows
 from .sc import decode_bec_rows, undetermined_bec_rows
 from .wiretap import NestedCodeSpec
@@ -61,9 +61,7 @@ class RelayChannelSpec:
 
     def __post_init__(self):
         for name in ("e_sr", "e_deg", "e_rd"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+            _check_probability(getattr(self, name), name)
 
     @property
     def e_sd(self) -> float:
@@ -161,6 +159,7 @@ def build_relay_scheme(
     round(margin N (C_SD + C_RD)).  The relay's own code always carries
     |A\\B| bits on the best RD indices.
     """
+    _check_real(margin, "margin")
     if not 0.0 < margin <= 1.0:
         raise ValueError(f"margin must be in (0, 1], got {margin}")
     return _scheme_designer(spec, n, blocks)(margin)
@@ -172,6 +171,7 @@ def calibrate_margin(
     """Largest margin on the grid 1, 0.995, ..., 0.005 whose three stage union
     bounds all sit at or below ``target``.  The profiles are built once for the
     scan; only margins whose stage sizes do not fit are skipped."""
+    _check_real(target, "target")
     design = _scheme_designer(spec, n, blocks)
     for i in range(200):
         try:

@@ -56,18 +56,21 @@ flag is a hard decision (m < 0) that differs from u.
 
 The genie reads BSC outputs: received bit 0 is the LLR L = ln((1-p)/p),
 given by the caller, and bit 1 is -L, so near the root the messages take
-few distinct values (6, 19, 74, 341 and 2743 after levels 0-4 of one
-3906-row chunk at n=10; below that nearly all are distinct).  They are
-int32 codes into a table of K values, from the received bits themselves
+few distinct values (6, 19, 74, 340 and 2624 after levels 0-4 of one
+1953-row batch at n=10; below that nearly all are distinct).  They are
+uint16 codes into a table of K values, from the received bits themselves
 (bit-reversed, position-major) into [L, -L].  At each level f runs once
 per distinct (a, b) pair that occurs and g once per distinct (a, b, xl)
 triple, found by marking the triple indices that occur in a table of
 2 K^2 flags, and the results, merged by bit pattern so that +0.0 and -0.0
 stay apart, are the next level's table.  Both passes over the triples,
 the marking and the lookup of the new codes, take 2^18 messages at a time
-and compute their triple indices afresh, so a level builds no temporary
-beyond one block and its tables on top of the batch's own arrays (the
-codes, the bits x and the caller's y and u).
+and compute their triple indices afresh, in intp so that a K cannot wrap,
+so a level builds no temporary beyond one block and its tables on top of
+the batch's own arrays (the codes, the bits x and the caller's y and u).
+No static bound keeps the codes below 2^16 (a level may output up to
+3 K^2 values), so a level whose new table has more than 65536 entries
+first widens them to int32: the dtype follows the measured table size.
 This is exact: f and g are elementwise ufuncs, which give the same bits
 for the same float64 inputs, so every message is bit for bit the one a
 tree walk computes (the walk is kept as the tests' reference).  Codes are
@@ -102,6 +105,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .gf2 import _check_real
 from .polar import bit_reversal_permutation, butterfly_rows
 
 __all__ = [
@@ -330,23 +334,28 @@ def _tiles(shape: tuple[int, int], cells: int):
             yield np.s_[r : r + step, c : c + width]
 
 
-def _genie_code_level(codes: np.ndarray, x: np.ndarray, table: np.ndarray, d: int) -> np.ndarray:
-    """Level d of the LLR genie on messages held as int32 codes into table,
-    in place; returns the table the new codes index.  Each combine runs once
-    per distinct input that occurs, found by marking the (a, b, xl) triples
-    that occur, and the results are merged by bit pattern.  The passes over
-    the triple indices go a block at a time, so no index copy or gather
-    result larger than a block is built."""
+def _genie_code_level(
+    codes: np.ndarray, x: np.ndarray, table: np.ndarray, d: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Level d of the LLR genie on messages held as uint16 or int32 codes
+    into table, in place; returns the codes, widened to int32 first if the
+    new table has more than 65536 entries, and the table they index.  Each
+    combine runs once per distinct input that occurs, found by marking the
+    (a, b, xl) triples that occur, and the results are merged by bit
+    pattern.  The passes over the triple indices go a block at a time, so
+    no index copy or gather result larger than a block is built."""
     K = table.size
-    c = codes.reshape(1 << d, 2, -1)
     xs = x.reshape(1 << d, 2, -1)
     xl = xs[:, 0]
     xl ^= xs[:, 1]
-    a, b = c[:, 0], c[:, 1]
+    a, b = codes.reshape(1 << d, 2, -1).swapaxes(0, 1)
     tiles = list(_tiles(a.shape, _GENIE_BLOCK_CELLS))
 
     def triples(tile) -> np.ndarray:
-        t = a[tile] * K
+        # in intp, where a * K cannot wrap and which the indexing below
+        # takes without a copy
+        t = a[tile].astype(np.intp)
+        t *= K
         t += b[tile]
         t <<= 1
         t |= xl[tile]
@@ -361,7 +370,10 @@ def _genie_code_level(codes: np.ndarray, x: np.ndarray, table: np.ndarray, d: in
     checks = _llr_check(table[pairs // K], table[pairs % K])
     var = _llr_var(table[pair // K], table[pair % K], seen & 1)
     values, new = np.unique(np.concatenate([checks, var]).view(np.int64), return_inverse=True)
-    lut = np.empty((2, 2 * K * K), dtype=np.int32)
+    if values.size > 1 << 16 and codes.dtype == np.uint16:
+        codes = codes.astype(np.int32)
+        a, b = codes.reshape(1 << d, 2, -1).swapaxes(0, 1)
+    lut = np.empty((2, 2 * K * K), dtype=codes.dtype)
     lut[0, seen] = new[pair_of]  # the checks' codes come first
     lut[1, seen] = new[pairs.size :]
     # every index is below 2 K^2; mode "clip" writes straight into the
@@ -370,7 +382,7 @@ def _genie_code_level(codes: np.ndarray, x: np.ndarray, table: np.ndarray, d: in
         t = triples(tile)
         np.take(lut[0], t, out=a[tile], mode="clip")
         np.take(lut[1], t, out=b[tile], mode="clip")
-    return values.view(np.float64)
+    return codes, values.view(np.float64)
 
 
 def _genie_float_level(m: np.ndarray, x: np.ndarray, d: int) -> None:
@@ -394,6 +406,7 @@ def genie_llr_rows(y: np.ndarray, magnitude: float, u_true: np.ndarray) -> np.nd
     nbatch, N = _check_shapes("y", y, u_true=u_true)
     _check_values("y", y, 0, "0 or 1")
     _check_values("u_true", u_true, 0, "0 or 1")
+    _check_real(magnitude, "magnitude")
     if not (np.isfinite(magnitude) and magnitude >= 0):
         raise ValueError(f"magnitude must be finite and at least 0, got {magnitude}")
     if not nbatch:
@@ -404,11 +417,11 @@ def genie_llr_rows(y: np.ndarray, magnitude: float, u_true: np.ndarray) -> np.nd
     x = np.array(np.broadcast_to(u_true, (nbatch, N)).T, dtype=np.uint8, order="C")
     butterfly_rows(x.T)
     table = np.array([magnitude, -magnitude], dtype=np.float64)
-    codes = np.ascontiguousarray(np.asarray(y)[:, bit_reversal_permutation(n)].T, dtype=np.int32)
+    codes = np.ascontiguousarray(np.asarray(y)[:, bit_reversal_permutation(n)].T, dtype=np.uint16)
     d = 0
     # while the triple index is small next to the batch, and fits int32
     while d < n and 2 * table.size**2 <= min(N * nbatch // 8, 1 << 31):
-        table = _genie_code_level(codes, x, table, d)
+        codes, table = _genie_code_level(codes, x, table, d)
         d += 1
     flags = np.empty((nbatch, N), dtype=bool)
     rows = max(1, _GENIE_BLOCK_CELLS // N)

@@ -26,6 +26,7 @@ from .gf2 import (
     IncrementalRank,
     _check_index_set,
     _check_integer,
+    _check_real,
     _check_seed,
     null_space_basis,  # noqa: F401  (unused; the benchmark tracer still resolves this name)
     pack_columns,
@@ -111,8 +112,11 @@ class WiretapConfig:
     seed: int
 
     def __post_init__(self):
+        _check_real(self.e_m, "e_m")
+        _check_real(self.e_w, "e_w")
         if not 0.0 <= self.e_m <= self.e_w <= 1.0:
             raise ValueError(f"need 0 <= e_m <= e_w <= 1, got e_m={self.e_m}, e_w={self.e_w}")
+        _check_real(self.rate, "rate")
         if not 0.0 <= self.rate < 1.0:
             raise ValueError(f"rate must be in [0, 1), got {self.rate}")
         _check_integer(self.trials, "trials", 1)

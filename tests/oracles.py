@@ -2,11 +2,18 @@
 
 Everything here is deliberately naive and shares no code with the
 package: dense numpy elimination, explicit Kronecker products, exhaustive
-enumeration.  Oracles stay independent of the paths they check.
+enumeration.  Oracles stay independent of the paths they check.  The one
+exception, ``mc_reliability_whole_chunks``, pins only how the BSC
+construction batches its rows, so it runs the package's own sampler and
+genie, which the other oracles pin.
 """
 import itertools
 
 import numpy as np
+
+from nestedpolar.channels import RngStream, bsc_llr_magnitude, bsc_sample_rows
+from nestedpolar.polar import transform_rows
+from nestedpolar.sc import genie_llr_rows
 
 F = np.array([[1, 0], [1, 1]], dtype=np.uint8)
 
@@ -233,3 +240,21 @@ def bsc_sample_float_rule(x, crossover_prob: float, rng) -> np.ndarray:
     uint8."""
     x = np.asarray(x).astype(np.uint8)
     return np.where(rng.random(x.shape) < crossover_prob, 1 - x, x).astype(np.uint8)
+
+
+def mc_reliability_whole_chunks(crossover_prob: float, n: int, trials: int, seed: int,
+                                chunk_positions: int = 4_000_000) -> np.ndarray:
+    """The BSC construction's z with one genie call per chunk: chunks of
+    max(1, chunk_positions // N) rows, one substream each, whose inputs,
+    flips and genie flags are drawn and computed for the whole chunk at
+    once.  ``mc_reliability`` must equal it bit for bit, however it
+    batches a chunk's rows."""
+    N = 1 << n
+    chunk = max(1, chunk_positions // N)
+    counts = np.zeros(N, dtype=np.int64)
+    for index, start in enumerate(range(0, trials, chunk)):
+        rng = RngStream(seed, index).generator()
+        u = rng.integers(0, 2, size=(min(chunk, trials - start), N), dtype=np.uint8)
+        y = bsc_sample_rows(transform_rows(u), crossover_prob, rng)
+        counts += genie_llr_rows(y, bsc_llr_magnitude(crossover_prob), u).sum(axis=0)
+    return counts / trials

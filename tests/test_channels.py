@@ -59,6 +59,11 @@ def test_bec_extremes():
     assert np.all(bec_sample_rows(x, 1.0, rng) == ERASED)
     with pytest.raises(ValueError):
         bec_sample_rows(x, 1.01, rng)
+    # a bool is not a probability, nor is a string
+    for bad in (True, False, "0.5", None):
+        with pytest.raises(ValueError, match="^erasure_prob must be a real number"):
+            bec_sample_rows(x, bad, rng)
+    assert np.array_equal(bec_sample_rows(x, np.float32(0.0), rng), x)
 
 
 def test_bec_rejects_non_integer_words():
@@ -151,6 +156,15 @@ def test_bsc_extremes():
     assert bsc_llr_magnitude(0.5) == 0.0
     with pytest.raises(ValueError):
         bsc_sample_rows(x, 0.51, rng)
+    for bad in (False, True, "0.1"):
+        with pytest.raises(ValueError, match="^crossover probability must be a real number"):
+            bsc_sample_rows(x, bad, rng)
+        with pytest.raises(ValueError, match="^crossover probability must be a real number"):
+            bsc_llr_magnitude(bad)
+    # ln((1-p)/p) would be negative above 1/2, and undefined at 1
+    for bad in (0.7, 1.0, -0.1, np.nan):
+        with pytest.raises(ValueError, match=r"^crossover probability must be in \[0, 0.5\]"):
+            bsc_llr_magnitude(bad)
 
 
 def test_bsc_rejects_non_bit_symbols():

@@ -1,8 +1,11 @@
 import tracemalloc
+from unittest import mock
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
+from nestedpolar import construction, sc
 from nestedpolar.channels import RngStream, bec_sample_rows
 from nestedpolar.construction import (
     BSC,
@@ -15,7 +18,7 @@ from nestedpolar.construction import (
 from nestedpolar.polar import CodeParams, transform_rows
 from nestedpolar.sc import undetermined_bec_rows
 
-from oracles import exhaustive_bec_bitchannel_z
+from oracles import exhaustive_bec_bitchannel_z, mc_reliability_whole_chunks
 
 
 def test_bec_reliability_base_cases():
@@ -32,8 +35,13 @@ def test_bec_reliability_matches_exhaustive_enumeration():
 
 
 def test_bec_reliability_validates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^erasure_prob must be in"):
         bec_reliability(3, 1.5)
+    # a bool is not a probability, nor is a string
+    for bad in (True, False, "0.5", None):
+        with pytest.raises(ValueError, match="^erasure_prob must be a real number"):
+            bec_reliability(3, bad)
+    assert np.array_equal(bec_reliability(3, 1).z, bec_reliability(3, 1.0).z)
     with pytest.raises(ValueError, match="^n must be in"):
         bec_reliability(-1, 0.5)
 
@@ -51,10 +59,11 @@ def test_bec_reliability_checks_n_before_the_recursion():
 
 
 def test_bsc_construction_builds_no_float_llr_batch():
-    # one 3906-row chunk at n=10 (35.8 MB): no (batch, N) float64 array is
+    # one 3906-row chunk at n=10 (18.6 MB): no (batch, N) float64 array is
     # built, and the flips and the genie's passes over its codes go a block
-    # at a time; the chunk's own arrays (u, y, the true bits and the int32
-    # codes) take 26.7 MB
+    # at a time.  The chunk holds its inputs u (4 MB); each of its two
+    # 1953-row genie batches holds y, the true bits and the flags (2 MB
+    # each) and the uint16 codes (4 MB)
     mc_reliability(BSC(0.11), 10, 3906, 2)  # warm-up: imports and caches
     tracemalloc.start()
     try:
@@ -62,7 +71,54 @@ def test_bsc_construction_builds_no_float_llr_batch():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 << 20
+    assert peak < 24 << 20
+
+
+def test_n10_genie_batches_run_five_code_levels(monkeypatch):
+    # the batch of half an n=10 chunk still runs the genie's levels 0-4 on
+    # codes; a smaller one would move level 4 to the float path, about 10%
+    # slower
+    real = sc._genie_code_level
+    levels = []
+
+    def counting(codes, x, table, d):
+        levels.append((codes.shape[1], d))
+        return real(codes, x, table, d)
+
+    monkeypatch.setattr(sc, "_genie_code_level", counting)
+    chunk = construction._CHUNK_POSITIONS // 1024
+    batch = construction._genie_batch_rows(chunk)
+    mc_reliability(BSC(0.11), 10, chunk, 1)
+    assert levels == [(rows, d) for rows in (batch, chunk - batch) for d in range(5)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(0, 6),
+    trials=st.integers(1, 200),
+    chunk_rows=st.integers(1, 70),
+    batch_rows=st.integers(1, 80),
+    p=st.sampled_from([0.0, 0.5, None]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=4, trials=150, chunk_rows=64, batch_rows=1, p=None, seed=3)
+def test_batched_construction_equals_whole_chunks(n, trials, chunk_rows, batch_rows, p, seed):
+    # genie batches down to one row, uneven last batches and runs over many
+    # chunks: z must equal that of one genie call per chunk bit for bit
+    N = 1 << n
+    crossover = np.random.default_rng(seed).uniform(0.0, 0.5) if p is None else p
+    with (mock.patch.object(construction, "_CHUNK_POSITIONS", chunk_rows * N),
+          mock.patch.object(construction, "_genie_batch_rows", lambda chunk: batch_rows)):
+        z = mc_reliability(BSC(crossover), n, trials, seed).z
+    assert np.array_equal(z, mc_reliability_whole_chunks(crossover, n, trials, seed, chunk_rows * N))
+
+
+def test_batched_construction_spans_default_chunks():
+    # the default chunks and batches, one row past a chunk at n=10 and at
+    # n=3
+    for n, trials in ((10, 3907), (3, 500_001)):
+        z = mc_reliability(BSC(0.11), n, trials, 4).z
+        assert np.array_equal(z, mc_reliability_whole_chunks(0.11, n, trials, 4))
 
 
 def test_mean_preservation():
@@ -143,6 +199,10 @@ def test_channel_spec_validation():
         BSC(-0.1)
     with pytest.raises(ValueError):
         BSC(0.6)
+    for bad in (False, True, "0.1", None):
+        with pytest.raises(ValueError, match="^crossover probability must be a real number"):
+            BSC(bad)
+    assert BSC(0).crossover_prob == 0 and BSC(np.float32(0.25)).crossover_prob == 0.25
     # the Monte-Carlo sizes are integers, numpy's included
     for bad in (2.5, 2.0, True):
         with pytest.raises(ValueError, match="^trials must be an integer"):

@@ -21,6 +21,11 @@ def test_channel_spec_cascade():
     assert spec.c_sr == 0.9
     with pytest.raises(ValueError):
         RelayChannelSpec(1.2, 0.0, 0.0)
+    # a bool is not an erasure rate; the error names the link, not the
+    # reliability recursion it would reach
+    for args, name in (((True, 0.0, 0.0), "e_sr"), ((0.1, False, 0.5), "e_deg"), ((0.1, 0.2, "0.5"), "e_rd")):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            RelayChannelSpec(*args)
 
 
 def test_build_noiseless_full_rate():
@@ -71,6 +76,13 @@ def test_build_margin_validated():
     spec = RelayChannelSpec(0.1, 4 / 9, 0.5)
     with pytest.raises(ValueError):
         build_relay_scheme(spec, 6, 3, 0.0)
+    # a bool is not a margin or a target, nor is a string
+    for bad in (True, "0.5"):
+        with pytest.raises(ValueError, match="^margin must be a real number"):
+            build_relay_scheme(spec, 6, 3, bad)
+    for bad in (False, True, "0.01"):
+        with pytest.raises(ValueError, match="^target must be a real number"):
+            calibrate_margin(spec, 6, 3, bad)
     # sizes and counts are integers, numpy's included
     for bad in (2.5, 2.0, True):
         with pytest.raises(ValueError, match="^blocks must be an integer"):

@@ -366,6 +366,25 @@ def test_genie_llr_rows_in_small_blocks(n, nbatch, cells, p, per_row, seed):
         assert np.array_equal(genie_llr_rows(y, L, u), expected)
 
 
+@pytest.mark.parametrize("K, widened", [(10, False), (200, True)])
+def test_genie_code_level_widens_codes_past_uint16(K, widened):
+    # uint16 codes into a table of K random values over 2^20 cells: at
+    # K = 200 the new table has more than 65536 entries, so the codes come
+    # back as int32.  Either way the messages they give equal those of the
+    # float level bit for bit.
+    rng = np.random.default_rng(30 + K)
+    table = rng.normal(0.0, 3.0, K)
+    codes = rng.integers(0, K, (1 << 10, 1 << 10), dtype=np.uint16)
+    x = rng.integers(0, 2, codes.shape, dtype=np.uint8)
+    m, xm = table[codes], x.copy()
+    sc._genie_float_level(m, xm, 3)
+    codes, table = sc._genie_code_level(codes, x, table, 3)
+    assert codes.dtype == (np.int32 if widened else np.uint16)
+    assert (table.size > 1 << 16) == widened
+    assert np.array_equal(table[codes].view(np.int64), m.view(np.int64))
+    assert np.array_equal(x, xm)
+
+
 def test_genie_llr_rows_edge_cases():
     # an empty batch
     flags = genie_llr_rows(np.zeros((0, 8), dtype=np.uint8), 1.0, np.zeros(8, dtype=np.uint8))
@@ -393,6 +412,11 @@ def test_llr_inputs_must_be_finite_and_are_clamped():
     for bad in (np.nan, np.inf, -np.inf, -1.0):
         with pytest.raises(ValueError, match="^magnitude must be finite"):
             genie_llr_rows(y, bad, u)
+    # a bool is not a magnitude, nor is a string
+    for bad in (True, False, "1", None, np.array([1.0])):
+        with pytest.raises(ValueError, match="^magnitude must be a real number"):
+            genie_llr_rows(y, bad, u)
+    assert np.array_equal(genie_llr_rows(y, 1, u), genie_llr_rows(y, np.float64(1.0), u))
     for bad in (np.array([[0, 2], [1, 0]]), np.array([[0, -1], [1, 0]]), y.astype(np.float64)):
         with pytest.raises(ValueError, match="^y must be 0 or 1"):
             genie_llr_rows(bad, 1.0, u)

@@ -55,6 +55,13 @@ def test_config_validation():
         WiretapConfig(e_m=0.5, e_w=0.25, rate=0.1, n=3, trials=1, seed=0)
     with pytest.raises(ValueError):
         WiretapConfig(e_m=0.1, e_w=0.2, rate=1.0, n=3, trials=1, seed=0)
+    # a bool is not an erasure rate; the error names the key
+    with pytest.raises(ValueError, match="^e_m must be a real number"):
+        WiretapConfig(e_m=False, e_w=0.2, rate=0.1, n=3, trials=1, seed=0)
+    with pytest.raises(ValueError, match="^e_w must be a real number"):
+        WiretapConfig(e_m=0.1, e_w=True, rate=0.1, n=3, trials=1, seed=0)
+    with pytest.raises(ValueError, match="^rate must be a real number"):
+        WiretapConfig(e_m=0.1, e_w=0.2, rate=False, n=3, trials=1, seed=0)
     for bad in (True, 2.5, 2.0):
         with pytest.raises(ValueError, match="^trials must be an integer"):
             WiretapConfig(e_m=0.1, e_w=0.2, rate=0.1, n=3, trials=bad, seed=0)
