@@ -10,10 +10,7 @@ decoders take batches, one word per row of an array.
 
 __version__ = "0.2.0"
 
-from .gf2 import (
-    BitMatrix,
-    null_space_basis,
-)
+from .gf2 import BitMatrix
 from .polar import (
     CodeParams,
     PolarCodeSpec,
@@ -41,7 +38,6 @@ from .wiretap import (
     NestedCodeSpec,
     WiretapConfig,
     build_wiretap_code,
-    equivocation_bruteforce,
     equivocation_rank,
     parity_checks,
     run_wiretap_experiment,
@@ -57,7 +53,7 @@ from .relay import (
 
 __all__ = [
     "__version__",
-    "BitMatrix", "null_space_basis",
+    "BitMatrix",
     "CodeParams", "PolarCodeSpec", "bit_reversal_permutation",
     "generator_matrix", "transform_rows",
     "BSC", "ReliabilityProfile",
@@ -65,7 +61,7 @@ __all__ = [
     "ERASED", "decode_bec_rows", "genie_llr_rows", "undetermined_bec_rows",
     "RngStream", "bec_sample_rows", "bsc_sample_rows",
     "EquivocationReport", "NestedCodeSpec", "WiretapConfig",
-    "build_wiretap_code", "equivocation_bruteforce", "equivocation_rank", "parity_checks",
+    "build_wiretap_code", "equivocation_rank", "parity_checks",
     "run_wiretap_experiment",
     "RelayChannelSpec", "RelayRunReport", "RelayScheme",
     "build_relay_scheme", "calibrate_margin", "simulate_relay",

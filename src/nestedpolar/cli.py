@@ -237,7 +237,7 @@ def _run_wiretap(command: str, params: dict, out: Path) -> list[tuple[Path, str]
     _require(0.0 <= p["e_m"] <= p["design_e_w"], "e_m", "need 0 <= e_m <= design_e_w")
     _require(0.0 <= p["rate"] < 1.0, "rate", "must be in [0, 1)")
     _require(p["trials"] >= 1, "trials", "must be positive")
-    _require(p["ew_step"] > 0.0, "ew_step", "must be positive")
+    _require(0.0 < p["ew_step"] < np.inf, "ew_step", "must be positive and finite")
     _require(0.0 <= p["ew_stop"] <= 1.0, "ew_stop", "need 0 <= ew_stop <= 1")
     _require(0.0 <= p["ew_start"] <= p["ew_stop"], "ew_start", "need 0 <= ew_start <= ew_stop")
     points = _sweep_points(p["ew_start"], p["ew_stop"], p["ew_step"])

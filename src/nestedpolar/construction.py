@@ -143,6 +143,7 @@ def mc_reliability(channel: BSC, n: int, trials: int, seed: int) -> ReliabilityP
 
 def select_info_set(profile: ReliabilityProfile, k: int) -> np.ndarray:
     """The k most reliable indices (the first k of ``profile.order``), sorted."""
+    _check_integer(k, "k")
     if not 0 <= k <= profile.params.N:
         raise ValueError(f"k must be in [0, {profile.params.N}], got {k}")
     return np.sort(profile.order[:k])
@@ -152,7 +153,8 @@ def select_secure_subset(info_set, wiretap_profile: ReliabilityProfile, b: int) 
     """The b members of ``info_set`` with smallest wiretap-channel z, sorted:
     the first b entries of ``wiretap_profile.order`` that lie in the set."""
     info = _check_index_set(info_set, wiretap_profile.params.N, "info_set")
-    if not 0 <= b <= info.size:
+    _check_integer(b, "b", 0)
+    if b > info.size:
         raise ValueError(f"subset size {b} exceeds |info_set| = {info.size}")
     order = wiretap_profile.order
     return np.sort(order[np.isin(order, info)][:b])

@@ -16,8 +16,9 @@ bit r of word w for row 64 w + r (rows past the batch are zero padding,
 never erased).  The check combine is e = ea | eb, v = va ^ vb, and the
 variable combine is e = ea & eb, v = vb ^ (eb & (vb ^ va ^ xl)), so one
 word operation combines 64 rows, and a value under a set erased bit
-means nothing.  The decoder keeps its decisions and the erased bits of
-its information leaves as words and unpacks them once at the end.
+means nothing.  The decoder keeps its decisions as words and unpacks
+them once at the end; its counts of undetermined decisions are the
+erasure genie's (below).
 
 The decoder has a node rule, as in simplified SC (Alamdar-Yazdi &
 Kschischang 2011), that stops at two kinds of subtree of 2^m bits; both
@@ -85,7 +86,8 @@ the variable combine iff both are), so `_erased_leaf_words` takes each
 row's erased bits, packed along the row, through the n levels of the tree
 with a few word operations per level, for every node and row at once.
 `undetermined_bec_rows` counts the erased information leaves on those
-words: the decoder's undetermined counts, without the walk.
+words, without the walk; these are the only undetermined counts, and
+`decode_bec_rows` returns them beside its decisions.
 
 Those counts also tell which rows a full SC walk could decode to anything
 but the sent bits.  A row whose frozen values are the sent ones and none
@@ -201,10 +203,6 @@ def _check_values(name: str, values, low: int, allowed: str) -> None:
         raise ValueError(f"{name} must be {allowed}, got values in [{arr.min()}, {arr.max()}]")
 
 
-def _check_erasure_symbols(y: np.ndarray) -> None:
-    _check_values("y symbols", y, ERASED, f"0, 1 or ERASED ({ERASED})")
-
-
 def decode_bec_rows(
     y: np.ndarray, info_mask: np.ndarray, frozen_values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -216,17 +214,13 @@ def decode_bec_rows(
     and the per-word count of information-bit decisions that had to be made
     on an erased message (decided 0).
     """
-    nbatch, N = _check_shapes("y", y, info_mask=info_mask, frozen_values=frozen_values)
-    _check_erasure_symbols(y)
-    _check_values("info_mask", info_mask, 0, "0 or 1")
+    undetermined = undetermined_bec_rows(y, info_mask)  # checks y and info_mask
+    nbatch, N = _check_shapes("y", y, frozen_values=frozen_values)
     _check_values("frozen_values", frozen_values, 0, "0 or 1")
     if not nbatch:  # the node rule would still visit the tree for no rows
-        return np.zeros((0, N), dtype=np.uint8), np.zeros(0, dtype=np.int64)
+        return np.zeros((0, N), dtype=np.uint8), undetermined
     # frozen bits from the start; the walk writes each information bit
     u = _pack(np.broadcast_to(frozen_values, (nbatch, N)).T)
-    # erased bits of the information leaves' messages, after a zero row so
-    # that the stack at the end is never empty
-    erased = [np.zeros_like(u[0])]
     n_info = np.concatenate([[0], np.cumsum(info_mask)]).tolist()  # info bits before each index
 
     def walk(msgs: np.ndarray, lo: int) -> np.ndarray:
@@ -236,7 +230,6 @@ def decode_bec_rows(
         if L == 1:
             if info_mask[lo]:
                 u[lo] = msgs[0, 1] & ~msgs[0, 0]
-                erased.append(msgs[0, 0])
             return u[lo : lo + 1]
         # the node rule; butterfly_rows on the (W, L) transpose re-encodes
         # every row's bits
@@ -257,7 +250,7 @@ def decode_bec_rows(
         return np.concatenate([xl ^ xr, xr])
 
     walk(_bec_messages(y), 0)
-    return _unpack(u, nbatch), _unpack(np.stack(erased), nbatch).sum(axis=1, dtype=np.int64)
+    return _unpack(u, nbatch), undetermined
 
 
 # Bits of a little-endian uint64 word whose bit index has bit s clear, for
@@ -305,11 +298,11 @@ def _erased_leaf_words(y: np.ndarray) -> np.ndarray:
 
 def undetermined_bec_rows(y: np.ndarray, info_mask: np.ndarray) -> np.ndarray:
     """Per-row count of the information decisions SC makes on an erased
-    message: ``decode_bec_rows(y, info_mask, ...)[1]`` for any frozen
-    values, without a tree walk or unpacking the flags.  With a one-hot
+    message, for any frozen values, without a tree walk or unpacking the
+    flags; ``decode_bec_rows`` returns these counts.  With a one-hot
     info_mask it says, per row, whether that one bit-channel erased."""
     nbatch, N = _check_shapes("y", y, info_mask=info_mask)
-    _check_erasure_symbols(y)
+    _check_values("y symbols", y, ERASED, f"0, 1 or ERASED ({ERASED})")
     _check_values("info_mask", info_mask, 0, "0 or 1")
     mask = _pack(np.asarray(info_mask, dtype=bool)[None, bit_reversal_permutation(N.bit_length() - 1)])
     info_erased = _erased_leaf_words(y) & mask

@@ -10,8 +10,9 @@ Bob runs ``decode_bec_rows`` on ``bob_spec()``.
 For erasure channels the eavesdropper's residual uncertainty about s is
 measured exactly, with no decoder in the loop: given the erased position
 set E, it equals rank of the subcode parity checks restricted to E minus
-rank of the overall-code parity checks restricted to E.  A brute-force
-enumeration oracle of the same quantity backs the rank path at toy sizes.
+rank of the overall-code parity checks restricted to E.  The tests check
+the rank path against an exhaustive enumeration of the codewords at toy
+sizes.
 """
 from __future__ import annotations
 
@@ -36,7 +37,6 @@ from .polar import (
     PolarCodeSpec,
     bit_reversal_permutation,
     generator_matrix,
-    transform_rows,
 )
 
 __all__ = [
@@ -46,13 +46,8 @@ __all__ = [
     "build_wiretap_code",
     "parity_checks",
     "equivocation_rank",
-    "equivocation_bruteforce",
     "run_wiretap_experiment",
 ]
-
-# Enumeration guard for the brute-force oracle.
-BRUTEFORCE_MAX_INFO = 20
-
 
 class NestedCodeSpec:
     """Nested polar code: overall information set A and subcode set B ⊂ A.
@@ -219,47 +214,6 @@ def equivocation_rank(h: BitMatrix, h_s: BitMatrix, erased) -> int:
         return acc.rank
 
     return erased_rank(h_s) - erased_rank(h)
-
-
-def equivocation_bruteforce(code: NestedCodeSpec, erased) -> float:
-    """Exact H(S | Z = z) by enumerating every (message, randomization) pair.
-
-    Groups codewords by their unerased restriction and computes the
-    conditional message entropy of each group from the uniform prior.
-    Linearity makes the value identical for every consistent observation;
-    that is asserted during the enumeration.  Guarded to |A| <= 20.
-    """
-    k = code.info_set.size
-    if k > BRUTEFORCE_MAX_INFO:
-        raise ValueError(f"brute force limited to |A| <= {BRUTEFORCE_MAX_INFO}, got {k}")
-    erased_arr = np.asarray(erased, dtype=np.int64)
-    keep = np.setdiff1d(np.arange(code.N), erased_arr)
-    ms, rs = code.message_len, code.randomization_len
-    groups: dict[bytes, np.ndarray] = {}
-    t_all = ((np.arange(1 << rs)[:, None] >> np.arange(rs)) & 1).astype(np.uint8)
-    for s_index in range(1 << ms):
-        s_bits = (s_index >> np.arange(ms)) & 1
-        u = np.zeros((1 << rs, code.N), dtype=np.uint8)
-        u[:, code.message_set] = s_bits.astype(np.uint8)
-        u[:, code.secure_set] = t_all
-        x = transform_rows(u)
-        for row in x[:, keep]:
-            key = row.tobytes()
-            counts = groups.get(key)
-            if counts is None:
-                counts = np.zeros(1 << ms, dtype=np.int64)
-                groups[key] = counts
-            counts[s_index] += 1
-    value = None
-    for counts in groups.values():
-        total = counts.sum()
-        p = counts[counts > 0] / total
-        entropy = float(-(p * np.log2(p)).sum())
-        if value is None:
-            value = entropy
-        elif abs(entropy - value) > 1e-9:
-            raise AssertionError("conditional entropy differs across observations")
-    return value if value is not None else 0.0
 
 
 def run_wiretap_experiment(cfg: WiretapConfig, e_w_sweep) -> list[EquivocationReport]:

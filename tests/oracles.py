@@ -107,6 +107,54 @@ def exhaustive_bec_bitchannel_z(n: int, eps: float) -> np.ndarray:
     return z
 
 
+# Enumeration guard of ``equivocation_bruteforce``.
+BRUTEFORCE_MAX_INFO = 20
+
+
+def equivocation_bruteforce(code, erased) -> float:
+    """Exact H(S | Z = z) of a ``NestedCodeSpec`` by enumerating every
+    (message, randomization) pair.
+
+    Encodes with ``reference_generator`` and groups the codewords by their
+    unerased restriction, then computes the conditional message entropy of
+    each group from the uniform prior.  Linearity makes the value identical
+    for every consistent observation; that is asserted during the
+    enumeration.  Guarded to |A| <= 20.
+    """
+    k = code.info_set.size
+    if k > BRUTEFORCE_MAX_INFO:
+        raise ValueError(f"brute force limited to |A| <= {BRUTEFORCE_MAX_INFO}, got {k}")
+    erased_arr = np.asarray(erased, dtype=np.int64)
+    keep = np.setdiff1d(np.arange(code.N), erased_arr)
+    g = reference_generator(code.params.n)
+    ms, rs = code.message_len, code.randomization_len
+    groups: dict[bytes, np.ndarray] = {}
+    t_all = ((np.arange(1 << rs)[:, None] >> np.arange(rs)) & 1).astype(np.uint8)
+    for s_index in range(1 << ms):
+        s_bits = (s_index >> np.arange(ms)) & 1
+        u = np.zeros((1 << rs, code.N), dtype=np.uint8)
+        u[:, code.message_set] = s_bits.astype(np.uint8)
+        u[:, code.secure_set] = t_all
+        x = naive_vec_mat_mul(u, g)
+        for row in x[:, keep]:
+            key = row.tobytes()
+            counts = groups.get(key)
+            if counts is None:
+                counts = np.zeros(1 << ms, dtype=np.int64)
+                groups[key] = counts
+            counts[s_index] += 1
+    value = None
+    for counts in groups.values():
+        total = counts.sum()
+        p = counts[counts > 0] / total
+        entropy = float(-(p * np.log2(p)).sum())
+        if value is None:
+            value = entropy
+        elif abs(entropy - value) > 1e-9:
+            raise AssertionError("conditional entropy differs across observations")
+    return value if value is not None else 0.0
+
+
 def sequential_ml_decode(llrs, info_mask, frozen_values) -> np.ndarray:
     """Bit-by-bit maximum-likelihood decoding by summing over future bits.
 

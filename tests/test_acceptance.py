@@ -18,11 +18,12 @@ from nestedpolar.sc import decode_bec_rows
 from nestedpolar.wiretap import (
     NestedCodeSpec,
     WiretapConfig,
-    equivocation_bruteforce,
     equivocation_rank,
     parity_checks,
     run_wiretap_experiment,
 )
+
+from oracles import equivocation_bruteforce
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

@@ -88,6 +88,7 @@ def test_bad_value_rejected(tmp_path):
     # the design step's N x N generator would not fit in memory
     (["wiretap-sweep", "--set", "n=15"], "n"),
     (["wiretap-sweep", "--set", "n=20"], "n"),
+    (["wiretap-sweep", "--set", "ew_step=inf"], "ew_step"),
 ])
 def test_bad_size_rejected(tmp_path, capsys, args, key):
     out = tmp_path / "x.csv"

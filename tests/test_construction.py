@@ -146,6 +146,9 @@ def test_select_info_set_basics():
     assert np.array_equal(select_info_set(profile, 1), [1])
     with pytest.raises(ValueError):
         select_info_set(profile, 3)
+    for k in (True, 1.5, 2.0, "1", None):
+        with pytest.raises(ValueError, match="^k must be an integer"):
+            select_info_set(profile, k)
 
 
 def test_select_info_set_matches_oracle_order():
@@ -174,6 +177,11 @@ def test_select_secure_subset():
     assert np.array_equal(chosen, expected)
     with pytest.raises(ValueError):
         select_secure_subset(info, wire, 6)
+    for b in (True, 1.5, 2.0, "1", None):
+        with pytest.raises(ValueError, match="^b must be an integer"):
+            select_secure_subset(info, wire, b)
+    with pytest.raises(ValueError, match="^b must be at least 0"):
+        select_secure_subset(info, wire, -1)
 
 
 def test_selection_reads_stable_order_under_heavy_ties():

@@ -259,7 +259,8 @@ def test_error_rich_runs_match_full_sc_walks(monkeypatch, name):
 
     def checked_decode(y, info_mask, frozen_values):
         u_hat, undet = decode(y, info_mask, frozen_values)
-        # the walk's own count of erased decisions is the genie's
+        # the decoder returns the genie's counts, so this holds by
+        # construction; tests/test_sc.py pins the counts themselves
         assert np.array_equal(undet, undetermined_bec_rows(y, info_mask))
         walked.append((stages[info_mask.tobytes()], y.shape[0]))
         return u_hat, undet

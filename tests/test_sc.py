@@ -160,6 +160,8 @@ def test_genie_counts_equal_decoder_undetermined_counts():
             y[rng.random((nbatch, N)) < rng.random((nbatch, 1))] = ERASED
             _, undet = decode_bec_rows(y, mask, fv)
             assert np.array_equal(erased_leaves(y)[:, mask].sum(axis=1), undet)
+            # the decoder returns the genie's counts, so the second half of
+            # this holds by construction
             counts = undetermined_bec_rows(y, mask)
             assert counts.dtype == np.int64 and np.array_equal(counts, undet)
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from nestedpolar import wiretap
+from nestedpolar import polar, wiretap
 from nestedpolar.channels import RngStream, bec_sample_rows
 from nestedpolar.construction import bec_reliability, select_info_set, select_secure_subset
 from nestedpolar.gf2 import BitMatrix, null_space_basis, pack_columns
@@ -14,14 +14,15 @@ from nestedpolar.wiretap import (
     NestedCodeSpec,
     WiretapConfig,
     build_wiretap_code,
-    equivocation_bruteforce,
     equivocation_rank,
     parity_checks,
     run_wiretap_experiment,
 )
 
+import oracles
 from oracles import (
     bitrev,
+    equivocation_bruteforce,
     exhaustive_bec_bitchannel_z,
     naive_rank,
     naive_vec_mat_mul,
@@ -357,6 +358,20 @@ def test_equivocation_monotone_in_erasures():
             assert 0 <= cur <= code.message_len
             assert cur >= prev
             prev = cur
+
+
+def test_bruteforce_oracle_encodes_without_the_package(monkeypatch):
+    code = toy_code(6, 2)
+    h, h_s = parity_checks(code)
+    patterns = [[i for i in range(8) if (p >> i) & 1] for p in range(256)]
+    expected = [equivocation_rank(h, h_s, erased) for erased in patterns]
+
+    def no_transform(rows):
+        raise AssertionError("the oracle encoded with the package's transform")
+
+    monkeypatch.setattr(polar, "transform_rows", no_transform)
+    monkeypatch.setattr(oracles, "transform_rows", no_transform)
+    assert [equivocation_bruteforce(code, erased) for erased in patterns] == expected
 
 
 def test_bruteforce_edges_and_guard():
