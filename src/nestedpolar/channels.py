@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .gf2 import _check_integer, _check_probability, _check_seed
+from .gf2 import _check_integer, _check_probability, _check_seed, _check_values
 from .sc import ERASED
 
 __all__ = [
@@ -39,8 +39,9 @@ GENERATOR_NAME = "numpy-PCG64"
 # chunk of many rows never holds a float64 draw per position at once.
 _SAMPLE_BLOCK_CELLS = 1 << 18
 
-# bsc_llr_magnitude clamps to this, so the BSC sampler emits no larger LLR
-# magnitude, even at crossover 0, and the genie's combines stay well-scaled.
+# bsc_llr_magnitude clamps to this, so the genie reads the BSC's received
+# bits as LLRs of no larger magnitude, even at crossover 0, and its combines
+# stay well-scaled.
 LLR_CAP = 40.0
 
 
@@ -94,10 +95,7 @@ def bsc_sample_rows(x: np.ndarray, crossover_prob: float, rng: np.random.Generat
     drawn a block of rows at a time; the generator fills each block in
     stream order, so the draws are those of one whole-array draw."""
     _check_probability(crossover_prob, "crossover probability", 0.5)
-    if x.dtype.kind not in "biu":
-        raise ValueError(f"x must be 0 or 1 of an integer or bool dtype, got {x.dtype}")
-    if x.size and (x.min() < 0 or x.max() > 1):
-        raise ValueError(f"x must be 0 or 1, got values in [{x.min()}, {x.max()}]")
+    _check_values("x", x, 0, "0 or 1")
     y = np.empty(x.shape, dtype=np.uint8)
     rows = max(1, _SAMPLE_BLOCK_CELLS * len(x) // max(1, x.size))
     for r in range(0, len(x), rows):

@@ -58,7 +58,7 @@ class ReliabilityProfile:
         z = np.asarray(self.z, dtype=np.float64)
         if z.shape != (self.params.N,):
             raise ValueError(f"profile must have length {self.params.N}, got {z.shape}")
-        if z.size and (z.min() < 0.0 or z.max() > 1.0):
+        if not np.all((z >= 0.0) & (z <= 1.0)):  # NaN fails both
             raise ValueError("profile values must lie in [0, 1]")
         z = z.copy()
         z.setflags(write=False)

@@ -12,6 +12,9 @@ width, since every later vector is then dependent.
 
 Index sets are sorted, duplicate-free, 0-based integer sequences
 throughout the package.
+
+The module also holds the package's only copy of each shared argument
+check and of the row packer ``_pack``.
 """
 from __future__ import annotations
 
@@ -33,11 +36,10 @@ class BitMatrix:
     __slots__ = ("_entries",)
 
     def __init__(self, entries):
+        _check_values("entries", entries, 0, "0 or 1")
         arr = np.array(entries, dtype=np.uint8, order="C")  # always a copy
         if arr.ndim != 2:
-            raise ValueError(f"expected a 2-dimensional bit array, got shape {arr.shape}")
-        if arr.size and arr.max() > 1:
-            raise ValueError("entries must be 0 or 1")
+            raise ValueError(f"entries must be 2-dimensional, got shape {arr.shape}")
         arr.setflags(write=False)
         self._entries = arr
 
@@ -68,14 +70,19 @@ class BitMatrix:
 # bit packing
 
 
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """(L, W) little-endian uint64 words of an (L, M) array: bit r of word
+    [j, w] is set iff bits[j, 64 w + r] is nonzero; padding bits are 0."""
+    L, M = bits.shape
+    words = np.zeros((L, 8 * -(-M // 64)), dtype=np.uint8)
+    # packbits is several times faster on rows that are contiguous
+    words[:, : -(-M // 8)] = np.packbits(np.ascontiguousarray(bits), axis=1, bitorder="little")
+    return words.view("<u8")
+
+
 def _pack_2d(arr: np.ndarray) -> list[int]:
-    """Pack each row of a uint8 0/1 array into an int (bit j = column j)."""
-    if arr.shape[0] == 0:
-        return []
-    if arr.shape[1] == 0:
-        return [0] * arr.shape[0]
-    packed = np.packbits(arr, axis=1, bitorder="little")
-    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+    """Pack each row of a 0/1 array into an int (bit j = column j)."""
+    return [int.from_bytes(r.tobytes(), "little") for r in _pack(arr)]
 
 
 def _unpack_int(x: int, n: int) -> np.ndarray:
@@ -87,7 +94,7 @@ def _unpack_int(x: int, n: int) -> np.ndarray:
 
 def pack_columns(m: BitMatrix) -> list[int]:
     """Columns of ``m`` as integers, bit i of each integer being row i."""
-    return _pack_2d(np.ascontiguousarray(m.entries.T))
+    return _pack_2d(m.entries.T)
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +116,7 @@ class IncrementalRank:
     __slots__ = ("_pivots", "_width", "rank")
 
     def __init__(self, width: int):
-        if width < 0:
-            raise ValueError(f"width must be non-negative, got {width}")
+        _check_integer(width, "width", 0)
         self._pivots = [0] * width
         self._width = width
         self.rank = 0
@@ -179,7 +185,7 @@ def null_space_basis(m: BitMatrix) -> BitMatrix:
 
 
 # ---------------------------------------------------------------------------
-# index sets
+# argument checks
 
 
 def _check_integer(value, name: str, low: int | None = None) -> None:
@@ -232,3 +238,29 @@ def _check_index_set(idx, limit: int, name: str) -> np.ndarray:
         if arr[0] < 0 or arr[-1] >= limit:
             raise ValueError(f"{name} indices must lie in [0, {limit})")
     return arr
+
+
+def _check_shapes(name: str, words, **per_position) -> tuple[int, int]:
+    """(batch, N) of the batch ``words``, checked in O(1): it is 2-D with N a
+    power of two, info_mask is (N,), and any other per-position argument is
+    (N,) or (batch, N).  The ValueError names the argument at fault."""
+    shape = np.shape(words)
+    if len(shape) != 2 or not shape[1] or shape[1] & (shape[1] - 1):
+        raise ValueError(f"{name} must have shape (batch, N) with N a power of two, got {shape}")
+    nbatch, N = shape
+    for arg, value in per_position.items():
+        allowed = [(N,)] if arg == "info_mask" else [(N,), (nbatch, N)]
+        if np.shape(value) not in allowed:
+            raise ValueError(f"{arg} must have shape {' or '.join(map(str, allowed))}, got {np.shape(value)}")
+    return nbatch, N
+
+
+def _check_values(name: str, values, low: int, allowed: str) -> None:
+    """Reject entries outside the integers low..1 (erasure symbols are -1, 0
+    and 1, bits 0 and 1): an integer or bool dtype and one min/max scan
+    decide it, with no temporary of the array's size."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biu":
+        raise ValueError(f"{name} must be {allowed} of an integer dtype, got {arr.dtype}")
+    if arr.size and (arr.min() < low or arr.max() > 1):
+        raise ValueError(f"{name} must be {allowed}, got values in [{arr.min()}, {arr.max()}]")

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2 import BitMatrix, _check_index_set, _check_integer
+from .gf2 import BitMatrix, _check_index_set, _check_integer, _check_shapes
 
 __all__ = [
     "MAX_LOG2_BLOCK",
@@ -47,14 +47,14 @@ class CodeParams:
         return 1 << self.n
 
 
-@lru_cache(maxsize=None)
+# typed: True equals a numpy 1 and must not hit its cached entry
+@lru_cache(maxsize=None, typed=True)
 def bit_reversal_permutation(n: int) -> np.ndarray:
     """Permutation sending i to the integer with i's n-bit string reversed.
 
     An involution: applying it twice is the identity.
     """
-    if not 0 <= n <= MAX_LOG2_BLOCK:
-        raise ValueError(f"n must be in [0, {MAX_LOG2_BLOCK}], got {n}")
+    CodeParams(n)
     idx = np.arange(1 << n, dtype=np.int64)
     rev = np.zeros(1 << n, dtype=np.int64)
     for _ in range(n):
@@ -91,9 +91,7 @@ def butterfly_rows(x: np.ndarray) -> np.ndarray:
 
 def transform_rows(rows: np.ndarray) -> np.ndarray:
     """Apply the polar transform to each row of a (batch, N) uint8 array."""
-    N = rows.shape[1]
-    if N == 0 or N & (N - 1):
-        raise ValueError(f"row length must be a power of two, got {N}")
+    _, N = _check_shapes("rows", rows)
     return butterfly_rows(rows[:, bit_reversal_permutation(N.bit_length() - 1)])
 
 

@@ -172,6 +172,8 @@ def calibrate_margin(
     bounds all sit at or below ``target``.  The profiles are built once for the
     scan; only margins whose stage sizes do not fit are skipped."""
     _check_real(target, "target")
+    if not target >= 0.0:  # NaN fails it
+        raise ValueError(f"target must be at least 0, got {target}")
     design = _scheme_designer(spec, n, blocks)
     for i in range(200):
         try:

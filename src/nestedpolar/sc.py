@@ -107,7 +107,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf2 import _check_real
+from .gf2 import _check_real, _check_shapes, _check_values, _pack
 from .polar import bit_reversal_permutation, butterfly_rows
 
 __all__ = [
@@ -123,16 +123,6 @@ ERASED = -1
 
 # Erasure messages are (L, 2, W) uint64 arrays: plane 0 holds the erased
 # bits, plane 1 the value bits (see the module docstring).
-
-
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """(L, W) little-endian uint64 words of an (L, M) array: bit r of word
-    [j, w] is set iff bits[j, 64 w + r] is nonzero; padding bits are 0."""
-    L, M = bits.shape
-    words = np.zeros((L, 8 * -(-M // 64)), dtype=np.uint8)
-    # packbits is several times faster on rows that are contiguous
-    words[:, : -(-M // 8)] = np.packbits(np.ascontiguousarray(bits), axis=1, bitorder="little")
-    return words.view("<u8")
 
 
 def _unpack(words: np.ndarray, nbatch: int) -> np.ndarray:
@@ -175,32 +165,6 @@ def _llr_var(a: np.ndarray, b: np.ndarray, xl: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # batch entry points
-
-
-def _check_shapes(name: str, words, **per_position) -> tuple[int, int]:
-    """(batch, N) of the batch ``words``, checked in O(1): it is 2-D with N a
-    power of two, info_mask is (N,), and any other per-position argument is
-    (N,) or (batch, N).  The ValueError names the argument at fault."""
-    shape = np.shape(words)
-    if len(shape) != 2 or not shape[1] or shape[1] & (shape[1] - 1):
-        raise ValueError(f"{name} must have shape (batch, N) with N a power of two, got {shape}")
-    nbatch, N = shape
-    for arg, value in per_position.items():
-        allowed = [(N,)] if arg == "info_mask" else [(N,), (nbatch, N)]
-        if np.shape(value) not in allowed:
-            raise ValueError(f"{arg} must have shape {' or '.join(map(str, allowed))}, got {np.shape(value)}")
-    return nbatch, N
-
-
-def _check_values(name: str, values, low: int, allowed: str) -> None:
-    """Reject entries outside the integers low..1 (erasure symbols are -1, 0
-    and 1, frozen values 0 and 1): an integer or bool dtype and one min/max
-    scan decide it, with no temporary of the array's size."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "biu":
-        raise ValueError(f"{name} must be {allowed} of an integer dtype, got {arr.dtype}")
-    if arr.size and (arr.min() < low or arr.max() > 1):
-        raise ValueError(f"{name} must be {allowed}, got values in [{arr.min()}, {arr.max()}]")
 
 
 def decode_bec_rows(

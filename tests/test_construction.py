@@ -184,6 +184,14 @@ def test_select_secure_subset():
         select_secure_subset(info, wire, -1)
 
 
+def test_profile_rejects_values_outside_unit_interval():
+    # NaN fails every comparison, so it must fail the range check too
+    for bad in ([np.nan, 0.1], [0.1, np.nan], [-0.1, 0.5], [0.5, 1.5], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match=r"^profile values must lie in \[0, 1\]"):
+            ReliabilityProfile(CodeParams(1), np.array(bad), exact=False)
+    assert ReliabilityProfile(CodeParams(1), [1.0, 0.0], exact=False).order.tolist() == [1, 0]
+
+
 def test_selection_reads_stable_order_under_heavy_ties():
     rng = np.random.default_rng(2024)
     for _ in range(300):

@@ -61,6 +61,37 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+def _shared_helper_copies(source: str) -> list[str]:
+    """Functions named ``_check_*`` or ``_pack*`` that source defines."""
+    return sorted(
+        node.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith(("_check_", "_pack"))
+    )
+
+
+@pytest.mark.parametrize("path", sorted(Path(nestedpolar.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_argument_checks_and_packer_live_only_in_gf2(path):
+    # gf2 holds the one copy of each shared argument check and of the row
+    # packer; a second copy elsewhere can drift from it
+    if path.name == "gf2.py":
+        assert {"_check_shapes", "_check_values", "_pack"} <= set(_shared_helper_copies(path.read_text()))
+        return
+    copies = _shared_helper_copies(path.read_text())
+    assert not copies, f"{path.name} defines its own checks or packers: {copies}"
+
+
+def test_shared_helper_guard_flags_nested_definitions():
+    source = (
+        "def _check_n(n):\n    pass\n"
+        "class C:\n    def _pack_rows(self):\n        def _check_inner():\n            pass\n"
+        "def _unpack(words):\n    pass\n"
+        "def check_n(n):\n    pass\n"
+    )
+    assert _shared_helper_copies(source) == ["_check_inner", "_check_n", "_pack_rows"]
+
+
 def test_unused_import_guard_flags_and_exempts():
     source = (
         "from __future__ import annotations\n"

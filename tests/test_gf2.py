@@ -2,7 +2,9 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from nestedpolar.channels import bsc_sample_rows
 from nestedpolar.gf2 import BitMatrix, IncrementalRank, null_space_basis, pack_columns
+from nestedpolar.polar import bit_reversal_permutation, generator_matrix, transform_rows
 from nestedpolar.wiretap import equivocation_rank
 
 from oracles import naive_rank
@@ -14,6 +16,34 @@ def test_bitmatrix_validation():
     with pytest.raises(ValueError):
         BitMatrix([[3]])
     assert BitMatrix(np.eye(3, dtype=np.uint8)) == BitMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("name, call", [
+    pytest.param("entries", lambda: BitMatrix([[0.5]]), id="BitMatrix-half"),
+    pytest.param("entries", lambda: BitMatrix([[1.7]]), id="BitMatrix-float"),
+    pytest.param("entries", lambda: BitMatrix(np.array([[256]])), id="BitMatrix-256"),
+    pytest.param("entries", lambda: BitMatrix([["1"]]), id="BitMatrix-str"),
+    pytest.param("entries", lambda: BitMatrix([[-1]]), id="BitMatrix-negative"),
+    pytest.param("entries", lambda: BitMatrix([1, 0]), id="BitMatrix-vector"),
+    pytest.param("width", lambda: IncrementalRank(True), id="IncrementalRank-bool"),
+    pytest.param("width", lambda: IncrementalRank(2.5), id="IncrementalRank-float"),
+    pytest.param("n", lambda: generator_matrix(True), id="generator_matrix-bool"),
+    pytest.param("n", lambda: bit_reversal_permutation(True), id="bit_reversal_permutation-bool"),
+    pytest.param("n", lambda: bit_reversal_permutation(21), id="bit_reversal_permutation-too-large"),
+    pytest.param("rows", lambda: transform_rows(np.zeros(8, dtype=np.uint8)), id="transform_rows-vector"),
+    pytest.param("rows", lambda: transform_rows(np.zeros((2, 6), dtype=np.uint8)), id="transform_rows-length"),
+    pytest.param("x", lambda: bsc_sample_rows(np.array([[0, 2]]), 0.1, np.random.default_rng(0)),
+                 id="bsc_sample_rows-symbol"),
+    pytest.param("x", lambda: bsc_sample_rows(np.array([[0.0, 1.0]]), 0.1, np.random.default_rng(0)),
+                 id="bsc_sample_rows-float"),
+])
+def test_bad_inputs_raise_value_errors_naming_the_argument(name, call):
+    # the shared checks give every bad input a ValueError that starts with
+    # the argument's name; the cached entry for a numpy n = 1, which equals
+    # True, must not answer True
+    bit_reversal_permutation(np.int64(1))
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        call()
 
 
 def test_bitmatrix_rejects_vectors_and_copies_read_only():

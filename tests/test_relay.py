@@ -1,5 +1,7 @@
 from fractions import Fraction
 import hashlib
+from pathlib import Path
+import re
 
 import numpy as np
 import pytest
@@ -72,7 +74,7 @@ def test_build_infeasible_coset():
         build_relay_scheme(spec, 7, 4, 1.0)
 
 
-def test_build_margin_validated():
+def test_build_margin_validated(monkeypatch):
     spec = RelayChannelSpec(0.1, 4 / 9, 0.5)
     with pytest.raises(ValueError):
         build_relay_scheme(spec, 6, 3, 0.0)
@@ -83,6 +85,14 @@ def test_build_margin_validated():
     for bad in (False, True, "0.01"):
         with pytest.raises(ValueError, match="^target must be a real number"):
             calibrate_margin(spec, 6, 3, bad)
+    # a NaN or negative target is refused before any scheme is designed
+    calls = []
+    monkeypatch.setattr(relay, "bec_reliability", lambda *args: calls.append(args))
+    for bad in (float("nan"), -1e-3, -np.inf):
+        with pytest.raises(ValueError, match="^target must be at least 0"):
+            calibrate_margin(spec, 6, 3, bad)
+    assert calls == []
+    monkeypatch.undo()
     # sizes and counts are integers, numpy's included
     for bad in (2.5, 2.0, True):
         with pytest.raises(ValueError, match="^blocks must be an integer"):
@@ -126,6 +136,33 @@ def test_calibrate_margin_builds_profiles_once(monkeypatch):
     assert scheme.source_code.info_set.size == 5456
     assert scheme.source_code.secure_set.size == 3031
     assert scheme.rd_code.info_len == 2425
+
+
+def _readme_table(heading: str) -> list[list[str]]:
+    """Cells of the data rows of the first table under ``heading`` in README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split(heading, 1)[1].split("\n#", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")]
+    return [[cell.strip() for cell in re.split(r"(?<!\\)\|", row)[1:-1]] for row in rows[2:]]
+
+
+def test_rate_grows_toward_capacity_with_n():
+    # README's relay point, 8 blocks: one shared margin sizes every stage,
+    # and only the SD bound comes near the target
+    spec = RelayChannelSpec(0.1, 4 / 9, 0.5)
+    capacity = min(spec.c_sr, spec.c_sd + spec.c_rd)
+    rows, ratios = [], []
+    for n in range(8, 17):
+        scheme = calibrate_margin(spec, n, 8, 1e-3)
+        sr, sd, rd = scheme.stage_bounds
+        assert max(sr, sd, rd) <= 1e-3 and sr <= 1e-11 and rd <= 1e-5
+        code = scheme.source_code
+        ratios.append(float(scheme.achieved_rate) / capacity)
+        rows.append([str(n), f"{scheme.margin:g}", str(code.info_set.size), str(code.secure_set.size),
+                     str(scheme.achieved_rate), f"{ratios[-1]:.4f}", f"{sr:.2e}", f"{sd:.2e}", f"{rd:.2e}"])
+    assert all(a < b for a, b in zip(ratios, ratios[1:]))
+    assert round(ratios[0], 4) == 0.4167 and round(ratios[-1], 4) == 0.7422 < 8 / 9
+    assert _readme_table("### Relay rate against capacity") == rows
 
 
 def test_simulate_noiseless_is_error_free():
