@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .gf2 import _check_integer, _check_probability, _check_seed, _check_values
+from .gf2 import _check_dtype, _check_integer, _check_probability, _check_seed, _check_values
 from .sc import ERASED
 
 __all__ = [
@@ -67,8 +67,7 @@ def bec_sample_rows(x: np.ndarray, erasure_prob: float, rng: np.random.Generator
     ``cascade_rows`` is this sampler.  One uniform is drawn per position,
     erased or not, so the pattern does not depend on the input."""
     _check_probability(erasure_prob, "erasure_prob")
-    if x.dtype.kind not in "biu":
-        raise ValueError(f"x must be an integer or bool array, got dtype {x.dtype}")
+    x = _check_dtype("x", x)
     # ERASED is all ones, so the erased mask times ERASED ORed with x erases
     # without a branch on the unpredictable mask
     y = (rng.random(x.shape) < erasure_prob).view(np.int8)
@@ -95,7 +94,7 @@ def bsc_sample_rows(x: np.ndarray, crossover_prob: float, rng: np.random.Generat
     drawn a block of rows at a time; the generator fills each block in
     stream order, so the draws are those of one whole-array draw."""
     _check_probability(crossover_prob, "crossover probability", 0.5)
-    _check_values("x", x, 0, "0 or 1")
+    x = _check_values("x", x, 0, "0 or 1")
     y = np.empty(x.shape, dtype=np.uint8)
     rows = max(1, _SAMPLE_BLOCK_CELLS * len(x) // max(1, x.size))
     for r in range(0, len(x), rows):

@@ -255,12 +255,21 @@ def _check_shapes(name: str, words, **per_position) -> tuple[int, int]:
     return nbatch, N
 
 
-def _check_values(name: str, values, low: int, allowed: str) -> None:
-    """Reject entries outside the integers low..1 (erasure symbols are -1, 0
-    and 1, bits 0 and 1): an integer or bool dtype and one min/max scan
-    decide it, with no temporary of the array's size."""
+def _check_dtype(name: str, values, what: str = "an integer or bool array") -> np.ndarray:
+    """``values`` as an array (an ndarray is not copied), checked in O(1) to
+    have an integer or bool dtype; the ValueError says ``name`` must be
+    ``what``."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "biu":
-        raise ValueError(f"{name} must be {allowed} of an integer dtype, got {arr.dtype}")
+        raise ValueError(f"{name} must be {what}, got dtype {arr.dtype}")
+    return arr
+
+
+def _check_values(name: str, values, low: int, allowed: str) -> np.ndarray:
+    """``values`` as an array (``_check_dtype``), its entries checked to be
+    integers in low..1 (erasure symbols are -1, 0 and 1, bits 0 and 1) by
+    one min/max scan, with no temporary of the array's size."""
+    arr = _check_dtype(name, values, f"{allowed} of an integer dtype")
     if arr.size and (arr.min() < low or arr.max() > 1):
         raise ValueError(f"{name} must be {allowed}, got values in [{arr.min()}, {arr.max()}]")
+    return arr

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2 import BitMatrix, _check_index_set, _check_integer, _check_shapes
+from .gf2 import BitMatrix, _check_dtype, _check_index_set, _check_integer, _check_shapes
 
 __all__ = [
     "MAX_LOG2_BLOCK",
@@ -90,7 +90,9 @@ def butterfly_rows(x: np.ndarray) -> np.ndarray:
 
 
 def transform_rows(rows: np.ndarray) -> np.ndarray:
-    """Apply the polar transform to each row of a (batch, N) uint8 array."""
+    """Apply the polar transform to each row of a (batch, N) integer or bool
+    array of 0/1 bits."""
+    rows = _check_dtype("rows", rows)
     _, N = _check_shapes("rows", rows)
     return butterfly_rows(rows[:, bit_reversal_permutation(N.bit_length() - 1)])
 

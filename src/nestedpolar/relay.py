@@ -110,6 +110,7 @@ class _InfeasibleMargin(ValueError):
 def _scheme_designer(spec: RelayChannelSpec, n: int, blocks: int):
     """Build the three BEC profiles once; return margin -> RelayScheme, which
     raises ``_InfeasibleMargin`` when the stage sizes at that margin do not fit."""
+    _check_integer(blocks, "blocks", 1)
     params = CodeParams(n)
     N = params.N
     z_sr = bec_reliability(n, spec.e_sr)
@@ -219,12 +220,13 @@ def simulate_relay(
 
     Uses blocks+1 slots: the source is active in blocks 1..blocks, the
     relay forwards block k's coset during block k+1, and the destination
-    resolves block k once that arrives.  The SR and RD stages are one link
-    step each: put the bits on a code's information set, erase each word,
-    SC-decode it with that code.  A word's erasure pattern is the sampler
-    on the all-zero word, ORed with the word to receive it; the SD pattern
-    is the SR pattern further erased, preserving physical degradedness.
-    The rows each stage SC-walks, and the undetermined counts
+    resolves block k once that arrives.  Each stage (SR, RD, SD) is one
+    call of one step: send the bits, erase each word, SC-decode it with
+    the stage's information mask and the other sent bits frozen, and
+    compare every row with what was sent.  A word's erasure pattern is the
+    sampler on the all-zero word, ORed with the word to receive it; the SD
+    pattern is the SR pattern further erased, preserving physical
+    degradedness.  The rows the step SC-walks, and the undetermined counts
     (``undetermined_bec_rows``), follow the module docstring's rule.
     Deterministic given the seed: each (trial, block, role) draws from its
     own substream, so erasure-rate changes couple monotonically.
@@ -232,12 +234,10 @@ def simulate_relay(
     _check_integer(trials, "trials", 1)
     _check_seed(seed)
     code = scheme.source_code
-    N, blocks = code.N, scheme.blocks
-    a_set = code.info_set
+    N, blocks, a_set = code.N, scheme.blocks, code.info_set
     msg_pos = np.isin(a_set, code.message_set)  # A\B positions within A
-    source_spec = code.bob_spec()
-    sd_mask = np.zeros(N, dtype=bool)
-    sd_mask[code.secure_set] = True
+    sr_mask = code.bob_spec().info_mask
+    sd_mask = PolarCodeSpec(code.params, code.secure_set).info_mask
     zero_word = np.zeros(N, dtype=np.int8)
 
     def per_trial(block: int, role: int, draw) -> np.ndarray:
@@ -248,11 +248,11 @@ def simulate_relay(
         ])
 
     def sc_decode(e, info_mask, sent_set, bits):
-        """SC-decode with info_mask the words that carry bits on sent_set and
-        zeros elsewhere, erased by the patterns e; the decoder freezes the
-        sent bits.  Only the rows in doubt are encoded and walked (module
-        docstring); returns their indices, their decoded bits on sent_set
-        and every row's undetermined count."""
+        """The stage step: SC-decode with info_mask the words that carry bits
+        on sent_set and zeros elsewhere, erased by the patterns e, the sent
+        bits frozen; only the rows in doubt are encoded and walked (module
+        docstring).  Returns every row's decoded bits on sent_set (the sent
+        bits where no walk was needed) and every row's undetermined count."""
         undet = undetermined_bec_rows(e, info_mask)
         doubt = np.flatnonzero(undet)
         u = np.zeros((doubt.size, N), dtype=np.uint8)
@@ -260,18 +260,9 @@ def simulate_relay(
         y = e[doubt] | transform_rows(u).view(np.int8)
         # the decoder reads u only outside info_mask, as the frozen values
         u_hat, _ = decode_bec_rows(y, info_mask, u)
-        return doubt, u_hat[:, sent_set], undet
-
-    def link(link_spec: PolarCodeSpec, bits, erasure_prob: float, block: int, role: int):
-        """Send bits on link_spec's information set and zeros elsewhere, draw
-        each word's erasure pattern from its own substream and SC-decode it
-        with link_spec; returns the patterns, the decoded information bits
-        and the undetermined counts."""
-        e = per_trial(block, role, lambda t, rng: bec_sample_rows(zero_word, erasure_prob, rng))
-        doubt, decoded_rows, undet = sc_decode(e, link_spec.info_mask, link_spec.info_set, bits)
         decoded = bits.copy()
-        decoded[doubt] = decoded_rows
-        return e, decoded, undet
+        decoded[doubt] = u_hat[:, sent_set]
+        return decoded, undet
 
     relay_err, rd_err, dest_err = np.zeros((3, trials, blocks), dtype=bool)
     undet = np.zeros((trials, blocks, 3), dtype=np.int64)
@@ -280,23 +271,22 @@ def simulate_relay(
         msgs = per_trial(k, _ROLE_MESSAGE, lambda t, rng: rng.integers(0, 2, a_set.size, dtype=np.uint8))
 
         # relay decodes the whole information set from its SR output
-        e_sr, relay_bits, undet[:, k, 0] = link(source_spec, msgs, spec.e_sr, k, _ROLE_SR)
+        e_sr = per_trial(k, _ROLE_SR, lambda t, rng: bec_sample_rows(zero_word, spec.e_sr, rng))
+        relay_bits, undet[:, k, 0] = sc_decode(e_sr, sr_mask, a_set, msgs)
         relay_err[:, k] = np.any(relay_bits != msgs, axis=1)
         # the destination stores its SD copy: the SR output, further erased
         e_sd = per_trial(k, _ROLE_DEG, lambda t, rng: cascade_rows(e_sr[t], spec.e_deg, rng))
 
         # relay re-encodes A\B (its own, possibly wrong, estimate) over RD
-        _, coset_dest, undet[:, k, 1] = link(
-            scheme.rd_code, relay_bits[:, msg_pos], spec.e_rd, k + 1, _ROLE_RD
+        coset_dest, undet[:, k, 1] = sc_decode(
+            per_trial(k + 1, _ROLE_RD, lambda t, rng: bec_sample_rows(zero_word, spec.e_rd, rng)),
+            scheme.rd_code.info_mask, scheme.rd_code.info_set, relay_bits[:, msg_pos],
         )
         rd_err[:, k] = np.any(coset_dest != msgs[:, msg_pos], axis=1)
 
-        # destination decodes B from stored SD with the sent coset frozen: a
-        # row whose coset arrived wrong is already a destination error, and
-        # only a row in doubt can decode B wrongly
-        doubt, dest_bits, undet[:, k, 2] = sc_decode(e_sd, sd_mask, a_set, msgs)
-        dest_err[:, k] = rd_err[:, k]
-        dest_err[doubt, k] |= np.any(dest_bits != msgs[doubt], axis=1)
+        # destination decodes B from stored SD with the sent coset frozen
+        dest_bits, undet[:, k, 2] = sc_decode(e_sd, sd_mask, a_set, msgs)
+        dest_err[:, k] = rd_err[:, k] | np.any(dest_bits != msgs, axis=1)
 
     return RelayRunReport(
         relay_errors=relay_err,

@@ -89,13 +89,10 @@ with a few word operations per level, for every node and row at once.
 words, without the walk; these are the only undetermined counts, and
 `decode_bec_rows` returns them beside its decisions.
 
-Those counts also tell which rows a full SC walk could decode to anything
-but the sent bits.  A row whose frozen values are the sent ones and none
-of whose information leaves has an erased message decodes to the sent
-bits: by induction over the decoding order every unerased message carries
-the sent value.  The relay simulation SC-walks only the rows with an
-erased information decision, by the rule stated in the `relay` module
-docstring.
+A row whose frozen values are the sent ones, with no erased information
+decision, decodes to the sent bits (by induction over the decoding order,
+every unerased message carries the sent value); the `relay` module
+docstring states the rule that the relay simulation builds on this.
 
 Decoding order is the natural index order of u.  The entry points take a
 (batch, N) array of received words, one per row, after checking the

@@ -155,6 +155,48 @@ def equivocation_bruteforce(code, erased) -> float:
     return value if value is not None else 0.0
 
 
+def equivocation_by_erasure_count(code) -> np.ndarray:
+    """c[k], the summed equivocation in bits over every erased set of size k,
+    for k = 0..N, by enumerating all 2^N erasure patterns of a
+    ``NestedCodeSpec``.  On a BEC of erasure rate e the expected
+    equivocation is then exactly sum_k c[k] e^k (1-e)^(N-k).
+
+    Works from the generator, not the parity checks: with U the unerased
+    positions, H(S | Z) = |A\\B| - rank G_A[:, U] + rank G_B[:, U], because
+    (S, T) is uniform on a coset of the kernel of u -> u G_A[:, U], and so
+    is T given S.  Each rank is kept as an echelon basis of the generator's
+    columns (as integers over the rows), grown one unerased column at a
+    time by a depth-first walk over the positions, so a pattern costs one
+    reduction per code.
+    """
+    g = reference_generator(code.params.n)
+    N = code.N
+
+    def columns(rows):
+        return [sum(int(bit) << i for i, bit in enumerate(g[rows, j])) for j in range(N)]
+
+    cols_a, cols_b = columns(code.info_set), columns(code.secure_set)
+    counts = np.zeros(N + 1, dtype=np.int64)
+
+    def reduce(basis, v):
+        for b in basis:
+            v = min(v, v ^ b)
+        return v
+
+    def walk(j, erased, basis_a, basis_b):
+        if j == N:
+            counts[erased] += code.message_len - len(basis_a) + len(basis_b)
+            return
+        walk(j + 1, erased + 1, basis_a, basis_b)
+        va, vb = reduce(basis_a, cols_a[j]), reduce(basis_b, cols_b[j])
+        walk(j + 1, erased,
+             sorted(basis_a + [va] * bool(va), reverse=True),
+             sorted(basis_b + [vb] * bool(vb), reverse=True))
+
+    walk(0, 0, [], [])
+    return counts
+
+
 def sequential_ml_decode(llrs, info_mask, frozen_values) -> np.ndarray:
     """Bit-by-bit maximum-likelihood decoding by summing over future bits.
 

@@ -92,6 +92,41 @@ def test_shared_helper_guard_flags_nested_definitions():
     assert _shared_helper_copies(source) == ["_check_inner", "_check_n", "_pack_rows"]
 
 
+# The relay rule (walk only the rows in doubt, keep the sent bits elsewhere)
+# lives in one stage step; these are the calls that apply it.
+RELAY_STEP_CALLS = ("decode_bec_rows", "undetermined_bec_rows", "transform_rows")
+
+
+def _call_sites(source: str, names) -> dict[str, int]:
+    """How many calls of each of names source makes, by plain or dotted name."""
+    counts = dict.fromkeys(names, 0)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called in counts:
+                counts[called] += 1
+    return counts
+
+
+def test_relay_applies_its_rule_in_one_stage_step():
+    # a stage that calls the decoder, the erasure genie or the encoder
+    # itself would hold a second copy of the rule, free to drift
+    source = (Path(nestedpolar.__file__).parent / "relay.py").read_text()
+    assert _call_sites(source, RELAY_STEP_CALLS) == dict.fromkeys(RELAY_STEP_CALLS, 1)
+
+
+def test_call_site_guard_flags_a_second_site():
+    source = (
+        "def step(e, mask):\n    return decode_bec_rows(e, mask, undetermined_bec_rows(e, mask))\n"
+        "def stage(e, mask):\n    x = sc.decode_bec_rows(e, mask, 0)\n"
+        "    return transform_rows\n"
+    )
+    assert _call_sites(source, RELAY_STEP_CALLS) == {
+        "decode_bec_rows": 2, "undetermined_bec_rows": 1, "transform_rows": 0,
+    }
+
+
 def test_unused_import_guard_flags_and_exempts():
     source = (
         "from __future__ import annotations\n"

@@ -2,7 +2,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from nestedpolar.channels import bsc_sample_rows
+from nestedpolar.channels import bec_sample_rows, bsc_sample_rows
 from nestedpolar.gf2 import BitMatrix, IncrementalRank, null_space_basis, pack_columns
 from nestedpolar.polar import bit_reversal_permutation, generator_matrix, transform_rows
 from nestedpolar.wiretap import equivocation_rank
@@ -36,6 +36,10 @@ def test_bitmatrix_validation():
                  id="bsc_sample_rows-symbol"),
     pytest.param("x", lambda: bsc_sample_rows(np.array([[0.0, 1.0]]), 0.1, np.random.default_rng(0)),
                  id="bsc_sample_rows-float"),
+    pytest.param("rows", lambda: transform_rows(np.array([[0.5, 1.0]])), id="transform_rows-float"),
+    pytest.param("rows", lambda: transform_rows([[0.5, 1.0]]), id="transform_rows-float-list"),
+    pytest.param("x", lambda: bec_sample_rows([[0.5, 1.0]], 0.1, np.random.default_rng(0)),
+                 id="bec_sample_rows-float-list"),
 ])
 def test_bad_inputs_raise_value_errors_naming_the_argument(name, call):
     # the shared checks give every bad input a ValueError that starts with
@@ -44,6 +48,15 @@ def test_bad_inputs_raise_value_errors_naming_the_argument(name, call):
     bit_reversal_permutation(np.int64(1))
     with pytest.raises(ValueError, match=f"^{name} must"):
         call()
+
+
+def test_nested_lists_of_bits_read_like_arrays():
+    rows = [[0, 1, 1, 0], [1, 1, 0, 1]]
+    arr = np.array(rows, dtype=np.uint8)
+    assert np.array_equal(transform_rows(rows), transform_rows(arr))
+    for sample in (bec_sample_rows, bsc_sample_rows):
+        assert np.array_equal(sample(rows, 0.3, np.random.default_rng(5)),
+                              sample(arr, 0.3, np.random.default_rng(5)))
 
 
 def test_bitmatrix_rejects_vectors_and_copies_read_only():

@@ -91,6 +91,12 @@ def test_build_margin_validated(monkeypatch):
     for bad in (float("nan"), -1e-3, -np.inf):
         with pytest.raises(ValueError, match="^target must be at least 0"):
             calibrate_margin(spec, 6, 3, bad)
+    # and so is a bad block count, at either entry point
+    for bad in (2.5, 0, True):
+        with pytest.raises(ValueError, match="^blocks must be"):
+            build_relay_scheme(spec, 6, bad, 0.5)
+        with pytest.raises(ValueError, match="^blocks must be"):
+            calibrate_margin(spec, 6, bad, 1e-3)
     assert calls == []
     monkeypatch.undo()
     # sizes and counts are integers, numpy's included

@@ -423,6 +423,31 @@ def test_experiment_monotone_and_bounded():
         assert r.upper_bound == min(cfg.rate, r.e_w - cfg.e_m)
 
 
+def test_erasure_count_oracle_matches_bruteforce():
+    # the generator-rank enumeration against the entropy of the grouped
+    # codewords, pattern by pattern, at n = 3
+    code = toy_code(6, 4)
+    expected = np.zeros(code.N + 1)
+    for pattern in itertools.product([False, True], repeat=code.N):
+        erased = np.flatnonzero(pattern)
+        expected[erased.size] += equivocation_bruteforce(code, erased)
+    assert np.allclose(oracles.equivocation_by_erasure_count(code), expected, atol=1e-9)
+
+
+def test_experiment_mean_matches_exact_expectation():
+    # the fig1 design at n = 4 (|A| = 12, |B| = 8): the Monte-Carlo mean
+    # equivocation against its exact expectation over all 2^16 patterns
+    cfg = WiretapConfig(e_m=0.25, e_w=0.5, rate=0.25, n=4, trials=20000, seed=1)
+    code = build_wiretap_code(cfg)
+    assert (code.info_set.size, code.randomization_len) == (12, 8)
+    counts = oracles.equivocation_by_erasure_count(code)
+    k = np.arange(code.N + 1)
+    for r in run_wiretap_experiment(cfg, [0.26, 0.30, 0.38, 0.50]):
+        exact = float(np.sum(counts * r.e_w**k * (1.0 - r.e_w) ** (code.N - k)))
+        stderr = np.std(r.equivocations, ddof=1) / np.sqrt(r.trials)
+        assert abs(r.equivocations.mean() - exact) <= 4 * stderr, (r.e_w, r.equivocations.mean(), exact)
+
+
 def test_experiment_report_order_follows_input():
     cfg = WiretapConfig(e_m=0.25, e_w=0.5, rate=0.25, n=4, trials=10, seed=7)
     reports = run_wiretap_experiment(cfg, [0.5, 0.3])
