@@ -13,6 +13,11 @@ position whatever the symbol there.  ERASED is all ones in int8, so on twin
 generators ``bec_sample_rows(x, p, rng)`` equals the sampler's output on the
 all-zero word ORed with x, and for a pattern e over {ERASED, 0} the cascade
 of ``e | x`` is the cascade of e ORed with x.
+
+``bec_sample_rows`` also takes a sequence of generators, one per row of a
+2-D x: row r is drawn from the r-th generator exactly as a one-row call on
+that generator would draw it, so a batch of rows from separate substreams
+costs one call and no stacking.
 """
 from __future__ import annotations
 
@@ -57,20 +62,43 @@ class RngStream:
         _check_integer(self.stream_id, "stream_id", 0)
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence([self.master_seed, self.stream_id])
+        # SeedSequence([seed, id]) hashes the little-endian 32-bit words of
+        # each int in turn; handed those words as one uint32 array, it seeds
+        # the same state and skips its slow per-int conversion
+        words = _uint32_words(int(self.master_seed)) + _uint32_words(int(self.stream_id))
+        seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
         return np.random.Generator(np.random.PCG64(seq))
 
 
-def bec_sample_rows(x: np.ndarray, erasure_prob: float, rng: np.random.Generator) -> np.ndarray:
+def _uint32_words(value: int) -> list[int]:
+    """The little-endian 32-bit words of a nonnegative int; 0 is one word."""
+    words = [value & 0xFFFFFFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def bec_sample_rows(x: np.ndarray, erasure_prob: float, rng) -> np.ndarray:
     """Erase each position of an integer or bool array of 0/1 symbols or
     three-valued words independently (erased stays erased); returns int8.
     ``cascade_rows`` is this sampler.  One uniform is drawn per position,
-    erased or not, so the pattern does not depend on the input."""
+    erased or not, so the pattern does not depend on the input.  ``rng`` is
+    one generator, or a sequence of one generator per row of a 2-D ``x``."""
     _check_probability(erasure_prob, "erasure_prob")
     x = _check_dtype("x", x)
+    if isinstance(rng, np.random.Generator):
+        y = rng.random(x.shape) < erasure_prob
+    else:
+        if x.ndim != 2 or len(rng) != len(x):
+            raise ValueError(
+                f"rng must be one generator per row of a 2-D x, got {len(rng)} for shape {x.shape}"
+            )
+        y = np.empty(x.shape, dtype=bool)
+        for row, g in zip(y, rng):
+            np.less(g.random(row.shape), erasure_prob, out=row)
     # ERASED is all ones, so the erased mask times ERASED ORed with x erases
     # without a branch on the unpredictable mask
-    y = (rng.random(x.shape) < erasure_prob).view(np.int8)
+    y = y.view(np.int8)
     np.multiply(y, np.int8(ERASED), out=y)
     return np.bitwise_or(y, x, out=y, dtype=np.int8, casting="unsafe")
 

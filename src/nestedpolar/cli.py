@@ -38,7 +38,7 @@ MAX_SWEEP_POINTS = 10_000
 MAX_RESULT_CELLS = 10_000_000
 # Most codeword cells (trials x N) a relay-sim block decodes at once; its
 # working arrays, mostly the int8 erasure patterns (words are built only for
-# the rows in doubt), take about 6 bytes per cell.
+# the rows in doubt), take about 5 bytes per cell.
 MAX_WORD_CELLS = 10_000_000
 # Most cells of the N x N generator a wiretap design step builds (n <= 14);
 # its peak memory is about 3 bytes per cell.

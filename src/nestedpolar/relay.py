@@ -108,8 +108,11 @@ class _InfeasibleMargin(ValueError):
 
 
 def _scheme_designer(spec: RelayChannelSpec, n: int, blocks: int):
-    """Build the three BEC profiles once; return margin -> RelayScheme, which
-    raises ``_InfeasibleMargin`` when the stage sizes at that margin do not fit."""
+    """Build the three BEC profiles once; return (design, screen).  ``design``
+    maps margin -> RelayScheme and raises ``_InfeasibleMargin`` when the stage
+    sizes at that margin do not fit; ``screen`` maps margin -> the largest
+    stage bound from set sizes and prefix sums alone, or None where design
+    raises (see ``calibrate_margin``)."""
     _check_integer(blocks, "blocks", 1)
     params = CodeParams(n)
     N = params.N
@@ -117,12 +120,15 @@ def _scheme_designer(spec: RelayChannelSpec, n: int, blocks: int):
     z_sd = bec_reliability(n, spec.e_sd)
     z_rd = bec_reliability(n, spec.e_rd)
     regime = 1 if spec.c_sr <= spec.c_sd + spec.c_rd else 2
+    fractions = (spec.c_sr, spec.c_sd, spec.c_rd) if regime == 1 else (spec.c_sd, spec.c_sd + spec.c_rd)
+
+    def sizes(margin: float) -> list[int]:
+        """Regime 1: k_a, k_sd, k_rd; regime 2: k_b, k_a."""
+        return [round(margin * N * c) for c in fractions]
 
     def design(margin: float) -> RelayScheme:
         if regime == 1:
-            k_a = round(margin * N * spec.c_sr)
-            k_sd = round(margin * N * spec.c_sd)
-            k_rd = round(margin * N * spec.c_rd)
+            k_a, k_sd, k_rd = sizes(margin)
             info = select_info_set(z_sr, k_a)
             best_sd = select_info_set(z_sd, k_sd)
             secure = np.intersect1d(info, best_sd, assume_unique=True)
@@ -132,8 +138,7 @@ def _scheme_designer(spec: RelayChannelSpec, n: int, blocks: int):
                     f"infeasible at margin {margin}: coset size {coset} exceeds RD budget {k_rd}"
                 )
         else:
-            k_b = round(margin * N * spec.c_sd)
-            k_a = round(margin * N * (spec.c_sd + spec.c_rd))
+            k_b, k_a = sizes(margin)
             secure = select_info_set(z_sd, k_b)
             outside = z_sr.order[~np.isin(z_sr.order, secure)]
             info = np.sort(np.concatenate([secure, outside[: k_a - k_b]]))
@@ -144,7 +149,24 @@ def _scheme_designer(spec: RelayChannelSpec, n: int, blocks: int):
         bounds = (float(z_sr.z[info].sum()), float(z_sd.z[secure].sum()), float(z_rd.z[rd_info].sum()))
         return RelayScheme(source, rd_code, blocks, regime, margin, bounds)
 
-    return design
+    # sums of z over the best 0, 1, 2, ... indices of each link
+    sr_sums, sd_sums, rd_sums = (np.concatenate(([0.0], np.cumsum(p.z[p.order]))) for p in (z_sr, z_sd, z_rd))
+    sd_sr_rank = np.argsort(z_sr.order)[z_sd.order]  # SR rank of each index, in SD order
+    sd_sorted = z_sd.z[z_sd.order]
+
+    def screen(margin: float) -> float | None:
+        if regime == 1:
+            k_a, k_sd, k_rd = sizes(margin)
+            in_a = sd_sr_rank[:k_sd] < k_a  # best SD indices that are in A, i.e. B
+            coset = k_a - int(np.count_nonzero(in_a))
+            if coset > k_rd:
+                return None
+            return max(sr_sums[k_a], float(np.dot(sd_sorted[:k_sd], in_a)), rd_sums[coset])
+        # regime 2: the k_a best SR values bound A's SR sum from below
+        k_b, k_a = sizes(margin)
+        return max(sr_sums[k_a], sd_sums[k_b], rd_sums[k_a - k_b])
+
+    return design, screen
 
 
 def build_relay_scheme(
@@ -163,7 +185,8 @@ def build_relay_scheme(
     _check_real(margin, "margin")
     if not 0.0 < margin <= 1.0:
         raise ValueError(f"margin must be in (0, 1], got {margin}")
-    return _scheme_designer(spec, n, blocks)(margin)
+    design, _ = _scheme_designer(spec, n, blocks)
+    return design(margin)
 
 
 def calibrate_margin(
@@ -171,18 +194,26 @@ def calibrate_margin(
 ) -> RelayScheme:
     """Largest margin on the grid 1, 0.995, ..., 0.005 whose three stage union
     bounds all sit at or below ``target``.  The profiles are built once for the
-    scan; only margins whose stage sizes do not fit are skipped."""
+    scan, and each margin is screened before it is designed: from the integer
+    stage sizes and the prefix sums of each link's z over its reliability
+    order (in regime 2 A's SR sum is bounded below by the best |A| SR
+    values).  A sum of at most 2^20 nonnegative floats is off by under 1e-9
+    relative whatever its order, so only a margin whose sizes fit and whose
+    screen is at most target (1 + 1e-9) is designed, and it is returned iff
+    ``max(stage_bounds) <= target``: the scheme that designing every margin
+    in turn would return."""
     _check_real(target, "target")
     if not target >= 0.0:  # NaN fails it
         raise ValueError(f"target must be at least 0, got {target}")
-    design = _scheme_designer(spec, n, blocks)
+    design, screen = _scheme_designer(spec, n, blocks)
+    loose = target * (1.0 + 1e-9)
     for i in range(200):
-        try:
-            scheme = design(round(1.0 - 0.005 * i, 12))
-        except _InfeasibleMargin:
-            continue
-        if max(scheme.stage_bounds) <= target:
-            return scheme
+        margin = round(1.0 - 0.005 * i, 12)
+        bound = screen(margin)
+        if bound is not None and bound <= loose:
+            scheme = design(margin)
+            if max(scheme.stage_bounds) <= target:
+                return scheme
     raise ValueError(f"no margin meets stage bound target {target}")
 
 
@@ -223,10 +254,11 @@ def simulate_relay(
     resolves block k once that arrives.  Each stage (SR, RD, SD) is one
     call of one step: send the bits, erase each word, SC-decode it with
     the stage's information mask and the other sent bits frozen, and
-    compare every row with what was sent.  A word's erasure pattern is the
-    sampler on the all-zero word, ORed with the word to receive it; the SD
-    pattern is the SR pattern further erased, preserving physical
-    degradedness.  The rows the step SC-walks, and the undetermined counts
+    compare every row with what was sent.  A stage's erasure patterns are
+    one sampler call on the all-zero words, one generator per trial, and
+    each is ORed with its word to receive it; the SD patterns are the SR
+    patterns further erased, preserving physical degradedness.  The rows
+    the step SC-walks, and the undetermined counts
     (``undetermined_bec_rows``), follow the module docstring's rule.
     Deterministic given the seed: each (trial, block, role) draws from its
     own substream, so erasure-rate changes couple monotonically.
@@ -238,14 +270,13 @@ def simulate_relay(
     msg_pos = np.isin(a_set, code.message_set)  # A\B positions within A
     sr_mask = code.bob_spec().info_mask
     sd_mask = PolarCodeSpec(code.params, code.secure_set).info_mask
-    zero_word = np.zeros(N, dtype=np.int8)
+    zeros = np.broadcast_to(np.zeros(N, dtype=np.int8), (trials, N))
 
-    def per_trial(block: int, role: int, draw) -> np.ndarray:
-        """Stack draw(t, rng) over the trials, rng from the (t, block, role) substream."""
-        return np.stack([
-            draw(t, RngStream(seed, (t * (blocks + 1) + block) * 4 + role).generator())
-            for t in range(trials)
-        ])
+    def generators(block: int, role: int) -> list[np.random.Generator]:
+        """One generator per trial, from its (trial, block, role) substream."""
+        return [
+            RngStream(seed, (t * (blocks + 1) + block) * 4 + role).generator() for t in range(trials)
+        ]
 
     def sc_decode(e, info_mask, sent_set, bits):
         """The stage step: SC-decode with info_mask the words that carry bits
@@ -268,18 +299,21 @@ def simulate_relay(
     undet = np.zeros((trials, blocks, 3), dtype=np.int64)
 
     for k in range(blocks):
-        msgs = per_trial(k, _ROLE_MESSAGE, lambda t, rng: rng.integers(0, 2, a_set.size, dtype=np.uint8))
+        msgs = np.empty((trials, a_set.size), dtype=np.uint8)
+        for row, rng in zip(msgs, generators(k, _ROLE_MESSAGE)):
+            row[:] = rng.integers(0, 2, a_set.size, dtype=np.uint8)
 
         # relay decodes the whole information set from its SR output
-        e_sr = per_trial(k, _ROLE_SR, lambda t, rng: bec_sample_rows(zero_word, spec.e_sr, rng))
+        e_sr = bec_sample_rows(zeros, spec.e_sr, generators(k, _ROLE_SR))
         relay_bits, undet[:, k, 0] = sc_decode(e_sr, sr_mask, a_set, msgs)
         relay_err[:, k] = np.any(relay_bits != msgs, axis=1)
         # the destination stores its SD copy: the SR output, further erased
-        e_sd = per_trial(k, _ROLE_DEG, lambda t, rng: cascade_rows(e_sr[t], spec.e_deg, rng))
+        e_sd = cascade_rows(e_sr, spec.e_deg, generators(k, _ROLE_DEG))
+        del e_sr
 
         # relay re-encodes A\B (its own, possibly wrong, estimate) over RD
         coset_dest, undet[:, k, 1] = sc_decode(
-            per_trial(k + 1, _ROLE_RD, lambda t, rng: bec_sample_rows(zero_word, spec.e_rd, rng)),
+            bec_sample_rows(zeros, spec.e_rd, generators(k + 1, _ROLE_RD)),
             scheme.rd_code.info_mask, scheme.rd_code.info_set, relay_bits[:, msg_pos],
         )
         rd_err[:, k] = np.any(coset_dest != msgs[:, msg_pos], axis=1)

@@ -222,8 +222,10 @@ def run_wiretap_experiment(cfg: WiretapConfig, e_w_sweep) -> list[EquivocationRe
     Every trial draws one uniform per position from its own substream and
     reuses it at every sweep point (erase iff draw < e_w), so erasure sets
     are nested across points and the per-trial equivocation is monotone.
-    The ranks are maintained incrementally while columns join in draw
-    order, which prices a whole sweep at one elimination per trial.
+    The ranks are maintained incrementally, which prices a whole sweep at
+    one elimination per trial.  A rank depends only on the set of columns
+    joined, so the columns first erased at a sweep point join together,
+    from the highest position down, which keeps the elimination short.
     """
     points = np.asarray(e_w_sweep, dtype=np.float64)
     if points.ndim != 1 or points.size == 0:
@@ -236,12 +238,15 @@ def run_wiretap_experiment(cfg: WiretapConfig, e_w_sweep) -> list[EquivocationRe
     hs_cols = pack_columns(h_s)
     N = code.N
     ascending = np.argsort(points, kind="stable")
+    sorted_points = points[ascending]
     eq = np.zeros((cfg.trials, points.size), dtype=np.int64)
 
     for t in range(cfg.trials):
         draws = RngStream(cfg.seed, t).generator().random(N)
-        order = np.argsort(draws, kind="stable")
-        cuts = np.searchsorted(draws[order], points[ascending], side="left")
+        # position j joins at the first sorted point that erases it (draw < point)
+        first = np.searchsorted(sorted_points, draws, side="right")
+        order = N - 1 - np.argsort(first[::-1], kind="stable")  # by first, then j descending
+        cuts = np.searchsorted(first[order], np.arange(points.size), side="right")
         acc_h = IncrementalRank(h.rows)
         acc_s = IncrementalRank(h_s.rows)
         pos = 0

@@ -2,10 +2,12 @@
 
 Everything here is deliberately naive and shares no code with the
 package: dense numpy elimination, explicit Kronecker products, exhaustive
-enumeration.  Oracles stay independent of the paths they check.  The one
-exception, ``mc_reliability_whole_chunks``, pins only how the BSC
+enumeration.  Oracles stay independent of the paths they check.  There are
+two exceptions.  ``mc_reliability_whole_chunks`` pins only how the BSC
 construction batches its rows, so it runs the package's own sampler and
-genie, which the other oracles pin.
+genie, which the other oracles pin.  ``calibrate_margin_by_scan`` pins only
+which margin the relay calibration picks, so it runs the package's own
+per-margin design.
 """
 import itertools
 
@@ -13,6 +15,7 @@ import numpy as np
 
 from nestedpolar.channels import RngStream, bsc_llr_magnitude, bsc_sample_rows
 from nestedpolar.polar import transform_rows
+from nestedpolar.relay import _InfeasibleMargin, _scheme_designer
 from nestedpolar.sc import genie_llr_rows
 
 F = np.array([[1, 0], [1, 1]], dtype=np.uint8)
@@ -348,3 +351,18 @@ def mc_reliability_whole_chunks(crossover_prob: float, n: int, trials: int, seed
         y = bsc_sample_rows(transform_rows(u), crossover_prob, rng)
         counts += genie_llr_rows(y, bsc_llr_magnitude(crossover_prob), u).sum(axis=0)
     return counts / trials
+
+
+def calibrate_margin_by_scan(spec, n: int, blocks: int, target: float):
+    """Relay margin calibration by designing every margin of the grid 1,
+    0.995, ..., 0.005 in turn: the first whose stage sizes fit and whose
+    three stage bounds are all at most ``target``."""
+    design, _ = _scheme_designer(spec, n, blocks)
+    for i in range(200):
+        try:
+            scheme = design(round(1.0 - 0.005 * i, 12))
+        except _InfeasibleMargin:
+            continue
+        if max(scheme.stage_bounds) <= target:
+            return scheme
+    raise ValueError(f"no margin meets stage bound target {target}")

@@ -25,6 +25,15 @@ def test_rng_stream_reproducible():
     assert not np.array_equal(a, c)
 
 
+def test_rng_stream_is_the_seed_sequence_of_its_address():
+    # the generator is seeded from both ints' 32-bit words, which must give
+    # SeedSequence([seed, stream_id]) exactly, for multi-word ints too
+    for seed, stream in ((0, 0), (1234, 5), (2**32 - 1, 2**32), (2**64 - 1, 2**70 + 3),
+                         (np.uint64(2**63 + 7), np.int32(9))):
+        reference = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), int(stream)])))
+        assert np.array_equal(RngStream(seed, stream).generator().random(16), reference.random(16))
+
+
 def test_rng_stream_validation():
     with pytest.raises(ValueError):
         RngStream(-1)
@@ -105,6 +114,23 @@ def test_bec_sampler_equals_float_draw_rule(case):
     assert set(np.unique(e).tolist()) <= {ERASED, 0}
     after = cascade_rows(e | x8, p, np.random.default_rng(seed))
     assert np.array_equal(after, cascade_rows(e, p, np.random.default_rng(seed)) | x8)
+
+
+def test_bec_sampler_takes_one_generator_per_row():
+    # row r of a batched call is the one-row call on the r-th twin generator
+    gens = lambda: [RngStream(5, t).generator() for t in range(4)]  # noqa: E731
+    bits = RngStream(4).generator().integers(0, 2, (4, 32), dtype=np.uint8)
+    rows = bec_sample_rows(np.zeros((4, 32), dtype=np.uint8), 0.5, RngStream(6).generator())
+    for sampler, x in ((bec_sample_rows, bits), (cascade_rows, rows | bits.astype(np.int8))):
+        one_by_one = np.stack([sampler(row, 0.4, g) for row, g in zip(x, gens())])
+        batched = sampler(x, 0.4, gens())
+        assert batched.dtype == np.int8 and np.array_equal(batched, one_by_one)
+    zeros = np.broadcast_to(np.zeros(32, dtype=np.int8), (4, 32))
+    pattern = bec_sample_rows(zeros, 0.4, gens())
+    assert np.array_equal(pattern | bits.astype(np.int8), bec_sample_rows(bits, 0.4, gens()))
+    for bad_x, bad_gens in ((bits, gens()[:3]), (bits, gens() * 2), (bits[0], gens()[:1])):
+        with pytest.raises(ValueError, match="^rng must be one generator per row"):
+            bec_sample_rows(bad_x, 0.4, bad_gens)
 
 
 def test_bec_never_flips():

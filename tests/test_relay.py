@@ -1,7 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 import hashlib
 from pathlib import Path
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,9 @@ from nestedpolar.relay import (
     simulate_relay,
 )
 from nestedpolar.sc import undetermined_bec_rows
+from nestedpolar.wiretap import NestedCodeSpec
+
+from oracles import calibrate_margin_by_scan
 
 
 def test_channel_spec_cascade():
@@ -134,14 +139,92 @@ def test_calibrate_margin_builds_profiles_once(monkeypatch):
         calls.append(args)
         return bec_reliability(*args)
 
+    def counted_scheme(*args):
+        schemes.append(args)
+        return NestedCodeSpec(*args)
+
+    schemes = []
     monkeypatch.setattr(relay, "bec_reliability", counted)
+    monkeypatch.setattr(relay, "NestedCodeSpec", counted_scheme)
     scheme = calibrate_margin(RelayChannelSpec(0.1, 4 / 9, 0.5), 13, 4, 1e-3)
     assert len(calls) == 3  # one profile per link, not three per margin tried
+    assert len(schemes) == 1  # the screen passes only the margin returned
     assert scheme.margin == 0.74
     assert scheme.regime == 1
     assert scheme.source_code.info_set.size == 5456
     assert scheme.source_code.secure_set.size == 3031
     assert scheme.rd_code.info_len == 2425
+
+
+def _same_scheme(a, b) -> bool:
+    return (
+        (a.margin, a.regime, a.blocks, a.stage_bounds) == (b.margin, b.regime, b.blocks, b.stage_bounds)
+        and np.array_equal(a.source_code.info_set, b.source_code.info_set)
+        and np.array_equal(a.source_code.secure_set, b.source_code.secure_set)
+        and np.array_equal(a.rd_code.info_set, b.rd_code.info_set)
+    )
+
+
+def _calibrated(calibrate, *args):
+    try:
+        return calibrate(*args)
+    except ValueError as err:
+        return str(err)
+
+
+def test_calibrate_margin_matches_full_scan():
+    # Seeded random specs against designing every margin in turn.  Erasure
+    # rates of 0 and 1 are drawn too, and a third of the specs leave RD no
+    # slack; targets are 0, at least 1, in between, and exactly a scheme's
+    # largest stage bound (and the float below it).
+    rng = np.random.default_rng(28)
+    seen = Counter()
+    for case in range(320):
+        e_sr, e_deg, e_rd = (float(rng.choice([0.0, 1.0, rng.random()], p=[0.1, 0.1, 0.8])) for _ in range(3))
+        if case % 3 == 0:  # C_RD = C_SR - C_SD, where rounding and imperfect nesting overfill RD
+            e_sr, e_deg = rng.random(2).tolist()
+            e_rd = min(1.0, e_sr + (1.0 - e_sr) * (1.0 - e_deg))
+        spec = RelayChannelSpec(e_sr, e_deg, e_rd)
+        n, blocks = int(rng.integers(2, 11)), int(rng.integers(1, 4))
+        if case % 4 < 3:
+            targets = [(0.0, float(rng.uniform(1, 2)), float(10 ** rng.uniform(-8, 0)))[case % 4]]
+        else:
+            scheme = _calibrated(calibrate_margin_by_scan, spec, n, blocks, float(10 ** rng.uniform(-6, 0)))
+            if isinstance(scheme, str):
+                targets = [0.5]
+            else:
+                bound = max(scheme.stage_bounds)
+                targets = [bound, float(np.nextafter(bound, 0.0))]
+                seen["exact bound"] += 1
+        for target in targets:
+            expected = _calibrated(calibrate_margin_by_scan, spec, n, blocks, target)
+            got = _calibrated(calibrate_margin, spec, n, blocks, target)
+            if isinstance(expected, str):
+                assert got == expected
+                seen["no margin fits"] += 1
+            else:
+                assert _same_scheme(got, expected), (spec, n, blocks, target)
+                seen[f"regime {expected.regime}"] += 1
+                seen["target 0" if target == 0 else "target >= 1" if target >= 1 else "other"] += 1
+        at_one = _calibrated(build_relay_scheme, spec, n, blocks, 1.0)
+        seen["infeasible at margin 1"] += isinstance(at_one, str)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_simulate_relay_memory():
+    # One batched draw per stage, and the SR patterns freed after the
+    # cascade: 1.27 MB of tracemalloc peak here, 1.42 MB when each trial's
+    # patterns were drawn alone, stacked, and kept through the block.
+    spec = RelayChannelSpec(0.1, 4 / 9, 0.5)
+    scheme = build_relay_scheme(spec, 10, 2, 0.7)
+    simulate_relay(scheme, spec, 2, 1)
+    tracemalloc.start()
+    try:
+        simulate_relay(scheme, spec, 200, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.35e6
 
 
 def _readme_table(heading: str) -> list[list[str]]:

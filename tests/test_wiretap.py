@@ -299,6 +299,38 @@ def test_row_order_keeps_fig1_elimination_short():
     assert 2 * fast < highest_unreversed
 
 
+def test_sweep_join_order_shortens_fig1_elimination(monkeypatch):
+    # The trial above, swept over the fig1 points: the columns first erased
+    # at each point join together, from the highest position down.
+    cfg = WiretapConfig(e_m=0.25, e_w=0.5, rate=0.25, n=10, trials=1, seed=3)
+    points = [round(0.26 + 0.02 * i, 10) for i in range(13)]
+    code = build_wiretap_code(cfg)
+    draws = RngStream(cfg.seed, 0).generator().random(code.N).tolist()
+    in_draw_order = [j for j in np.argsort(draws, kind="stable").tolist() if draws[j] < 0.5]
+    first = {j: min(i for i, p in enumerate(points) if d < p) for j, d in enumerate(draws) if d < 0.5}
+    swept = sorted(first, key=lambda j: (first[j], -j))
+    joined = []
+
+    class Recording(wiretap.IncrementalRank):
+        __slots__ = ()
+
+        def add(self, v):
+            joined.append(v)
+            return super().add(v)
+
+    monkeypatch.setattr(wiretap, "IncrementalRank", Recording)
+    run_wiretap_experiment(cfg, points)
+    checks = parity_checks(code)
+    columns = [pack_columns(h) for h in checks]
+    assert joined == [c[j] for j in swept for c in columns]
+    highest = lambda v: v.bit_length() - 1  # noqa: E731
+
+    def steps(order):
+        return sum(_xor_steps([c[j] for j in order], h.rows, highest) for c, h in zip(columns, checks))
+
+    assert steps(swept) < steps(in_draw_order)
+
+
 def test_equivocation_rank_trivial():
     code = toy_code()
     h, h_s = parity_checks(code)
