@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channels import RngStream, bec_sample_rows, cascade_rows
-from .construction import bec_reliability, select_info_set
+from .construction import bec_reliability
 from .gf2 import _check_integer, _check_probability, _check_real, _check_seed
 from .polar import CodeParams, PolarCodeSpec, transform_rows
 from .sc import decode_bec_rows, undetermined_bec_rows
@@ -103,70 +103,45 @@ class RelayScheme:
         return Fraction(self.blocks * a, n_len * (self.blocks + 1))
 
 
-class _InfeasibleMargin(ValueError):
-    """The stage sizes at this margin do not fit together."""
-
-
 def _scheme_designer(spec: RelayChannelSpec, n: int, blocks: int):
-    """Build the three BEC profiles once; return (design, screen).  ``design``
-    maps margin -> RelayScheme and raises ``_InfeasibleMargin`` when the stage
-    sizes at that margin do not fit; ``screen`` maps margin -> the largest
-    stage bound from set sizes and prefix sums alone, or None where design
-    raises (see ``calibrate_margin``)."""
+    """Rank each link's indices once; return (size, build).  ``size`` maps a
+    margin to its A, B and RD masks and their stage bounds (sums of the masked
+    z in index order), raising ValueError where the coset overfills RD, and
+    ``build`` turns a margin and its ``size`` into the RelayScheme."""
     _check_integer(blocks, "blocks", 1)
     params = CodeParams(n)
     N = params.N
-    z_sr = bec_reliability(n, spec.e_sr)
-    z_sd = bec_reliability(n, spec.e_sd)
-    z_rd = bec_reliability(n, spec.e_rd)
+    z_sr, z_sd, z_rd = (bec_reliability(n, e) for e in (spec.e_sr, spec.e_sd, spec.e_rd))
+    sr_rank, sd_rank, rd_rank = ranks = np.empty((3, N), dtype=np.int64)
+    for rank, p in zip(ranks, (z_sr, z_sd, z_rd)):
+        rank[p.order] = np.arange(N)  # each index's place in the link's reliability order
     regime = 1 if spec.c_sr <= spec.c_sd + spec.c_rd else 2
-    fractions = (spec.c_sr, spec.c_sd, spec.c_rd) if regime == 1 else (spec.c_sd, spec.c_sd + spec.c_rd)
 
-    def sizes(margin: float) -> list[int]:
-        """Regime 1: k_a, k_sd, k_rd; regime 2: k_b, k_a."""
-        return [round(margin * N * c) for c in fractions]
-
-    def design(margin: float) -> RelayScheme:
+    def size(margin: float):
         if regime == 1:
-            k_a, k_sd, k_rd = sizes(margin)
-            info = select_info_set(z_sr, k_a)
-            best_sd = select_info_set(z_sd, k_sd)
-            secure = np.intersect1d(info, best_sd, assume_unique=True)
-            coset = info.size - secure.size
+            k_a, k_sd, k_rd = (round(margin * N * c) for c in (spec.c_sr, spec.c_sd, spec.c_rd))
+            in_a = sr_rank < k_a
+            in_b = in_a & (sd_rank < k_sd)
+            coset = k_a - np.count_nonzero(in_b)
             if coset > k_rd:
-                raise _InfeasibleMargin(
-                    f"infeasible at margin {margin}: coset size {coset} exceeds RD budget {k_rd}"
-                )
+                raise ValueError(f"infeasible at margin {margin}: coset size {coset} exceeds RD budget {k_rd}")
         else:
-            k_b, k_a = sizes(margin)
-            secure = select_info_set(z_sd, k_b)
-            outside = z_sr.order[~np.isin(z_sr.order, secure)]
-            info = np.sort(np.concatenate([secure, outside[: k_a - k_b]]))
+            k_b, k_a = (round(margin * N * c) for c in (spec.c_sd, spec.c_sd + spec.c_rd))
+            in_b = sd_rank < k_b
+            coset = k_a - k_b
+            # the SR cut below which exactly `coset` indices lie outside B
+            cut = np.searchsorted(np.cumsum(~in_b[z_sr.order]), coset) + 1 if coset else 0
+            in_a = in_b | (sr_rank < cut)
+        in_rd = rd_rank < coset
+        bounds = (float(z_sr.z[in_a].sum()), float(z_sd.z[in_b].sum()), float(z_rd.z[in_rd].sum()))
+        return in_a, in_b, in_rd, bounds
 
-        source = NestedCodeSpec(params, info, secure)
-        rd_info = select_info_set(z_rd, source.message_len)
-        rd_code = PolarCodeSpec(params, rd_info)
-        bounds = (float(z_sr.z[info].sum()), float(z_sd.z[secure].sum()), float(z_rd.z[rd_info].sum()))
+    def build(margin: float, in_a, in_b, in_rd, bounds) -> RelayScheme:
+        source = NestedCodeSpec(params, np.flatnonzero(in_a), np.flatnonzero(in_b))
+        rd_code = PolarCodeSpec(params, np.flatnonzero(in_rd))
         return RelayScheme(source, rd_code, blocks, regime, margin, bounds)
 
-    # sums of z over the best 0, 1, 2, ... indices of each link
-    sr_sums, sd_sums, rd_sums = (np.concatenate(([0.0], np.cumsum(p.z[p.order]))) for p in (z_sr, z_sd, z_rd))
-    sd_sr_rank = np.argsort(z_sr.order)[z_sd.order]  # SR rank of each index, in SD order
-    sd_sorted = z_sd.z[z_sd.order]
-
-    def screen(margin: float) -> float | None:
-        if regime == 1:
-            k_a, k_sd, k_rd = sizes(margin)
-            in_a = sd_sr_rank[:k_sd] < k_a  # best SD indices that are in A, i.e. B
-            coset = k_a - int(np.count_nonzero(in_a))
-            if coset > k_rd:
-                return None
-            return max(sr_sums[k_a], float(np.dot(sd_sorted[:k_sd], in_a)), rd_sums[coset])
-        # regime 2: the k_a best SR values bound A's SR sum from below
-        k_b, k_a = sizes(margin)
-        return max(sr_sums[k_a], sd_sums[k_b], rd_sums[k_a - k_b])
-
-    return design, screen
+    return size, build
 
 
 def build_relay_scheme(
@@ -185,35 +160,30 @@ def build_relay_scheme(
     _check_real(margin, "margin")
     if not 0.0 < margin <= 1.0:
         raise ValueError(f"margin must be in (0, 1], got {margin}")
-    design, _ = _scheme_designer(spec, n, blocks)
-    return design(margin)
+    size, build = _scheme_designer(spec, n, blocks)
+    return build(margin, *size(margin))
 
 
 def calibrate_margin(
     spec: RelayChannelSpec, n: int, blocks: int, target: float
 ) -> RelayScheme:
-    """Largest margin on the grid 1, 0.995, ..., 0.005 whose three stage union
-    bounds all sit at or below ``target``.  The profiles are built once for the
-    scan, and each margin is screened before it is designed: from the integer
-    stage sizes and the prefix sums of each link's z over its reliability
-    order (in regime 2 A's SR sum is bounded below by the best |A| SR
-    values).  A sum of at most 2^20 nonnegative floats is off by under 1e-9
-    relative whatever its order, so only a margin whose sizes fit and whose
-    screen is at most target (1 + 1e-9) is designed, and it is returned iff
-    ``max(stage_bounds) <= target``: the scheme that designing every margin
-    in turn would return."""
+    """Largest margin on the grid 1, 0.995, ..., 0.005 whose stage sizes fit
+    and whose three stage union bounds all sit at or below ``target``.  The
+    profiles are built once for the scan; each margin's bounds are the exact
+    ``stage_bounds`` that ``build_relay_scheme`` gives it, and the scheme is
+    built only for the margin returned."""
     _check_real(target, "target")
     if not target >= 0.0:  # NaN fails it
         raise ValueError(f"target must be at least 0, got {target}")
-    design, screen = _scheme_designer(spec, n, blocks)
-    loose = target * (1.0 + 1e-9)
+    size, build = _scheme_designer(spec, n, blocks)
     for i in range(200):
         margin = round(1.0 - 0.005 * i, 12)
-        bound = screen(margin)
-        if bound is not None and bound <= loose:
-            scheme = design(margin)
-            if max(scheme.stage_bounds) <= target:
-                return scheme
+        try:
+            *masks, bounds = size(margin)
+        except ValueError:  # the coset overfills RD at this margin
+            continue
+        if max(bounds) <= target:
+            return build(margin, *masks, bounds)
     raise ValueError(f"no margin meets stage bound target {target}")
 
 

@@ -2,21 +2,21 @@
 
 Everything here is deliberately naive and shares no code with the
 package: dense numpy elimination, explicit Kronecker products, exhaustive
-enumeration.  Oracles stay independent of the paths they check.  There are
-two exceptions.  ``mc_reliability_whole_chunks`` pins only how the BSC
+enumeration.  Oracles stay independent of the paths they check.  There is
+one exception.  ``mc_reliability_whole_chunks`` pins only how the BSC
 construction batches its rows, so it runs the package's own sampler and
-genie, which the other oracles pin.  ``calibrate_margin_by_scan`` pins only
-which margin the relay calibration picks, so it runs the package's own
-per-margin design.
+genie, which the other oracles pin.
 """
 import itertools
 
 import numpy as np
 
 from nestedpolar.channels import RngStream, bsc_llr_magnitude, bsc_sample_rows
-from nestedpolar.polar import transform_rows
-from nestedpolar.relay import _InfeasibleMargin, _scheme_designer
+from nestedpolar.construction import bec_reliability
+from nestedpolar.polar import CodeParams, PolarCodeSpec, transform_rows
+from nestedpolar.relay import RelayScheme
 from nestedpolar.sc import genie_llr_rows
+from nestedpolar.wiretap import NestedCodeSpec
 
 F = np.array([[1, 0], [1, 1]], dtype=np.uint8)
 
@@ -353,16 +353,61 @@ def mc_reliability_whole_chunks(crossover_prob: float, n: int, trials: int, seed
     return counts / trials
 
 
+def relay_designer_by_sets(spec, n: int, blocks: int):
+    """The relay's per-margin design from sorted index sets.  Builds the three
+    BEC profiles once and returns (sets, design): ``sets`` maps a margin to
+    (A, B, the RD set, the three stage bounds), raising ValueError where the
+    coset overfills RD, and ``design`` maps it to the RelayScheme.  Regime 1
+    (C_SR <= C_SD + C_RD): A is the best round(margin N C_SR) SR indices, B
+    its intersection with the best round(margin N C_SD) SD indices, and
+    |A| - |B| must be at most round(margin N C_RD).  Regime 2: B is the best
+    round(margin N C_SD) SD indices and A adds the best SR indices outside B
+    up to round(margin N (C_SD + C_RD)).  The RD set is the best |A| - |B|
+    RD indices, and each stage bound sums z over its sorted set."""
+    params = CodeParams(n)
+    N = params.N
+    sr, sd, rd = (bec_reliability(n, e) for e in (spec.e_sr, spec.e_sd, spec.e_rd))
+    regime = 1 if spec.c_sr <= spec.c_sd + spec.c_rd else 2
+
+    def best(profile, k):
+        return np.sort(profile.order[:k])
+
+    def sets(margin):
+        if regime == 1:
+            k_a, k_sd, k_rd = (round(margin * N * c) for c in (spec.c_sr, spec.c_sd, spec.c_rd))
+            a = best(sr, k_a)
+            b = np.intersect1d(a, best(sd, k_sd))
+            coset = a.size - b.size
+            if coset > k_rd:
+                raise ValueError(f"infeasible at margin {margin}: coset size {coset} exceeds RD budget {k_rd}")
+        else:
+            k_b, k_a = (round(margin * N * c) for c in (spec.c_sd, spec.c_sd + spec.c_rd))
+            b = best(sd, k_b)
+            outside = sr.order[~np.isin(sr.order, b)]
+            a = np.sort(np.concatenate([b, outside[: k_a - k_b]]))
+        r = best(rd, a.size - b.size)
+        return a, b, r, (float(sr.z[a].sum()), float(sd.z[b].sum()), float(rd.z[r].sum()))
+
+    def design(margin):
+        a, b, r, bounds = sets(margin)
+        codes = NestedCodeSpec(params, a, b), PolarCodeSpec(params, r)
+        return RelayScheme(*codes, blocks, regime, margin, bounds)
+
+    return sets, design
+
+
 def calibrate_margin_by_scan(spec, n: int, blocks: int, target: float):
-    """Relay margin calibration by designing every margin of the grid 1,
-    0.995, ..., 0.005 in turn: the first whose stage sizes fit and whose
-    three stage bounds are all at most ``target``."""
-    design, _ = _scheme_designer(spec, n, blocks)
+    """Relay margin calibration by sizing every margin of the grid 1,
+    0.995, ..., 0.005 in turn (``relay_designer_by_sets``): the design at
+    the first whose stage sizes fit and whose three stage bounds are all at
+    most ``target``."""
+    sets, design = relay_designer_by_sets(spec, n, blocks)
     for i in range(200):
+        margin = round(1.0 - 0.005 * i, 12)
         try:
-            scheme = design(round(1.0 - 0.005 * i, 12))
-        except _InfeasibleMargin:
+            *_, bounds = sets(margin)
+        except ValueError:
             continue
-        if max(scheme.stage_bounds) <= target:
-            return scheme
+        if max(bounds) <= target:
+            return design(margin)
     raise ValueError(f"no margin meets stage bound target {target}")

@@ -92,6 +92,59 @@ def test_shared_helper_guard_flags_nested_definitions():
     assert _shared_helper_copies(source) == ["_check_inner", "_check_n", "_pack_rows"]
 
 
+def _private_package_imports(source: str) -> list[str]:
+    """Underscore-prefixed names, dunders aside, that source imports from
+    ``nestedpolar`` or its modules, or reads off a package module it
+    imported."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nestedpolar":
+            found += [part for part in node.module.split(".") if private(part)]
+            found += [alias.name for alias in node.names if private(alias.name)]
+            modules |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "nestedpolar":
+                    found += [part for part in alias.name.split(".") if private(part)]
+                    modules.add(alias.asname or "nestedpolar")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                found.append(node.attr)
+    return sorted(found)
+
+
+def test_oracles_import_no_private_package_names():
+    # an oracle that runs the package's private helpers is not independent
+    # of the path it checks
+    source = (Path(__file__).parent / "oracles.py").read_text()
+    assert _private_package_imports(source) == []
+
+
+def test_private_import_guard_flags_and_exempts():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import _umath_linalg\n"
+        "import nestedpolar\n"
+        "import nestedpolar._native as native\n"
+        "from nestedpolar.relay import _scheme_designer, build_relay_scheme\n"
+        "from nestedpolar._impl.sc import decode\n"
+        "from nestedpolar import relay as r, __version__\n"
+        "def f():\n"
+        "    return r._InfeasibleMargin, nestedpolar.__file__, np._core, nestedpolar.gf2._pack\n"
+    )
+    assert _private_package_imports(source) == [
+        "_InfeasibleMargin", "_impl", "_native", "_pack", "_scheme_designer",
+    ]
+
+
 # The relay rule (walk only the rows in doubt, keep the sent bits elsewhere)
 # lives in one stage step; these are the calls that apply it.
 RELAY_STEP_CALLS = ("decode_bec_rows", "undetermined_bec_rows", "transform_rows")

@@ -19,7 +19,7 @@ from nestedpolar.relay import (
 from nestedpolar.sc import undetermined_bec_rows
 from nestedpolar.wiretap import NestedCodeSpec
 
-from oracles import calibrate_margin_by_scan
+from oracles import calibrate_margin_by_scan, relay_designer_by_sets
 
 
 def test_channel_spec_cascade():
@@ -75,7 +75,7 @@ def test_build_infeasible_coset():
     # leftover coset past the RD budget at this margin
     spec = RelayChannelSpec(e_sr=0.3, e_deg=(0.7 - 0.3) / 0.7, e_rd=0.6)
     assert spec.c_sr <= spec.c_sd + spec.c_rd
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^infeasible at margin 1.0: coset size "):
         build_relay_scheme(spec, 7, 4, 1.0)
 
 
@@ -148,7 +148,7 @@ def test_calibrate_margin_builds_profiles_once(monkeypatch):
     monkeypatch.setattr(relay, "NestedCodeSpec", counted_scheme)
     scheme = calibrate_margin(RelayChannelSpec(0.1, 4 / 9, 0.5), 13, 4, 1e-3)
     assert len(calls) == 3  # one profile per link, not three per margin tried
-    assert len(schemes) == 1  # the screen passes only the margin returned
+    assert len(schemes) == 1  # a scheme is built only for the margin returned
     assert scheme.margin == 0.74
     assert scheme.regime == 1
     assert scheme.source_code.info_set.size == 5456
@@ -176,8 +176,10 @@ def test_calibrate_margin_matches_full_scan():
     # Seeded random specs against designing every margin in turn.  Erasure
     # rates of 0 and 1 are drawn too, and a third of the specs leave RD no
     # slack; targets are 0, at least 1, in between, and exactly a scheme's
-    # largest stage bound (and the float below it).
+    # largest stage bound (and the float below it).  Each spec's design at
+    # margin 1 and at one random grid margin is pinned to the oracle's too.
     rng = np.random.default_rng(28)
+    margin_rng = np.random.default_rng(29)
     seen = Counter()
     for case in range(320):
         e_sr, e_deg, e_rd = (float(rng.choice([0.0, 1.0, rng.random()], p=[0.1, 0.1, 0.8])) for _ in range(3))
@@ -206,8 +208,16 @@ def test_calibrate_margin_matches_full_scan():
                 assert _same_scheme(got, expected), (spec, n, blocks, target)
                 seen[f"regime {expected.regime}"] += 1
                 seen["target 0" if target == 0 else "target >= 1" if target >= 1 else "other"] += 1
-        at_one = _calibrated(build_relay_scheme, spec, n, blocks, 1.0)
-        seen["infeasible at margin 1"] += isinstance(at_one, str)
+        _, design = relay_designer_by_sets(spec, n, blocks)
+        grid_margin = round(1.0 - 0.005 * int(margin_rng.integers(200)), 12)
+        for margin, label in ((1.0, "infeasible at margin 1"), (grid_margin, "infeasible at a grid margin")):
+            expected = _calibrated(design, margin)
+            got = _calibrated(build_relay_scheme, spec, n, blocks, margin)
+            if isinstance(expected, str):
+                assert got == expected
+                seen[label] += 1
+            else:
+                assert _same_scheme(got, expected), (spec, n, blocks, margin)
     assert min(seen.values()) >= 10, seen
 
 
