@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channels import RngStream, bec_sample_rows, cascade_rows
+from .channels import RngStreams, bec_sample_rows, cascade_rows
 from .construction import bec_reliability
 from .gf2 import _check_integer, _check_probability, _check_real, _check_seed
 from .polar import CodeParams, PolarCodeSpec, transform_rows
@@ -225,10 +225,12 @@ def simulate_relay(
     call of one step: send the bits, erase each word, SC-decode it with
     the stage's information mask and the other sent bits frozen, and
     compare every row with what was sent.  A stage's erasure patterns are
-    one sampler call on the all-zero words, one generator per trial, and
-    each is ORed with its word to receive it; the SD patterns are the SR
-    patterns further erased, preserving physical degradedness.  The rows
-    the step SC-walks, and the undetermined counts
+    one sampler call on the all-zero words, given an ``RngStreams`` batch
+    of one substream per trial, and each is ORed with its word to receive
+    it; the SD patterns are the SR patterns further erased, preserving
+    physical degradedness.  Each block's messages are the batch's raw-word
+    ``bits``, the very bits ``integers(0, 2, |A|, dtype=np.uint8)`` would
+    draw.  The rows the step SC-walks, and the undetermined counts
     (``undetermined_bec_rows``), follow the module docstring's rule.
     Deterministic given the seed: each (trial, block, role) draws from its
     own substream, so erasure-rate changes couple monotonically.
@@ -242,11 +244,10 @@ def simulate_relay(
     sd_mask = PolarCodeSpec(code.params, code.secure_set).info_mask
     zeros = np.broadcast_to(np.zeros(N, dtype=np.int8), (trials, N))
 
-    def generators(block: int, role: int) -> list[np.random.Generator]:
-        """One generator per trial, from its (trial, block, role) substream."""
-        return [
-            RngStream(seed, (t * (blocks + 1) + block) * 4 + role).generator() for t in range(trials)
-        ]
+    def generators(block: int, role: int) -> RngStreams:
+        """The (trial, block, role) substreams of every trial, in trial order."""
+        step = (blocks + 1) * 4
+        return RngStreams(seed, range(block * 4 + role, trials * step, step))
 
     def sc_decode(e, info_mask, sent_set, bits):
         """The stage step: SC-decode with info_mask the words that carry bits
@@ -269,9 +270,7 @@ def simulate_relay(
     undet = np.zeros((trials, blocks, 3), dtype=np.int64)
 
     for k in range(blocks):
-        msgs = np.empty((trials, a_set.size), dtype=np.uint8)
-        for row, rng in zip(msgs, generators(k, _ROLE_MESSAGE)):
-            row[:] = rng.integers(0, 2, a_set.size, dtype=np.uint8)
+        msgs = generators(k, _ROLE_MESSAGE).bits(a_set.size)
 
         # relay decodes the whole information set from its SR output
         e_sr = bec_sample_rows(zeros, spec.e_sr, generators(k, _ROLE_SR))

@@ -211,6 +211,9 @@ def decode_bec_rows(
         return np.concatenate([xl ^ xr, xr])
 
     walk(_bec_messages(y), 0)
+    # walk's closure holds walk itself; unbinding it frees this call's
+    # state (u, n_info) now rather than at the next cyclic collection
+    del walk
     return _unpack(u, nbatch), undetermined
 
 

@@ -7,6 +7,7 @@ import pytest
 from nestedpolar import channels
 from nestedpolar.channels import (
     RngStream,
+    RngStreams,
     bec_sample_rows,
     bsc_llr_magnitude,
     bsc_sample_rows,
@@ -32,6 +33,53 @@ def test_rng_stream_is_the_seed_sequence_of_its_address():
                          (np.uint64(2**63 + 7), np.int32(9))):
         reference = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), int(stream)])))
         assert np.array_equal(RngStream(seed, stream).generator().random(16), reference.random(16))
+
+
+ADDRESS_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1, np.uint64(2**63 + 7), np.int32(9)]
+
+
+@pytest.mark.parametrize("seed", ADDRESS_EDGES)
+def test_rng_streams_start_where_rng_stream_generators_do(seed):
+    # the batch's own SeedSequence and PCG64 seeding against numpy's, with
+    # one-, two- and three-word ids in one batch (up to five entropy words,
+    # one more than SeedSequence's pool)
+    ids = ADDRESS_EDGES + [2**32 - 2, 5, 2**32 + 1, np.uint32(2**32 - 1), 2**70 + 3]
+    batch = RngStreams(seed, ids)
+    assert len(batch) == len(ids)
+    for stream_id, rng in zip(ids, batch):
+        reference = RngStream(seed, stream_id).generator()
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert np.array_equal(rng.random(4), reference.random(4))
+        assert rng.integers(0, 2**62) == reference.integers(0, 2**62)
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 8, 9, 6088])
+def test_rng_streams_bits_are_the_fair_integers(k):
+    ids = [0, 3, 2**32, 2**64 - 1]
+    bits = RngStreams(11, ids).bits(k)
+    reference = [RngStream(11, i).generator().integers(0, 2, k, dtype=np.uint8) for i in ids]
+    assert bits.dtype == np.uint8 and bits.shape == (len(ids), k)
+    assert np.array_equal(bits, np.array(reference, dtype=np.uint8).reshape(len(ids), k))
+    assert RngStreams(11, []).bits(k).shape == (0, k)
+
+
+@pytest.mark.parametrize("args, field", [
+    ((-1, [0]), "master_seed"),
+    ((2**64, [0]), "master_seed"),
+    ((1.0, [0]), "master_seed"),
+    ((3, [0, -2]), "stream_id"),
+    ((3, [True]), "stream_id"),
+    ((3, [0, 2.0]), "stream_id"),
+])
+def test_rng_streams_reject_bad_addresses(args, field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        RngStreams(*args)
+
+
+def test_rng_streams_bits_reject_a_bad_count():
+    for bad in (2.0, -1, True):
+        with pytest.raises(ValueError, match="^k must be"):
+            RngStreams(3, [0]).bits(bad)
 
 
 def test_rng_stream_validation():
@@ -118,7 +166,7 @@ def test_bec_sampler_equals_float_draw_rule(case):
 
 def test_bec_sampler_takes_one_generator_per_row():
     # row r of a batched call is the one-row call on the r-th twin generator
-    gens = lambda: [RngStream(5, t).generator() for t in range(4)]  # noqa: E731
+    gens = lambda: RngStreams(5, range(4))  # noqa: E731
     bits = RngStream(4).generator().integers(0, 2, (4, 32), dtype=np.uint8)
     rows = bec_sample_rows(np.zeros((4, 32), dtype=np.uint8), 0.5, RngStream(6).generator())
     for sampler, x in ((bec_sample_rows, bits), (cascade_rows, rows | bits.astype(np.int8))):
@@ -128,7 +176,8 @@ def test_bec_sampler_takes_one_generator_per_row():
     zeros = np.broadcast_to(np.zeros(32, dtype=np.int8), (4, 32))
     pattern = bec_sample_rows(zeros, 0.4, gens())
     assert np.array_equal(pattern | bits.astype(np.int8), bec_sample_rows(bits, 0.4, gens()))
-    for bad_x, bad_gens in ((bits, gens()[:3]), (bits, gens() * 2), (bits[0], gens()[:1])):
+    for bad_x, bad_gens in ((bits, RngStreams(5, range(3))), (bits, RngStreams(5, range(8))),
+                            (bits[0], RngStreams(5, range(1)))):
         with pytest.raises(ValueError, match="^rng must be one generator per row"):
             bec_sample_rows(bad_x, 0.4, bad_gens)
 

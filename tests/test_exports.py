@@ -150,10 +150,14 @@ def test_private_import_guard_flags_and_exempts():
 RELAY_STEP_CALLS = ("decode_bec_rows", "undetermined_bec_rows", "transform_rows")
 
 
-def _call_sites(source: str, names) -> dict[str, int]:
-    """How many calls of each of names source makes, by plain or dotted name."""
+def _call_sites(source: str, names, within: str | None = None) -> dict[str, int]:
+    """How many calls of each of names source makes, by plain or dotted
+    name; only inside the function named ``within``, if given."""
     counts = dict.fromkeys(names, 0)
-    for node in ast.walk(ast.parse(source)):
+    tree = ast.parse(source)
+    if within is not None:
+        [tree] = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == within]
+    for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
@@ -177,6 +181,33 @@ def test_call_site_guard_flags_a_second_site():
     )
     assert _call_sites(source, RELAY_STEP_CALLS) == {
         "decode_bec_rows": 2, "undetermined_bec_rows": 1, "transform_rows": 0,
+    }
+
+
+# The relay seeds each stage's substreams as one RngStreams batch and reads
+# its messages off raw words; these calls would seed or draw one trial at a
+# time again.
+RELAY_PER_TRIAL_RNG_CALLS = ("RngStream", "generator", "integers")
+
+
+def test_simulate_relay_seeds_no_generator_per_trial():
+    source = (Path(nestedpolar.__file__).parent / "relay.py").read_text()
+    counts = _call_sites(source, RELAY_PER_TRIAL_RNG_CALLS, within="simulate_relay")
+    assert counts == dict.fromkeys(RELAY_PER_TRIAL_RNG_CALLS, 0)
+
+
+def test_per_trial_rng_guard_flags_calls_inside_the_function_only():
+    source = (
+        "def simulate_relay(seed, k):\n"
+        "    def generators(t):\n        return channels.RngStream(seed, t).generator()\n"
+        "    return [generators(t).integers(0, 2, k) for t in range(3)]\n"
+        "def other(seed):\n    return RngStream(seed).generator().integers(0, 2)\n"
+    )
+    assert _call_sites(source, RELAY_PER_TRIAL_RNG_CALLS, within="simulate_relay") == {
+        "RngStream": 1, "generator": 1, "integers": 1,
+    }
+    assert _call_sites(source, RELAY_PER_TRIAL_RNG_CALLS) == {
+        "RngStream": 2, "generator": 2, "integers": 2,
     }
 
 

@@ -40,6 +40,16 @@ def test_bitmatrix_validation():
     pytest.param("rows", lambda: transform_rows([[0.5, 1.0]]), id="transform_rows-float-list"),
     pytest.param("x", lambda: bec_sample_rows([[0.5, 1.0]], 0.1, np.random.default_rng(0)),
                  id="bec_sample_rows-float-list"),
+    pytest.param("rng", lambda: bec_sample_rows(np.zeros((1, 4), dtype=np.uint8), 0.5, 5),
+                 id="bec_sample_rows-int-rng"),
+    pytest.param("rng", lambda: bec_sample_rows(np.zeros((2, 4), dtype=np.uint8), 0.5,
+                                                [np.random.default_rng(0)] * 2),
+                 id="bec_sample_rows-list-rng"),
+    pytest.param("rng", lambda: bsc_sample_rows(np.zeros((1, 4), dtype=np.uint8), 0.1, 5),
+                 id="bsc_sample_rows-int-rng"),
+    pytest.param("rng", lambda: bsc_sample_rows(np.zeros((1, 4), dtype=np.uint8), 0.1,
+                                                np.random.RandomState(0)),
+                 id="bsc_sample_rows-RandomState"),
 ])
 def test_bad_inputs_raise_value_errors_naming_the_argument(name, call):
     # the shared checks give every bad input a ValueError that starts with

@@ -221,6 +221,29 @@ def test_calibrate_margin_matches_full_scan():
     assert min(seen.values()) >= 10, seen
 
 
+def test_relay_n13_erasure_patterns_pinned(monkeypatch):
+    # The benchmark's relay-n13 run at its seed 1: every erasure pattern
+    # the SR, RD and SD stages draw, 12 arrays of 200 x 8192, hashed in
+    # call order.  Its report arrays are all zero at most seeds, so a
+    # sampler or seeding change would leave them, and the digest, as they
+    # are; this pin moves with any one erasure.
+    h = hashlib.sha256()
+
+    def hashed(sampler):
+        def draw(*args):
+            out = sampler(*args)
+            h.update(np.ascontiguousarray(out))
+            return out
+        return draw
+
+    for name in ("bec_sample_rows", "cascade_rows"):
+        monkeypatch.setattr(relay, name, hashed(getattr(relay, name)))
+    seed = int.from_bytes(hashlib.sha256(b"relay-n13:1").digest()[:4], "little")
+    spec = RelayChannelSpec(0.1, 4 / 9, 0.5)
+    simulate_relay(calibrate_margin(spec, 13, 4, 1e-3), spec, 200, seed)
+    assert h.hexdigest() == "f96fa4cd6d8e4f7f235d70d74bf67167140181640dc4d2ae70b6a2d682ddcbcb"
+
+
 def test_simulate_relay_memory():
     # One batched draw per stage, and the SR patterns freed after the
     # cascade: 1.27 MB of tracemalloc peak here, 1.42 MB when each trial's

@@ -1,3 +1,4 @@
+import gc
 import itertools
 from unittest import mock
 
@@ -249,6 +250,24 @@ def test_decode_bec_rows_one_erasure_in_a_rate1_subtree(n, nbatch, data):
     fv = np.zeros(N, dtype=np.uint8)
     assert_matches_bec_reference(y, mask, fv)
     assert decode_bec_rows(y, mask, fv)[1][row] >= 1
+
+
+def test_decode_bec_rows_leaves_no_cyclic_garbage():
+    # the recursive walk is a closure over itself; a call that left that
+    # cycle behind would hold its u and n_info until the cyclic collector
+    # ran, and a caller making few allocations (the relay) would pile them up
+    y = np.zeros((3, 64), dtype=np.int8)
+    y[:, ::3] = ERASED
+    mask = np.arange(64) >= 32
+    fv = np.zeros(64, dtype=np.uint8)
+    decode_bec_rows(y, mask, fv)
+    gc.collect()
+    gc.disable()
+    try:
+        decode_bec_rows(y, mask, fv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def count_check_nodes(monkeypatch, y, mask):
