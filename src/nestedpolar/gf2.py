@@ -7,7 +7,8 @@ per position, so every row update is a single word-parallel XOR on
 machine words.  That is what keeps 1024-column rank computations
 affordable inside Monte-Carlo loops.  Rank elimination
 (``IncrementalRank``) knows the bit width of its vectors, pivots on each
-vector's highest set bit, and stops reducing once the rank equals the
+vector's highest set bit through a table indexed by bit length, so each
+XOR step is one lookup, and stops reducing once the rank equals the
 width, since every later vector is then dependent.
 
 Index sets are sorted, duplicate-free, 0-based integer sequences
@@ -105,9 +106,11 @@ class IncrementalRank:
     """Online GF(2) rank of a growing family of packed vectors.
 
     ``width`` is the bit width of the vectors: each one must be smaller
-    than ``2**width``.  Each vector is reduced on its highest set bit
-    (``v.bit_length() - 1``, which builds no temporaries), against a pivot
-    table indexed by bit position, so the reduction is deterministic.
+    than ``2**width``.  Each vector is reduced on its highest set bit,
+    against a pivot table of ``width + 1`` slots indexed by bit length
+    (``v.bit_length()``, which builds no temporaries), so the reduction is
+    deterministic.  Slot 0 stays 0, so one lookup per step both finds the
+    pivot and stops the loop at an empty slot or a zero remainder.
     Feeding the same vectors in any order yields the same final rank.  Once
     ``rank == width`` every further vector is dependent, and ``add``
     returns False without reducing it.
@@ -117,7 +120,7 @@ class IncrementalRank:
 
     def __init__(self, width: int):
         _check_integer(width, "width", 0)
-        self._pivots = [0] * width
+        self._pivots = [0] * (width + 1)
         self._width = width
         self.rank = 0
 
@@ -126,15 +129,13 @@ class IncrementalRank:
         if self.rank == self._width:
             return False
         pivots = self._pivots
-        while v:
-            top = v.bit_length() - 1
-            p = pivots[top]
-            if not p:
-                pivots[top] = v
-                self.rank += 1
-                return True
+        while p := pivots[v.bit_length()]:
             v ^= p
-        return False
+        if not v:
+            return False
+        pivots[v.bit_length()] = v
+        self.rank += 1
+        return True
 
 
 def _rref_pivot_rows(row_ints: Sequence[int]) -> dict[int, int]:

@@ -226,6 +226,9 @@ def run_wiretap_experiment(cfg: WiretapConfig, e_w_sweep) -> list[EquivocationRe
     one elimination per trial.  A rank depends only on the set of columns
     joined, so the columns first erased at a sweep point join together,
     from the highest position down, which keeps the elimination short.
+    That order is one stable argsort of each position's first erasing point,
+    held in the smallest unsigned dtype that fits the number of points so
+    numpy radix-sorts it (up to 65535 points); its counts give the cuts.
     """
     points = np.asarray(e_w_sweep, dtype=np.float64)
     if points.ndim != 1 or points.size == 0:
@@ -240,18 +243,19 @@ def run_wiretap_experiment(cfg: WiretapConfig, e_w_sweep) -> list[EquivocationRe
     ascending = np.argsort(points, kind="stable")
     sorted_points = points[ascending]
     eq = np.zeros((cfg.trials, points.size), dtype=np.int64)
+    first_dtype = np.min_scalar_type(points.size)
 
     for t in range(cfg.trials):
         draws = RngStream(cfg.seed, t).generator().random(N)
         # position j joins at the first sorted point that erases it (draw < point)
-        first = np.searchsorted(sorted_points, draws, side="right")
-        order = N - 1 - np.argsort(first[::-1], kind="stable")  # by first, then j descending
-        cuts = np.searchsorted(first[order], np.arange(points.size), side="right")
+        first = np.searchsorted(sorted_points, draws, side="right").astype(first_dtype)
+        order = (N - 1 - np.argsort(first[::-1], kind="stable")).tolist()  # by first, then j descending
+        cuts = np.cumsum(np.bincount(first, minlength=points.size + 1))
         acc_h = IncrementalRank(h.rows)
         acc_s = IncrementalRank(h_s.rows)
         pos = 0
         for pi, cut in zip(ascending.tolist(), cuts.tolist()):
-            for j in order[pos:cut].tolist():
+            for j in order[pos:cut]:
                 acc_h.add(h_cols[j])
                 acc_s.add(hs_cols[j])
             pos = cut

@@ -158,6 +158,31 @@ def equivocation_bruteforce(code, erased) -> float:
     return value if value is not None else 0.0
 
 
+def equivocation_envelope(code, e_m: float, e_w: float) -> tuple[float, float]:
+    """Certified [lower, upper] bounds on the mean equivocation rate
+    E[eq]/N of ``code`` on BEC(e_w), when Bob's channel is BEC(e_m) with
+    e_m <= e_w and the two share their draws, so Bob's erasures are a
+    subset of Eve's.  The equivocation does not depend on the frozen
+    values, so the bits outside A\\B may be taken as uniform.
+
+    Lower end: by the chain rule Eve learns at most the capacity of the
+    bit-channels outside B, so E[eq] >= |A\\B| - sum over i not in B of
+    (1 - z_w(i)).  Upper end: H(S|Z) = H(S|Y) + I(S; Y|Z), with
+    H(S|Y) <= sum over A of z_m(i) by the same chain rule, and
+    I(S; Y|Z) at most the N (e_w - e_m) positions Bob sees and Eve does
+    not; and never more than the rate |A\\B|/N.
+    """
+    N, n = code.N, code.params.n
+    outside_b = np.ones(N, dtype=bool)
+    outside_b[code.secure_set] = False
+    in_a = np.zeros(N, dtype=bool)
+    in_a[code.info_set] = True
+    leaked = np.sum(1.0 - bec_reliability(n, e_w).z, where=outside_b)
+    bob_residual = np.sum(bec_reliability(n, e_m).z, where=in_a)
+    rate = code.message_len / N
+    return (code.message_len - leaked) / N, min(rate, e_w - e_m + bob_residual / N)
+
+
 def equivocation_by_erasure_count(code) -> np.ndarray:
     """c[k], the summed equivocation in bits over every erased set of size k,
     for k = 0..N, by enumerating all 2^N erasure patterns of a

@@ -18,12 +18,13 @@ from nestedpolar.sc import decode_bec_rows
 from nestedpolar.wiretap import (
     NestedCodeSpec,
     WiretapConfig,
+    build_wiretap_code,
     equivocation_rank,
     parity_checks,
     run_wiretap_experiment,
 )
 
-from oracles import equivocation_bruteforce
+from oracles import equivocation_bruteforce, equivocation_envelope
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -175,6 +176,22 @@ def test_criterion_5b_excess_within_bob_residual(fig1_sweep):
     report("criterion 5b explained: excess within Bob's residual", invariant_ok and worst <= limit,
            f"per-trial invariant {'holds' if invariant_ok else 'FAILS'}; worst excess {worst:+.5f} "
            f"<= Bob's rate {bob.mean_equivocation_rate:.5f} + 3 standard errors = {limit:.5f}")
+
+
+def test_criterion_5b_within_certified_envelope(fig1_reports):
+    """5b's bound made finite-length: each point's mean lies within 3
+    standard errors of its certified envelope, whose upper end adds a bound
+    on Bob's residual to min(R, e_w - e_m)."""
+    code = build_wiretap_code(FIG1_CFG)
+    details, ok = [], True
+    for r in fig1_reports:
+        lower, upper = equivocation_envelope(code, FIG1_CFG.e_m, r.e_w)
+        stderr = np.std(r.equivocations / r.block_length, ddof=1) / np.sqrt(r.trials)
+        inside = lower - 3 * stderr <= r.mean_equivocation_rate <= upper + 3 * stderr
+        ok = ok and inside
+        details.append(f"e_w={r.e_w:.2f}: {r.mean_equivocation_rate:.5f} in [{lower:.5f}, {upper:.5f}]"
+                       f" +- 3*{stderr:.5f}{'' if inside else ' OUTSIDE'}")
+    report("criterion 5b certified: curve within its finite-length envelope", ok, "; ".join(details))
 
 
 def test_criterion_5c_fig1_close_to_bound_at_design_point(fig1_reports):

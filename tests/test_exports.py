@@ -184,6 +184,14 @@ def test_call_site_guard_flags_a_second_site():
     }
 
 
+def test_wiretap_leaves_the_reduction_to_incremental_rank():
+    # the sweep joins columns through IncrementalRank.add; a reduction
+    # written into wiretap would be a second copy of the pivot rule, free
+    # to drift, and its steps would escape the count of add calls
+    source = (Path(nestedpolar.__file__).parent / "wiretap.py").read_text()
+    assert _call_sites(source, ("bit_length",)) == {"bit_length": 0}
+
+
 # The relay seeds each stage's substreams as one RngStreams batch and reads
 # its messages off raw words; these calls would seed or draw one trial at a
 # time again.

@@ -486,6 +486,24 @@ def test_experiment_report_order_follows_input():
     assert [r.e_w for r in reports] == [0.5, 0.3]
 
 
+def test_experiment_matches_equivocation_rank_on_a_long_sweep():
+    # more than 255 points, so a sweep point's position in sorted order no
+    # longer fits a byte; unsorted, with repeats, cell by cell against the
+    # rank of each trial's own erased set
+    cfg = WiretapConfig(e_m=0.25, e_w=0.5, rate=0.25, n=5, trials=3, seed=11)
+    rng = np.random.default_rng(12)
+    distinct = rng.permutation(np.linspace(0.0, 1.0, 280))
+    points = rng.permutation(np.concatenate([distinct, rng.choice(distinct, 40)]))
+    assert points.size == 320 and np.unique(points).size == 280
+    reports = run_wiretap_experiment(cfg, points)
+    code = build_wiretap_code(cfg)
+    h, h_s = parity_checks(code)
+    for t in range(cfg.trials):
+        draws = RngStream(cfg.seed, t).generator().random(code.N)
+        expected = [equivocation_rank(h, h_s, np.flatnonzero(draws < e_w)) for e_w in points]
+        assert [int(r.equivocations[t]) for r in reports] == expected, t
+
+
 def test_low_rate_regime_equivocation_saturates_near_rate():
     # rate below the capacity gap: |B| exceeds what the eavesdropper could
     # ever resolve, the encoder is unchanged, and the equivocation rate
