@@ -112,11 +112,11 @@ def mc_reliability(channel: BSC, n: int, trials: int, seed: int) -> ReliabilityP
     position) at once, then encodes, samples and runs the genie on batches
     of half a chunk.  A batch holds its codewords until they are sampled,
     its received bits y, and the genie's true bits and flags (a byte per
-    position each) and uint16 codes (two bytes).  The flips and the
-    genie's passes go in blocks of 2^18 positions, so one n=10 chunk peaks
-    at about 19 MB.  Each row's flags depend on that row alone, and the
-    batches draw their flips in stream order, so the batching changes no
-    output.
+    position each) and uint16 codes (two bytes).  The flips go in blocks of
+    2^18 positions and the genie's passes in blocks of 2^16, so one n=10
+    chunk peaks at about 15 MB.  Each row's flags depend on that row alone,
+    and the batches draw their flips in stream order, so the batching
+    changes no output.
     """
     _check_integer(trials, "trials", 1)
     _check_seed(seed)

@@ -42,9 +42,17 @@ goes through the n levels of the tree once, every node of a level at once.
 The LLR genie `genie_llr_rows` gives the bit-channel errors of SC on the
 binary symmetric channel, in log-likelihood ratios: positive means bit 0
 is more likely, and a tie (LLR exactly zero) decides 0, matching a
-likelihood-ratio-at-least-one rule.  The check-node combine is computed
-in the log domain as logaddexp(0, a+b) - logaddexp(a, b), which equals
-the hyperbolic-tangent rule without overflow.  The genie holds the
+likelihood-ratio-at-least-one rule.  The check-node combine is the
+Jacobian-logarithm form of the hyperbolic-tangent rule (Hagenauer, Offer &
+Papke 1996), computed on the magnitudes with the sign applied last:
+sign(a) sign(b) max(0, min(|a|, |b|) + log1p(exp(-(|a| + |b|)))
+- log1p(exp(-||a| - |b||))), the sign bit the XOR of the inputs' sign
+bits.  The magnitude depends on |a| and |b| alone, so the combine is
+exactly odd in each argument and symmetric, and exactly 0 when either
+input is +-0; so an exact bit-channel tie comes out as an LLR of exactly
+0 and decides 0, as sequential ML does.  Its exp and log1p are numpy's
+vectorised loops, so the last bit of a message, and on rare near-ties a
+decision, follows the SIMD level numpy dispatches to.  The genie holds the
 messages position-major and bit-reversed, (N, batch) and contiguous, so
 at depth d reshape(2^d, 2, -1) gives the halves a and b of every node of
 the level.  Each level sets a <- f(a, b), the left children's messages,
@@ -57,7 +65,7 @@ flag is a hard decision (m < 0) that differs from u.
 
 The genie reads BSC outputs: received bit 0 is the LLR L = ln((1-p)/p),
 given by the caller, and bit 1 is -L, so near the root the messages take
-few distinct values (6, 19, 74, 340 and 2624 after levels 0-4 of one
+few distinct values (5, 12, 30, 112 and 868 after levels 0-4 of one
 1953-row batch at n=10; below that nearly all are distinct).  They are
 uint16 codes into a table of K values, from the received bits themselves
 (bit-reversed, position-major) into [L, -L].  At each level f runs once
@@ -65,20 +73,20 @@ per distinct (a, b) pair that occurs and g once per distinct (a, b, xl)
 triple, found by marking the triple indices that occur in a table of
 2 K^2 flags, and the results, merged by bit pattern so that +0.0 and -0.0
 stay apart, are the next level's table.  Both passes over the triples,
-the marking and the lookup of the new codes, take 2^18 messages at a time
+the marking and the lookup of the new codes, take 2^16 messages at a time
 and compute their triple indices afresh, in intp so that a K cannot wrap,
 so a level builds no temporary beyond one block and its tables on top of
 the batch's own arrays (the codes, the bits x and the caller's y and u).
 No static bound keeps the codes below 2^16 (a level may output up to
 3 K^2 values), so a level whose new table has more than 65536 entries
 first widens them to int32: the dtype follows the measured table size.
-This is exact: f and g are elementwise ufuncs, which give the same bits
-for the same float64 inputs, so every message is bit for bit the one a
-tree walk computes (the walk is kept as the tests' reference).  Codes are
-kept while 2 K^2 is at most an eighth of the N * batch messages (levels
-0-4 at n=10); the remaining levels run in float64 on blocks of rows
-whose messages take 2 MB, so that the combines' temporaries stay in
-cache.
+This is exact: f and g are elementwise passes of ufuncs, which give the
+same bits for the same float64 inputs, so every message is bit for bit
+the one a tree walk computes (the walk is kept as the tests' reference).
+Codes are kept while 2 K^2 is at most an eighth of the N * batch
+messages (levels 0-4 at n=10); the remaining levels run in float64 on
+blocks of rows whose messages take 512 KB, so that the block and the
+check combine's three buffers of half its size stay in cache.
 
 The erasure genie needs no true bits at all: whether a message is erased
 never depends on a value (the check combine erases iff either input is,
@@ -152,8 +160,32 @@ def _bec_var(a: np.ndarray, b: np.ndarray, xl: np.ndarray) -> np.ndarray:
     return t
 
 
+# The sign bit of a float64, as an int64.
+_SIGN_BIT = np.int64(-(1 << 63))
+
+
 def _llr_check(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
+    # max(0, m + log1p(exp(-s)) - log1p(exp(-d))) on the magnitudes, with
+    # m = min, s = M + m and d = M - m, M = max; three buffers, reused with
+    # out=.  The sign bit is set last, to the XOR of the inputs' sign bits.
+    mag = np.abs(a)
+    work = np.abs(b)
+    out = np.minimum(mag, work)
+    np.maximum(mag, work, out=mag)
+    np.negative(mag, out=mag)
+    np.add(out, mag, out=work)  # -d
+    np.subtract(mag, out, out=mag)  # -s
+    for t in (mag, work):
+        np.exp(t, out=t)
+        np.log1p(t, out=t)
+    out += mag
+    out -= work
+    np.maximum(out, 0.0, out=out)
+    sign = np.bitwise_xor(a.view(np.int64), b.view(np.int64), out=mag.view(np.int64))
+    sign &= _SIGN_BIT
+    bits = out.view(np.int64)
+    bits |= sign
+    return out
 
 
 def _llr_var(a: np.ndarray, b: np.ndarray, xl: np.ndarray) -> np.ndarray:
@@ -274,9 +306,9 @@ def undetermined_bec_rows(y: np.ndarray, info_mask: np.ndarray) -> np.ndarray:
 
 
 # Cells of one block of the LLR genie: of the triple indices of a code
-# level, or (positions x rows) of the float levels, 2 MB of float64, so
+# level, or (positions x rows) of the float levels, 512 KB of float64, so
 # that the combines' temporaries stay in cache.
-_GENIE_BLOCK_CELLS = 1 << 18
+_GENIE_BLOCK_CELLS = 1 << 16
 
 
 def _tiles(shape: tuple[int, int], cells: int):

@@ -313,16 +313,30 @@ def bec_sc_reference(y, info_mask, frozen_values):
     return u_hat, undetermined
 
 
+def llr_boxplus(a, b) -> np.ndarray:
+    """The check-node combine 2 atanh(tanh(a/2) tanh(b/2)) of Hagenauer,
+    Offer & Papke, written on the magnitudes: sign(a) sign(b) max(0,
+    min(|a|, |b|) + log1p(exp(-(|a| + |b|))) - log1p(exp(-||a| - |b||))),
+    where the sign is negative iff exactly one input has its sign bit set.
+    The magnitude depends on |a| and |b| alone, so the result is exactly
+    odd in each argument and exactly 0 when either input is +-0."""
+    ma, mb = np.abs(a), np.abs(b)
+    mag = np.minimum(ma, mb) + np.log1p(np.exp(-(ma + mb))) - np.log1p(np.exp(-np.abs(ma - mb)))
+    mag = np.maximum(mag, 0.0)
+    return np.where(np.signbit(a) != np.signbit(b), -mag, mag)
+
+
 def genie_llr_walk(llr, u_true) -> np.ndarray:
     """Genie-aided SC over a batch of LLR words by a walk of the SC tree.
 
-    The recursion the level-wise ``genie_llr_rows`` replaced, with the same
-    combines (check logaddexp(0, a+b) - logaddexp(a, b), variable
-    b + a (1 - 2 xl)) in the same float order, so the two agree bit for
-    bit.  Messages are (position, row) with positions bit-reversed, so a
-    node's halves are m[:h] and m[h:]; each leaf flags a hard decision
-    that differs from its true bit and feeds the true bit forward.
-    u_true is (N,) or (batch, N).
+    The recursion the level-wise ``genie_llr_rows`` replaced.  Its check
+    combine is ``llr_boxplus``, written out here rather than imported from
+    the package, and its variable combine is b + a (1 - 2 xl); both round
+    as the package's do, so walk against levels is a bit-for-bit check of
+    two independent codings of one rule.  Messages are (position, row) with
+    positions bit-reversed, so a node's halves are m[:h] and m[h:]; each
+    leaf flags a hard decision that differs from its true bit and feeds the
+    true bit forward.  u_true is (N,) or (batch, N).
     """
     llr = np.asarray(llr, dtype=np.float64)
     nbatch, N = llr.shape
@@ -336,11 +350,44 @@ def genie_llr_walk(llr, u_true) -> np.ndarray:
             return u[:, lo][None]
         h = m.shape[0] // 2
         a, b = m[:h], m[h:]
-        xl = rec(np.logaddexp(0.0, a + b) - np.logaddexp(a, b), lo)
+        xl = rec(llr_boxplus(a, b), lo)
         xr = rec(b + a * (1.0 - 2.0 * xl), lo + h)
         return np.concatenate([xl ^ xr, xr])
 
     rec(llr[:, [bitrev(i, n) for i in range(N)]].T, 0)
+    return flags
+
+
+def ml_genie_flags(llr, u) -> np.ndarray:
+    """Genie SC by bit-channel ML: bit i of a row is decided by comparing
+    the likelihoods of u_i = 0 and 1 given the row's true past u_0..u_i-1,
+    each summed over every future u_i+1..u_N-1, and decides 0 unless the
+    second wins by a relative 1e-9 (so an exact tie decides 0 as
+    ``sequential_ml_decode`` does); flags the decisions that differ from u.
+
+    Enumerates all 2^N inputs at once, their likelihoods a product of
+    per-position probabilities p(y | x) = e^l / (1 + e^l) for x = 0, so it
+    serves up to N = 16, on a few rows at a time.
+    """
+    llr = np.asarray(llr, dtype=np.float64)
+    u = np.asarray(u, dtype=np.uint8)
+    nbatch, N = llr.shape
+    n = N.bit_length() - 1
+    inputs = np.arange(1 << N)
+    words = naive_vec_mat_mul((inputs[:, None] >> np.arange(N)) & 1, reference_generator(n))
+    past = u.astype(np.int64) @ (1 << np.arange(N))  # bit j of a row's integer is u_j
+    flags = np.zeros((nbatch, N), dtype=bool)
+    step = max(1, (1 << 18) // words.size)
+    for r in range(0, nbatch, step):
+        p0 = np.exp(llr[r : r + step]) / (1.0 + np.exp(llr[r : r + step]))
+        lik = np.prod(np.where(words == 0, p0[:, None], 1.0 - p0[:, None]), axis=2)
+        rows = np.arange(lik.shape[0])
+        for i in range(N):
+            # inputs k = future 2^(i+1) + u_i 2^i + past
+            totals = lik.reshape(-1, 1 << (N - i - 1), 2, 1 << i).sum(axis=1)
+            prefix = past[r : r + step] & ((1 << i) - 1)
+            one = totals[rows, 0, prefix] < totals[rows, 1, prefix] * (1 - 1e-9)
+            flags[r : r + step, i] = one != u[r : r + step, i]
     return flags
 
 

@@ -303,34 +303,58 @@ def test_readme_library_tour_runs():
     assert namespace["report"].trials == 200
 
 
+# Each output's SHA-256 without its "# generated:" line, recorded with
+# numpy 2.4.6.  The relay hash covers the "# stats: undetermined_*" line, so
+# it moves with any change to decoding or to the RNG streams, even on a run
+# without errors.  "e" is one Monte-Carlo chunk of the BSC genie, "f" two
+# (62500 codewords and 7500 at n=6).  Each hash also covers the
+# "# nestedpolar <version>" header line, so a version bump moves all six.
+RERUN_PINS = {
+    "a": (["construct", "--set", "n=4", "--set", "erasure_prob=0.3"],
+          "a67be849c324f49e76fcd33ae1f802f1e328ec3d3f2f733406bb0ff4601d867a"),
+    "b": (["wiretap-sweep", "--trials", "10", "--seed", "3", "--set", "n=5",
+           "--set", "ew_start=0.3", "--set", "ew_stop=0.4", "--set", "ew_step=0.05"],
+          "3fb8426b1f4c668aa9a1bfb997d35357bf4ddc6adbdbf03c9fa84674a37dfbad"),
+    "c": (["relay-sim", "--trials", "3", "--seed", "8", "--set", "n=5",
+           "--set", "blocks=2", "--set", "margin=0.5"],
+          "6353190350347b6b399530bbb4f6afa54141fafa67a9319db65fa7e665eb6915"),
+    "d": (["fig1", "--trials", "5", "--seed", "4"],
+          "ccfb5d7b82b12dbf7bfa1ab219b4ddf3798d49a67d4023f7dc169bf231e93873"),
+    "e": (["construct", "--set", "channel=bsc", "--set", "n=6", "--trials", "2000"],
+          "42c6dd9c97270a904c1fd060466f053c279d1bed556511bda7af493f002b033a"),
+    "f": (["construct", "--set", "channel=bsc", "--set", "n=6", "--trials", "70000"],
+          "5c6a6dd4cb06bfd7368b84663eea2a7826020132628ee9e47997b7265b685643"),
+}
+
+
+def kept_digest(path):
+    """SHA-256 of an output without its "# generated:" line."""
+    kept = [ln for ln in path.read_text().splitlines(keepends=True) if not ln.startswith("# generated:")]
+    return hashlib.sha256("".join(kept).encode()).hexdigest()
+
+
 def test_reruns_are_byte_identical(tmp_path):
-    # Each output's SHA-256 without its "# generated:" line, recorded with
-    # numpy 2.4.6.  The relay hash covers the "# stats: undetermined_*" line,
-    # so it moves with any change to decoding or to the RNG streams, even on
-    # a run without errors.  "e" is one Monte-Carlo chunk of the BSC genie,
-    # "f" two (62500 codewords and 7500 at n=6).  Each hash also covers the
-    # "# nestedpolar <version>" header line, so a version bump moves all six.
-    for name, (args, digest) in {
-        "a": (["construct", "--set", "n=4", "--set", "erasure_prob=0.3"],
-              "a67be849c324f49e76fcd33ae1f802f1e328ec3d3f2f733406bb0ff4601d867a"),
-        "b": (["wiretap-sweep", "--trials", "10", "--seed", "3", "--set", "n=5",
-               "--set", "ew_start=0.3", "--set", "ew_stop=0.4", "--set", "ew_step=0.05"],
-              "3fb8426b1f4c668aa9a1bfb997d35357bf4ddc6adbdbf03c9fa84674a37dfbad"),
-        "c": (["relay-sim", "--trials", "3", "--seed", "8", "--set", "n=5",
-               "--set", "blocks=2", "--set", "margin=0.5"],
-              "6353190350347b6b399530bbb4f6afa54141fafa67a9319db65fa7e665eb6915"),
-        "d": (["fig1", "--trials", "5", "--seed", "4"],
-              "ccfb5d7b82b12dbf7bfa1ab219b4ddf3798d49a67d4023f7dc169bf231e93873"),
-        "e": (["construct", "--set", "channel=bsc", "--set", "n=6", "--trials", "2000"],
-              "1fbf8b1186d6c04560b03bc0a2e1b149ee67ead1da31724725fc82d284ab428a"),
-        "f": (["construct", "--set", "channel=bsc", "--set", "n=6", "--trials", "70000"],
-              "5f2d023fee1a2c8e4757003de25cb6d606d97b7fc897de1b7298a525f331b388"),
-    }.items():
+    for name, (args, digest) in RERUN_PINS.items():
         first = tmp_path / f"{name}1.csv"
         second = tmp_path / f"{name}2.csv"
         assert main(args + ["--out", str(first)]) == 0
         assert main(args + ["--out", str(second)]) == 0
         assert body_lines(first) == body_lines(second)
-        kept = [ln for ln in first.read_text().splitlines(keepends=True)
-                if not ln.startswith("# generated:")]
-        assert hashlib.sha256("".join(kept).encode()).hexdigest() == digest, name
+        assert kept_digest(first) == digest, name
+
+
+def test_bsc_pin_holds_without_avx512(tmp_path):
+    # the BSC genie's check combine runs numpy's exp and log1p, whose
+    # AVX-512 (X86_V4) and AVX2 loops may differ in the last bit; pin "e"
+    # must come out the same with the X86_V4 loops switched off
+    found = np.show_config(mode="dicts")["SIMD Extensions"].get("found") or []
+    if "X86_V4" not in found:
+        pytest.skip("numpy runs no X86_V4 (AVX-512) loops here")
+    args, digest = RERUN_PINS["e"]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "e.csv"
+    proc = subprocess.run([sys.executable, "-m", "nestedpolar.cli", *args, "--out", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert kept_digest(out) == digest

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nestedpolar import construction, sc
-from nestedpolar.channels import RngStream, bec_sample_rows
+from nestedpolar.channels import RngStream, bec_sample_rows, bsc_llr_magnitude
 from nestedpolar.construction import (
     BSC,
     ReliabilityProfile,
@@ -16,9 +16,9 @@ from nestedpolar.construction import (
     select_secure_subset,
 )
 from nestedpolar.polar import CodeParams, transform_rows
-from nestedpolar.sc import undetermined_bec_rows
+from nestedpolar.sc import genie_llr_rows, undetermined_bec_rows
 
-from oracles import exhaustive_bec_bitchannel_z, mc_reliability_whole_chunks
+from oracles import exhaustive_bec_bitchannel_z, mc_reliability_whole_chunks, ml_genie_flags
 
 
 def test_bec_reliability_base_cases():
@@ -59,11 +59,12 @@ def test_bec_reliability_checks_n_before_the_recursion():
 
 
 def test_bsc_construction_builds_no_float_llr_batch():
-    # one 3906-row chunk at n=10 (18.6 MB): no (batch, N) float64 array is
+    # one 3906-row chunk at n=10 (14.8 MB): no (batch, N) float64 array is
     # built, and the flips and the genie's passes over its codes go a block
     # at a time.  The chunk holds its inputs u (4 MB); each of its two
     # 1953-row genie batches holds y, the true bits and the flags (2 MB
-    # each) and the uint16 codes (4 MB)
+    # each) and the uint16 codes (4 MB).  With 2^18-cell genie blocks it
+    # would take 18.6 MB
     mc_reliability(BSC(0.11), 10, 3906, 2)  # warm-up: imports and caches
     tracemalloc.start()
     try:
@@ -71,7 +72,7 @@ def test_bsc_construction_builds_no_float_llr_batch():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 << 20
+    assert peak < 18 << 20
 
 
 def test_n10_genie_batches_run_five_code_levels(monkeypatch):
@@ -252,6 +253,32 @@ def test_mc_reliability_deterministic():
     a = mc_reliability(BSC(0.11), 5, trials=4000, seed=9)
     b = mc_reliability(BSC(0.11), 5, trials=4000, seed=9)
     assert np.array_equal(a.z, b.z)
+
+
+def test_mc_reliability_matches_exact_genie_expectation():
+    # every (u, flip pattern) pair at N = 4 and 8, weighted by
+    # 2^-N p^k (1-p)^(N-k) and flagged by bit-channel ML with the true
+    # past, ties decided 0: the exact z of genie SC, which the Monte-Carlo
+    # estimate must hold within 4 standard errors at every index.  A tie
+    # errs for one of the two values of u_i under any rule blind to u, so
+    # z alone cannot see the tie rule; the genie's flags must also equal
+    # ML's on every pair
+    p, trials = 0.11, 20_000
+    L = bsc_llr_magnitude(p)
+    for n in (2, 3):
+        N = 1 << n
+        words = ((np.arange(1 << N)[:, None] >> np.arange(N)) & 1).astype(np.uint8)
+        u = np.repeat(words, 1 << N, axis=0)
+        flips = np.tile(words, (1 << N, 1))
+        y = transform_rows(u) ^ flips
+        k = flips.sum(axis=1)
+        weight = p**k * (1 - p) ** (N - k) / (1 << N)
+        flags = ml_genie_flags(np.where(y, -L, L), u)
+        assert np.array_equal(genie_llr_rows(y, L, u), flags)
+        exact = weight @ flags
+        z = mc_reliability(BSC(p), n, trials, 1).z
+        stderr = np.sqrt(exact * (1 - exact) / trials)
+        assert np.all(np.abs(z - exact) <= 4 * stderr), (n, z, exact)
 
 
 @pytest.mark.slow

@@ -22,6 +22,8 @@ from oracles import (
     bitrev,
     genie_erased_bits,
     genie_llr_walk,
+    llr_boxplus,
+    ml_genie_flags,
     naive_rank,
     reference_generator,
     sequential_ml_decode,
@@ -297,38 +299,65 @@ def test_node_rule_skips_rate0_and_rate1_subtrees(monkeypatch):
     assert 0 < count_check_nodes(monkeypatch, y, mixed) < N - 1
 
 
-def ml_genie_flags(llr, u):
-    """Genie SC by sequential ML: bit i of a row is the ML decision of
-    bit-channel i given the true past, with only bit i unfrozen and the true
-    bits frozen; flags the decisions that differ from u."""
-    N = llr.shape[1]
-    ml = np.array([
-        [sequential_ml_decode(llr[r], np.arange(N) == i, u[r])[i] for i in range(N)]
-        for r in range(llr.shape[0])
-    ])
-    return ml != u
-
-
 def test_genie_llr_walk_matches_sequential_ml_reference():
     # the walk is the genie's bit-for-bit oracle (the tree-walk test below),
-    # so this chain holds genie SC to ML, ties included
+    # so this chain holds genie SC to ML, ties included; the enumerating
+    # ml_genie_flags is held to sequential_ml_decode, one bit at a time
     rng = np.random.default_rng(21)
     llr = np.round(rng.normal(0, 2, (64, 4)), 3)
     llr[rng.random(llr.shape) < 0.25] = 0.0  # exact ties
     u = rng.integers(0, 2, llr.shape, dtype=np.uint8)
-    assert np.array_equal(genie_llr_walk(llr, u), ml_genie_flags(llr, u))
+    flags = ml_genie_flags(llr, u)
+    sequential = np.array([
+        [sequential_ml_decode(llr[r], np.arange(4) == i, u[r])[i] for i in range(4)]
+        for r in range(llr.shape[0])
+    ])
+    assert np.array_equal(flags, sequential != u)
+    assert np.array_equal(genie_llr_walk(llr, u), flags)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "_llr_check is not exactly odd, so an exact bit-channel tie comes out as an LLR "
-    "of rounding size and either sign; see the FOUND on _llr_check in CHANGES.md"))
-def test_genie_llr_rows_match_sequential_ml_on_bsc_ties():
-    # BSC LLRs +-L make exact ties common at N = 8; ML decides each one 0
+@pytest.mark.parametrize("n, nbatch", [(3, 40), (4, 8)])
+def test_genie_llr_rows_match_sequential_ml_on_bsc_ties(n, nbatch):
+    # BSC LLRs +-L make exact ties common; ML decides each one 0.  Both
+    # batches are small enough that only level 0 runs on codes, so the
+    # float levels take the rest, at N = 8 and at N = 16
     rng = np.random.default_rng(22)
     p, L = 0.11, bsc_llr_magnitude(0.11)
-    u = rng.integers(0, 2, (40, 8), dtype=np.uint8)
+    u = rng.integers(0, 2, (nbatch, 1 << n), dtype=np.uint8)
     y = bsc_sample_rows(transform_rows(u), p, rng)
-    assert np.array_equal(genie_llr_rows(y, L, u), ml_genie_flags(np.where(y, -L, L), u))
+    levels = []
+    real = sc._genie_code_level
+
+    def counting(codes, x, table, d):
+        levels.append(d)
+        return real(codes, x, table, d)
+
+    with mock.patch.object(sc, "_genie_code_level", counting):
+        flags = genie_llr_rows(y, L, u)
+    assert levels == [0]
+    assert np.array_equal(flags, ml_genie_flags(np.where(y, -L, L), u))
+
+
+def test_llr_check_is_exactly_odd_and_symmetric():
+    # on a grid of +-0, 1e-300, subnormals and magnitudes up to the LLR cap
+    # and past it (deep float levels sum up to N of them): bitwise odd in
+    # each argument, bitwise symmetric, exactly 0 when either input is 0,
+    # and within 1e-15 (1 + |a| + |b|) of the logaddexp form
+    mags = np.array([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-17, 1e-8, 1e-3, 0.1,
+                     0.5, 1.0, bsc_llr_magnitude(0.11), 2.5, 7.0, 19.0, 36.0, 37.5, LLR_CAP,
+                     2 * LLR_CAP, 1024 * LLR_CAP])
+    vals = np.concatenate([mags, -mags])
+    a, b = (g.ravel() for g in np.meshgrid(vals, vals))
+    f = sc._llr_check(a, b)
+    assert np.array_equal(sc._llr_check(-a, b).view(np.int64), (-f).view(np.int64))
+    assert np.array_equal(sc._llr_check(b, a).view(np.int64), f.view(np.int64))
+    assert np.array_equal(f.view(np.int64), llr_boxplus(a, b).view(np.int64))
+    assert np.all(f[(a == 0) | (b == 0)] == 0)
+    reference = np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
+    assert np.all(np.abs(f - reference) <= 1e-15 * (1 + np.abs(a) + np.abs(b)))
+    # on strided halves, as the float levels pass them
+    v = np.stack([a.reshape(2, -1), b.reshape(2, -1)], axis=1)
+    assert np.array_equal(sc._llr_check(v[:, 0], v[:, 1]).ravel().view(np.int64), f.view(np.int64))
 
 
 @settings(max_examples=60, deadline=None)
